@@ -40,15 +40,7 @@ def save_checkpoint(
     config_bytes = config_text.encode("utf-8")
     out += struct.pack("<I", len(config_bytes))
     out += config_bytes
-    out += struct.pack("<I", len(tensors))
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        out += struct.pack("<I", len(name_bytes))
-        out += name_bytes
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.astype("<f8").tobytes()
+    out += _pack_named_arrays(tensors)
     blocks = blocks or {}
     out += struct.pack("<I", len(blocks))
     for tag, payload in blocks.items():
@@ -80,6 +72,30 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
+def _pack_named_arrays(arrays: dict[str, np.ndarray]) -> bytes:
+    out = bytearray(struct.pack("<I", len(arrays)))
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        name_bytes = name.encode("utf-8")
+        out += struct.pack("<I", len(name_bytes))
+        out += name_bytes
+        out += struct.pack("<I", arr.ndim)
+        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        out += arr.astype("<f8").tobytes()
+    return bytes(out)
+
+
+def _unpack_named_arrays(r: _Reader) -> dict[str, np.ndarray]:
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(r.u32()):
+        name = r.take(r.u32()).decode("utf-8")
+        rank = r.u32()
+        shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
+        count = int(np.prod(shape)) if shape else 1
+        arrays[name] = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
+    return arrays
+
+
 def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict[bytes, bytes]]:
     path = Path(path)
     try:
@@ -93,14 +109,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict[
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     config_text = r.take(r.u32()).decode("utf-8")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64)
+    tensors = _unpack_named_arrays(r)
     blocks: dict[bytes, bytes] = {}
     for _ in range(r.u32()):
         tag = r.take(4)
@@ -124,30 +133,6 @@ def decode_vocab(payload: bytes) -> dict[str, int]:
         tok, idx = line.rsplit("\t", 1)
         table[tok] = int(idx)
     return table
-
-
-def _pack_named_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    out = bytearray(struct.pack("<I", len(arrays)))
-    for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        out += struct.pack("<I", len(name_bytes))
-        out += name_bytes
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.astype("<f8").tobytes()
-    return bytes(out)
-
-
-def _unpack_named_arrays(r: _Reader) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).astype(np.float64)
-    return arrays
 
 
 def encode_train_state(
@@ -181,6 +166,10 @@ def decode_train_state(payload: bytes) -> dict:
     moments_m = _unpack_named_arrays(r)
     moments_v = _unpack_named_arrays(r)
     capacity, fill, head, dim = struct.unpack("<IIII", r.take(16))
+    if fill > capacity or head >= capacity or (fill and not dim):
+        raise CheckpointError(
+            f"train-state queue of capacity {capacity} x {dim} cannot hold fill {fill} with head {head}"
+        )
     buf = np.frombuffer(r.take(8 * capacity * dim), dtype="<f8")
     queue_buffer = buf.reshape(capacity, dim).astype(np.float64) if dim else np.zeros((capacity, 0))
     if r.pos != len(payload):

@@ -8,7 +8,7 @@ embeddings are projected to a common dimension; callers normalize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,11 +119,6 @@ class EmbeddingSet:
     tokens: Tensor               # (N, T, D)
     mask: np.ndarray             # (N, T) bool
     overlapping_receptive_fields: bool = False
-    token_counts: np.ndarray = field(default=None)  # (N,) int
-
-    def __post_init__(self):
-        if self.token_counts is None:
-            self.token_counts = self.mask.sum(axis=1).astype(np.int64)
 
 
 class VitEncoder(Module):

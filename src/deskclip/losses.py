@@ -9,6 +9,11 @@ Five training variants are assembled from six reusable loss terms:
   neighbor      InfoNCE against nearest-neighbor texts from past steps
   token_align   symmetric InfoNCE over token-wise maximum similarity
 
+``LossConfig.term_weights()`` is the single variant table: it names the
+terms each variant uses and their weights. The trainer computes exactly
+the terms it names, builds augmented views and trains the masked-token
+head only when a named term needs them, and weights the total with it.
+
 Every term consumes unit-normalized embeddings; non-unit inputs violate
 the contract and raise. Weighted sums are tracked in a LossBreakdown so
 the composite can always be re-derived from its parts.
@@ -87,37 +92,33 @@ class LossConfig:
             raise ConfigError("ssl_temperature must be positive")
         if self.neighbor_queue_capacity < 1:
             raise ConfigError("neighbor_queue_capacity must be positive")
-        if self.variant in ("declip", "defilip") and self.clip_remainder() <= 0:
+        weights = self.term_weights()
+        if "clip" in weights and weights["clip"] <= 0:
             raise ConfigError(
                 "ssl_weight + multiview_weight + neighbor_weight must stay below 1 "
                 "so the paired image-text term keeps positive weight"
             )
 
-    def clip_remainder(self) -> float:
-        return 1.0 - self.ssl_weight - self.multiview_weight - self.neighbor_weight
-
     def term_weights(self) -> dict[str, float]:
-        v = self.variant
-        if v == "clip":
-            return {"clip": 1.0}
-        if v == "slip":
-            return {"clip": 1.0, "image_ssl": self.slip_ssl_weight}
-        if v == "filip":
-            return {"token_align": 1.0}
-        weights = {
-            "clip": self.clip_remainder(),
+        """The variant table: each active term of this variant and its weight.
+
+        Keys are the terms the trainer computes (a zero weight still
+        computes the term); values multiply them in the total.
+        """
+        composite = {
+            "clip": 1.0 - self.ssl_weight - self.multiview_weight - self.neighbor_weight,
             "image_ssl": self.ssl_weight,
             "text_mlm": self.ssl_weight,
             "multiview": self.multiview_weight,
             "neighbor": self.neighbor_weight,
         }
-        if v == "defilip":
-            weights["token_align"] = self.token_align_weight
-        return weights
-
-    @classmethod
-    def for_variant(cls, variant: str, **overrides) -> "LossConfig":
-        return cls(variant=variant, **overrides)
+        return {
+            "clip": {"clip": 1.0},
+            "slip": {"clip": 1.0, "image_ssl": self.slip_ssl_weight},
+            "filip": {"token_align": 1.0},
+            "declip": composite,
+            "defilip": {**composite, "token_align": self.token_align_weight},
+        }[self.variant]
 
 
 # breakdown ------------------------------------------------------------------
@@ -211,7 +212,10 @@ def clip_loss(img: EmbeddingSet, txt: EmbeddingSet, temperature) -> LossBreakdow
     i2t = info_nce(img.pooled, txt.pooled, temperature)
     t2i = info_nce(txt.pooled, img.pooled, temperature)
     term = (i2t + t2i) * T.constant(0.5)
-    return combine_terms(
+    # the term is its own total: a weight-1 product node would sit on the tape
+    # unused whenever the term enters a larger composite
+    return LossBreakdown(
+        term,
         {"clip": term},
         {"clip": 1.0},
         diagnostics={"image_to_text": i2t.item(), "text_to_image": t2i.item()},
@@ -503,8 +507,15 @@ def tokenwise_alignment_loss(
     """Batch contrastive loss on token-wise maximum similarity scores.
 
     Both directions build an N x N score matrix from per-token matches and
-    apply the usual matching cross-entropy; the two are averaged.
+    apply the usual matching cross-entropy; the two are averaged. Warns
+    when the image tokens come from overlapping receptive fields.
     """
+    if img.overlapping_receptive_fields:
+        warnings.warn(
+            "token-wise alignment over overlapping receptive fields: neighbouring "
+            "image tokens share input pixels, so per-token matches are correlated",
+            stacklevel=2,
+        )
     n = img.tokens.shape[0]
     if txt.tokens.shape[0] != n:
         raise ContractError(f"batch mismatch: {n} images vs {txt.tokens.shape[0]} texts")
@@ -537,83 +548,3 @@ def tokenwise_alignment_loss(
     i2t = T.cross_entropy(image_side / temperature, targets)
     t2i = T.cross_entropy(T.transpose(text_side) / temperature, targets)
     return (i2t + t2i) * T.constant(0.5)
-
-
-def filip_loss(
-    img: EmbeddingSet,
-    txt: EmbeddingSet,
-    temperature,
-    token_fraction: float = 1.0,
-) -> LossBreakdown:
-    """Token-alignment contrastive loss as the sole training signal."""
-    if img.overlapping_receptive_fields:
-        warnings.warn(
-            "token-wise alignment over overlapping receptive fields: neighbouring "
-            "image tokens share input pixels, so per-token matches are correlated",
-            stacklevel=2,
-        )
-    term = tokenwise_alignment_loss(img, txt, temperature, token_fraction)
-    return combine_terms({"token_align": term}, {"token_align": 1.0})
-
-
-# composite variants ------------------------------------------------------------------
-
-
-def slip_loss(clip_term: Tensor, image_ssl_term: Tensor, config: LossConfig) -> LossBreakdown:
-    """clip + weighted image self-supervision."""
-    return combine_terms(
-        {"clip": clip_term, "image_ssl": image_ssl_term},
-        {"clip": 1.0, "image_ssl": config.slip_ssl_weight},
-    )
-
-
-def declip_loss(
-    clip_term: Tensor,
-    image_ssl_term: Tensor,
-    text_mlm_term: Tensor,
-    multiview_term: Tensor,
-    neighbor_term: Tensor,
-    config: LossConfig,
-    **extra,
-) -> LossBreakdown:
-    """Data-efficient composite: clip anchor plus four auxiliary signals."""
-    if config.clip_remainder() <= 0:
-        raise ConfigError("composite requires positive weight on the clip term")
-    return combine_terms(
-        {
-            "clip": clip_term,
-            "image_ssl": image_ssl_term,
-            "text_mlm": text_mlm_term,
-            "multiview": multiview_term,
-            "neighbor": neighbor_term,
-        },
-        {
-            "clip": config.clip_remainder(),
-            "image_ssl": config.ssl_weight,
-            "text_mlm": config.ssl_weight,
-            "multiview": config.multiview_weight,
-            "neighbor": config.neighbor_weight,
-        },
-        **extra,
-    )
-
-
-def defilip_loss(
-    clip_term: Tensor,
-    image_ssl_term: Tensor,
-    text_mlm_term: Tensor,
-    multiview_term: Tensor,
-    neighbor_term: Tensor,
-    token_align_term: Tensor,
-    config: LossConfig,
-    **extra,
-) -> LossBreakdown:
-    """The full composite: every auxiliary signal plus token alignment."""
-    base = declip_loss(
-        clip_term, image_ssl_term, text_mlm_term, multiview_term, neighbor_term, config
-    )
-    terms = dict(base.terms)
-    weights = dict(base.weights)
-    terms["token_align"] = token_align_term
-    weights["token_align"] = config.token_align_weight
-    return combine_terms(terms, weights, **extra)

@@ -153,7 +153,7 @@ def build_graph(root: Tensor) -> Graph:
     return Graph(order)
 
 
-def backward(loss: Tensor) -> Graph:
+def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable gradient-tracked tensor.
 
     Interior gradients (and the closures holding forward activations) are
@@ -174,7 +174,6 @@ def backward(loss: Tensor) -> Graph:
             node.grad = None
             node._backward = None
             node._parents = ()
-    return graph
 
 
 def _accumulate(target: Tensor, grad: Array) -> None:

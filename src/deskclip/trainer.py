@@ -43,7 +43,6 @@ from .losses import (
     NNQueue,
     clip_loss,
     combine_terms,
-    filip_loss,
     make_mlm_batch,
     masked_token_loss,
     multiview_loss,
@@ -115,12 +114,12 @@ MLM_HEAD_PREFIX = "text.mlm_head."
 def trainable_parameters(model: DualEncoder, variant: str) -> list:
     """Parameters that receive gradients under the given variant.
 
-    The masked-token head only feeds the text self-supervision term, so
-    variants without that term leave it out of the optimizer entirely
-    (no decay, no updates). Everything else participates every step.
+    The masked-token head only feeds the text_mlm term, so variants whose
+    term table lacks it leave the head out of the optimizer entirely (no
+    decay, no updates). Everything else participates every step.
     """
     named = list(model.named_parameters())
-    if variant in ("declip", "defilip"):
+    if "text_mlm" in LossConfig(variant=variant).term_weights():
         return named
     return [(n, p) for n, p in named if not n.startswith(MLM_HEAD_PREFIX)]
 
@@ -170,12 +169,12 @@ def assemble_views(
     base = load_images(records, image_size)
     captions = [r.caption for r in records]
     views = StepViews(base, encode_batch(captions, vocab, text_cfg.context_length))
-    variant = loss_cfg.variant
-    if variant in ("slip", "declip", "defilip"):
+    weights = loss_cfg.term_weights()
+    if "image_ssl" in weights or "multiview" in weights:
         seeds = rng_for(train_cfg.seed, "augimg", epoch, step).integers(0, 2**63 - 1, size=(len(records), 2))
         views.aug1 = np.stack([augment_image(base[i], img_policy, int(seeds[i, 0])) for i in range(len(records))])
         views.aug2 = np.stack([augment_image(base[i], img_policy, int(seeds[i, 1])) for i in range(len(records))])
-    if variant in ("declip", "defilip"):
+    if "multiview" in weights:
         tseeds = rng_for(train_cfg.seed, "augtxt", epoch, step).integers(0, 2**63 - 1, size=len(records))
         edited = [
             " ".join(augment_text(tokenize_words(c), txt_policy, int(s)))
@@ -193,70 +192,38 @@ def compute_step_loss(
     vocab_size: int,
     mlm_rng: np.random.Generator,
 ) -> LossBreakdown:
-    """Forward pass for whichever variant is configured."""
+    """Forward pass computing exactly the terms ``loss_cfg.term_weights()`` names."""
+    weights = loss_cfg.term_weights()
     temperature = model.temperature()
-    variant = loss_cfg.variant
-
-    if variant == "clip":
-        img_set = model.encode_image(T.Tensor(views.images))
-        txt_set = model.encode_text(views.ids)
-        return clip_loss(img_set, txt_set, temperature)
-
-    if variant == "filip":
-        img_set = model.encode_image(T.Tensor(views.images))
-        txt_set = model.encode_text(views.ids)
-        return filip_loss(img_set, txt_set, temperature, loss_cfg.filip_token_fraction)
-
-    if variant == "slip":
-        img_set = model.encode_image(T.Tensor(views.images))
-        txt_set = model.encode_text(views.ids)
-        base = clip_loss(img_set, txt_set, temperature)
-        view_a = model.encode_image(T.Tensor(views.aug1)).pooled
-        view_b = model.encode_image(T.Tensor(views.aug2)).pooled
-        ssl = nt_xent_loss(view_a, view_b, loss_cfg.ssl_temperature)
-        return combine_terms(
-            {"clip": base.terms["clip"], "image_ssl": ssl},
-            {"clip": 1.0, "image_ssl": loss_cfg.slip_ssl_weight},
-            diagnostics=base.diagnostics,
-        )
-
-    # declip / defilip
     img_set = model.encode_image(T.Tensor(views.images))
     txt_set = model.encode_text(views.ids)
-    base = clip_loss(img_set, txt_set, temperature)
-    aug1_set = model.encode_image(T.Tensor(views.aug1))
-    aug2_set = model.encode_image(T.Tensor(views.aug2))
-    txt_aug_set = model.encode_text(views.ids_aug)
-    ssl = nt_xent_loss(aug1_set.pooled, aug2_set.pooled, loss_cfg.ssl_temperature)
-    mlm = make_mlm_batch(views.ids, vocab_size, mlm_rng)
-    mlm_term, mlm_skipped = masked_token_loss(model.text, mlm)
-    multi = multiview_loss(img_set.pooled, aug1_set.pooled, txt_set.pooled, txt_aug_set.pooled, temperature)
-    neighbor, cold = neighbor_supervision_loss(img_set.pooled, txt_set.pooled, queue, temperature)
-    terms = {
-        "clip": base.terms["clip"],
-        "image_ssl": ssl,
-        "text_mlm": mlm_term,
-        "multiview": multi,
-        "neighbor": neighbor,
-    }
-    weights = {
-        "clip": loss_cfg.clip_remainder(),
-        "image_ssl": loss_cfg.ssl_weight,
-        "text_mlm": loss_cfg.ssl_weight,
-        "multiview": loss_cfg.multiview_weight,
-        "neighbor": loss_cfg.neighbor_weight,
-    }
-    if variant == "defilip":
+    terms: dict[str, T.Tensor] = {}
+    diagnostics: dict[str, float] = {}
+    counters: dict[str, int] = {}
+    if "clip" in weights:
+        base = clip_loss(img_set, txt_set, temperature)
+        terms["clip"] = base.terms["clip"]
+        diagnostics = base.diagnostics
+    if "image_ssl" in weights or "multiview" in weights:
+        aug1 = model.encode_image(T.Tensor(views.aug1)).pooled
+        aug2 = model.encode_image(T.Tensor(views.aug2)).pooled
+    if "image_ssl" in weights:
+        terms["image_ssl"] = nt_xent_loss(aug1, aug2, loss_cfg.ssl_temperature)
+    if "text_mlm" in weights:
+        mlm = make_mlm_batch(views.ids, vocab_size, mlm_rng)
+        terms["text_mlm"], counters["text_mlm_skipped"] = masked_token_loss(model.text, mlm)
+    if "multiview" in weights:
+        txt_aug = model.encode_text(views.ids_aug).pooled
+        terms["multiview"] = multiview_loss(img_set.pooled, aug1, txt_set.pooled, txt_aug, temperature)
+    if "neighbor" in weights:
+        terms["neighbor"], counters["neighbor_cold"] = neighbor_supervision_loss(
+            img_set.pooled, txt_set.pooled, queue, temperature
+        )
+    if "token_align" in weights:
         terms["token_align"] = tokenwise_alignment_loss(
             img_set, txt_set, temperature, loss_cfg.filip_token_fraction
         )
-        weights["token_align"] = loss_cfg.token_align_weight
-    return combine_terms(
-        terms,
-        weights,
-        diagnostics=base.diagnostics,
-        counters={"text_mlm_skipped": mlm_skipped, "neighbor_cold": cold},
-    )
+    return combine_terms(terms, weights, diagnostics=diagnostics, counters=counters)
 
 
 # checkpoint plumbing ---------------------------------------------------------------

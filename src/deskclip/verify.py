@@ -207,19 +207,20 @@ def check_bruteforce(instances: int = 20):
 def check_composition():
     rng = np.random.default_rng(31)
     terms = {name: T.Tensor(np.array(float(rng.uniform(0.2, 3.0)))) for name in losses.TERM_ORDER}
-    cfg = losses.LossConfig(variant="defilip")
-    full = losses.defilip_loss(
-        terms["clip"], terms["image_ssl"], terms["text_mlm"],
-        terms["multiview"], terms["neighbor"], terms["token_align"], cfg,
-    )
-    base = losses.declip_loss(
-        terms["clip"], terms["image_ssl"], terms["text_mlm"],
-        terms["multiview"], terms["neighbor"], cfg,
-    )
-    gap1 = abs(full.total.item() - full.recompute_total())
-    gap2 = abs((full.total.item() - base.total.item()) - cfg.token_align_weight * terms["token_align"].item())
-    ok = gap1 <= 1e-12 and gap2 <= 1e-12
-    return ok, f"breakdown gap {gap1:.2e}, composite difference gap {gap2:.2e}"
+    tables = {v: losses.LossConfig(variant=v).term_weights() for v in losses.VARIANTS}
+    built = {v: losses.combine_terms(terms, weights) for v, weights in tables.items()}
+    gap1 = max(abs(b.total.item() - b.recompute_total()) for b in built.values())
+    # a variant whose table extends another's (defilip over declip, slip over
+    # clip) differs from it by exactly the extra weighted terms
+    gap2, pairs = 0.0, 0
+    for big, wide in tables.items():
+        for small, narrow in tables.items():
+            if big != small and narrow.items() <= wide.items():
+                extra = sum(wide[k] * terms[k].item() for k in wide.keys() - narrow.keys())
+                gap2 = max(gap2, abs(built[big].total.item() - built[small].total.item() - extra))
+                pairs += 1
+    ok = gap1 <= 1e-12 and gap2 <= 1e-12 and pairs > 0
+    return ok, f"breakdown gap {gap1:.2e}, composite difference gap {gap2:.2e} over {pairs} variant pairs"
 
 
 def check_filip_tiebreak():

@@ -27,14 +27,11 @@ from deskclip.losses import (
     LossConfig,
     NNQueue,
     clip_loss,
-    declip_loss,
-    defilip_loss,
-    filip_loss,
+    combine_terms,
     info_nce,
     multiview_loss,
     neighbor_supervision_loss,
     nt_xent_loss,
-    slip_loss,
     tokenwise_alignment_loss,
     tokenwise_max_similarity,
 )
@@ -298,7 +295,10 @@ def test_analytic_fixtures():
         pooled=Tensor(txt_pooled), tokens=Tensor(txt_pooled[:, None, :]), mask=np.ones((3, 1), bool)
     )
     gap = abs(
-        float(filip_loss(img_set, txt_set, 0.2).total.data)
+        float(combine_terms(
+            {"token_align": tokenwise_alignment_loss(img_set, txt_set, 0.2)},
+            LossConfig(variant="filip").term_weights(),
+        ).total.data)
         - float(clip_loss(img_set, txt_set, 0.2).total.data)
     )
     if gap > 1e-12:
@@ -326,20 +326,16 @@ def test_composition_identities():
         rng.uniform(0.5, 3.0, size=6),
     )}
 
-    cfg = LossConfig(variant="declip")
-    breakdown = declip_loss(
-        terms["clip"], terms["image_ssl"], terms["text_mlm"],
-        terms["multiview"], terms["neighbor"], cfg,
-    )
+    def compose(cfg: LossConfig):
+        return combine_terms(terms, cfg.term_weights())
+
+    breakdown = compose(LossConfig(variant="declip"))
     rebuilt = sum(breakdown.weights[k] * float(breakdown.terms[k].data) for k in breakdown.terms)
     if abs(float(breakdown.total.data) - rebuilt) > 1e-12:
         failures.append(f"declip-rebuild gap={abs(float(breakdown.total.data) - rebuilt):.2e}")
 
     full_cfg = LossConfig(variant="defilip")
-    full = defilip_loss(
-        terms["clip"], terms["image_ssl"], terms["text_mlm"],
-        terms["multiview"], terms["neighbor"], terms["token_align"], full_cfg,
-    )
+    full = compose(full_cfg)
     gap = abs(
         (float(full.total.data) - float(breakdown.total.data))
         - full_cfg.token_align_weight * float(terms["token_align"].data)
@@ -348,27 +344,18 @@ def test_composition_identities():
         failures.append(f"composite-difference gap={gap:.2e}")
 
     zeroed = LossConfig(variant="declip", ssl_weight=0.0, multiview_weight=0.0, neighbor_weight=0.0)
-    collapsed = declip_loss(
-        terms["clip"], terms["image_ssl"], terms["text_mlm"],
-        terms["multiview"], terms["neighbor"], zeroed,
-    )
-    if float(collapsed.total.data) != float(terms["clip"].data):
+    if float(compose(zeroed).total.data) != float(terms["clip"].data):
         failures.append("zero-weight declip != clip")
 
     zeroed_full = LossConfig(
         variant="defilip", ssl_weight=0.0, multiview_weight=0.0,
         neighbor_weight=0.0, token_align_weight=0.0,
     )
-    collapsed = defilip_loss(
-        terms["clip"], terms["image_ssl"], terms["text_mlm"],
-        terms["multiview"], terms["neighbor"], terms["token_align"], zeroed_full,
-    )
-    if float(collapsed.total.data) != float(terms["clip"].data):
+    if float(compose(zeroed_full).total.data) != float(terms["clip"].data):
         failures.append("zero-weight defilip != clip")
 
     slip_zero = LossConfig(variant="slip", slip_ssl_weight=0.0)
-    collapsed = slip_loss(terms["clip"], terms["image_ssl"], slip_zero)
-    if float(collapsed.total.data) != float(terms["clip"].data):
+    if float(compose(slip_zero).total.data) != float(terms["clip"].data):
         failures.append("zero-weight slip != clip")
 
     note("composition-identities", not failures, "; ".join(failures) or "rebuild, difference, collapse")

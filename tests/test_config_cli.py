@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from deskclip.checkpoint import STATE_TAG, decode_train_state, load_checkpoint, save_checkpoint
 from deskclip.cli import main
 from deskclip.config import (
     apply_overrides,
@@ -223,6 +226,30 @@ def test_resume_config_mismatch_exits_3(tmp_path, capsys, data_dir):
               + micro_args(data_dir, "train.seed=42"))
     assert rc == 3
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fill_head", [
+    lambda capacity: (capacity + 1, 0),
+    lambda capacity: (0, capacity),
+    lambda capacity: (1, 1),
+], ids=["fill-past-capacity", "head-past-end", "fill-without-vectors"])
+def test_resume_rejects_corrupt_queue_state_exits_3(tmp_path, capsys, data_dir, fill_head):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
+    ckpt = out / "final.ckpt"
+    config, tensors, blocks = load_checkpoint(ckpt)
+    state = blocks[STATE_TAG]
+    capacity, dim = decode_train_state(state)["queue_buffer"].shape
+    assert dim == 0, "a clip run never fills the neighbor queue"
+    # the STAT block ends with u32 capacity, fill, head, dim, then the queue buffer
+    at = len(state) - 12
+    blocks[STATE_TAG] = state[:at] + struct.pack("<II", *fill_head(capacity)) + state[at + 8:]
+    save_checkpoint(ckpt, config, tensors, blocks)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]
+              + micro_args(data_dir))
+    assert rc == 3
+    assert "capacity" in capsys.readouterr().err
 
 
 def test_stats_plain_and_filtered(tmp_path, capsys):

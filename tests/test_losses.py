@@ -14,9 +14,6 @@ from deskclip.losses import (
     NNQueue,
     clip_loss,
     combine_terms,
-    declip_loss,
-    defilip_loss,
-    filip_loss,
     info_nce,
     make_mlm_batch,
     masked_token_loss,
@@ -25,7 +22,6 @@ from deskclip.losses import (
     nt_xent_loss,
     paired_nce,
     select_topk_tokens,
-    slip_loss,
     tokenwise_alignment_loss,
     tokenwise_max_similarity,
 )
@@ -252,7 +248,10 @@ def test_single_token_alignment_equals_clip():
     pooled_i, pooled_t = unit(rng, 4, 8), unit(rng, 4, 8)
     img = embset(pooled_i, pooled_i[:, None, :])
     txt = embset(pooled_t, pooled_t[:, None, :])
-    aligned = filip_loss(img, txt, 0.2).total.item()
+    aligned = combine_terms(
+        {"token_align": tokenwise_alignment_loss(img, txt, 0.2)},
+        LossConfig(variant="filip").term_weights(),
+    ).total.item()
     paired = clip_loss(img, txt, 0.2).total.item()
     assert abs(aligned - paired) <= 1e-12
 
@@ -265,7 +264,7 @@ def test_filip_warns_on_overlapping_fields():
                        overlapping_receptive_fields=True)
     txt = embset(pooled, pooled[:, None, :])
     with pytest.warns(UserWarning):
-        filip_loss(img, txt, 0.5)
+        tokenwise_alignment_loss(img, txt, 0.5)
 
 
 def test_select_topk_quarter_of_four_keeps_one():
@@ -474,11 +473,14 @@ def rand_terms(rng):
     }
 
 
+def compose(terms, **cfg):
+    return combine_terms(terms, LossConfig(**cfg).term_weights())
+
+
 def test_declip_default_weights():
     rng = np.random.default_rng(30)
     t = rand_terms(rng)
-    cfg = LossConfig(variant="declip")
-    got = declip_loss(t["clip"], t["image_ssl"], t["text_mlm"], t["multiview"], t["neighbor"], cfg)
+    got = compose(t, variant="declip")
     want = (
         0.4 * t["clip"].item()
         + 0.2 * (t["image_ssl"].item() + t["text_mlm"].item())
@@ -492,11 +494,8 @@ def test_declip_default_weights():
 def test_defilip_minus_declip_is_weighted_token_term():
     rng = np.random.default_rng(31)
     t = rand_terms(rng)
-    cfg = LossConfig(variant="defilip", token_align_weight=0.2)
-    full = defilip_loss(t["clip"], t["image_ssl"], t["text_mlm"], t["multiview"],
-                        t["neighbor"], t["token_align"], cfg)
-    base = declip_loss(t["clip"], t["image_ssl"], t["text_mlm"], t["multiview"],
-                       t["neighbor"], cfg)
+    full = compose(t, variant="defilip", token_align_weight=0.2)
+    base = compose(t, variant="declip")
     diff = full.total.item() - base.total.item()
     assert abs(diff - 0.2 * t["token_align"].item()) <= 1e-12
 
@@ -504,12 +503,10 @@ def test_defilip_minus_declip_is_weighted_token_term():
 def test_zero_auxiliary_weights_collapse_to_clip():
     rng = np.random.default_rng(32)
     t = rand_terms(rng)
-    cfg = LossConfig(variant="defilip", ssl_weight=0.0, multiview_weight=0.0,
-                     neighbor_weight=0.0, token_align_weight=0.0)
-    full = defilip_loss(t["clip"], t["image_ssl"], t["text_mlm"], t["multiview"],
-                        t["neighbor"], t["token_align"], cfg)
+    full = compose(t, variant="defilip", ssl_weight=0.0, multiview_weight=0.0,
+                   neighbor_weight=0.0, token_align_weight=0.0)
     assert abs(full.total.item() - t["clip"].item()) <= 1e-15
-    slip = slip_loss(t["clip"], t["image_ssl"], LossConfig(variant="slip", slip_ssl_weight=0.0))
+    slip = compose(t, variant="slip", slip_ssl_weight=0.0)
     assert abs(slip.total.item() - t["clip"].item()) <= 1e-15
 
 

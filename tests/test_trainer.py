@@ -14,13 +14,17 @@ from deskclip.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from deskclip.data import generate_synthetic
-from deskclip.encoders import TextConfig, VitConfig
+from deskclip.augment import ImageAugPolicy, TextAugPolicy, default_synonyms
+from deskclip.data import Vocab, generate_synthetic
+from deskclip.encoders import ConvConfig, TextConfig, VitConfig
 from deskclip.errors import CheckpointError, ConfigError
-from deskclip.losses import LossConfig
+from deskclip.losses import VARIANTS, LossConfig, NNQueue
 from deskclip.trainer import (
+    MLM_HEAD_PREFIX,
     TrainConfig,
+    assemble_views,
     build_model,
+    compute_step_loss,
     load_model_for_eval,
     train,
     trainable_parameters,
@@ -134,8 +138,6 @@ def test_build_model_variants_share_interface():
 
 
 def _micro_conv():
-    from deskclip.encoders import ConvConfig
-
     return ConvConfig(image_size=16, stage_channels=(8, 16), embed_dim=16)
 
 
@@ -155,6 +157,40 @@ def test_trainable_parameters_drop_mlm_head_when_unused():
     for variant in ("declip", "defilip"):
         kept = {n for n, _ in trainable_parameters(model, variant)}
         assert kept == all_names
+
+
+def micro_step(records, variant, image_encoder="vit"):
+    """(views, breakdown, model) of one step under ``variant``."""
+    train_cfg = micro_train_cfg(variant=variant, image_encoder=image_encoder)
+    image_cfg = MICRO_IMAGE if image_encoder == "vit" else _micro_conv()
+    loss_cfg = LossConfig(variant=variant, neighbor_queue_capacity=8)
+    vocab = Vocab.build((r.caption for r in records), MICRO_TEXT.vocab_size)
+    views = assemble_views(
+        records[:4], train_cfg, loss_cfg, MICRO_TEXT, vocab, image_cfg.image_size,
+        ImageAugPolicy(), TextAugPolicy(synonyms=default_synonyms()), 0, 0,
+    )
+    model = build_model(train_cfg, image_cfg, MICRO_TEXT)
+    breakdown = compute_step_loss(model, views, loss_cfg, NNQueue(8), len(vocab), np.random.default_rng(0))
+    return views, breakdown, model
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_follows_the_term_table(records, variant):
+    table = LossConfig(variant=variant).term_weights()
+    views, breakdown, model = micro_step(records, variant)
+    assert breakdown.weights == table
+    assert set(breakdown.terms) == set(table)
+    wants_images = "image_ssl" in table or "multiview" in table
+    assert (views.aug1 is not None, views.aug2 is not None) == (wants_images, wants_images)
+    assert (views.ids_aug is not None) == ("multiview" in table)
+    trained = [n for n, _ in trainable_parameters(model, variant)]
+    assert any(n.startswith(MLM_HEAD_PREFIX) for n in trained) == ("text_mlm" in table)
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if "token_align" in LossConfig(variant=v).term_weights()])
+def test_conv_token_alignment_warns_in_every_variant(records, variant):
+    with pytest.warns(UserWarning, match="overlapping receptive fields"):
+        micro_step(records, variant, image_encoder="conv")
 
 
 # ---------------------------------------------------------------- training runs
