@@ -187,12 +187,6 @@ class ConvEncoder(Module):
             in_ch = out_ch
         self.proj = Linear(in_ch, cfg.embed_dim, rng, bias=False)
 
-    @staticmethod
-    def _avgpool2(x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        x = T.reshape(x, (n, c, h // 2, 2, w // 2, 2))
-        return T.mean(x, axis=(3, 5))
-
     def __call__(self, images: Tensor) -> EmbeddingSet:
         cfg = self.cfg
         expected = (cfg.channels, cfg.image_size, cfg.image_size)
@@ -201,7 +195,7 @@ class ConvEncoder(Module):
         x = images
         pad = cfg.kernel_size // 2
         for w in self.filters:
-            x = self._avgpool2(T.gelu(T.conv2d(x, w, padding=pad)))
+            x = T.avgpool2(T.gelu(T.conv2d(x, w, padding=pad)))
         n, c, gh, gw = x.shape
         cells = T.transpose(T.reshape(x, (n, c, gh * gw)), (0, 2, 1))  # (n, cells, c)
         tokens = T.l2_normalize(self.proj(cells))

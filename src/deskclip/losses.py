@@ -159,6 +159,8 @@ class LossBreakdown:
                 parts.append(f"{name}={self.terms[name].item():.6f}")
         for name in sorted(self.diagnostics):
             parts.append(f"{name}={self.diagnostics[name]:.6f}")
+        for name in sorted(self.counters):
+            parts.append(f"{name}={int(self.counters[name])}")
         return " ".join(parts)
 
 

@@ -496,7 +496,11 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g: Array) -> None:
         _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if b.ndim == 2 and a.ndim > 2:
+            # one weight shared by every leading index: fold them into the GEMM's inner sum
+            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out, (a, b), "matmul", bwd)
 
@@ -657,15 +661,36 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     out = (cols @ wf.T).transpose(0, 2, 1).reshape(n, f, oh, ow)
 
     def bwd(g: Array) -> None:
-        g2 = g.reshape(n, f, oh * ow).transpose(0, 2, 1)  # (n, oh*ow, f)
-        _accumulate(w, np.einsum("npf,npk->fk", g2, cols).reshape(w.shape))
-        gcols = (g2 @ wf).reshape(n, oh, ow, c, kh, kw)
+        g3 = g.reshape(n, f, oh * ow)
+        # weight gradient: one GEMM with the batch and output positions as the inner sum
+        gw = g3.transpose(1, 0, 2).reshape(f, n * oh * ow) @ cols.reshape(n * oh * ow, c * kh * kw)
+        _accumulate(w, gw.reshape(w.shape))
+        # col2im: each (i, j) tap of the column gradient is one block added at a strided offset
+        gcols = (wf.T @ g3).reshape(n, c, kh, kw, oh, ow)
         gxp = np.zeros((n, c, hp, wp))
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += gcols[:, :, :, :, i, j].transpose(
-                    0, 3, 1, 2
-                )
+                gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += gcols[:, :, i, j]
         _accumulate(x, gxp[:, :, p : hp - p, p : wp - p] if p else gxp)
 
     return _make(out, (x, w), "conv2d", bwd)
+
+
+def avgpool2(x) -> Tensor:
+    """2x2 average pool with stride 2 over the spatial axes of NCHW input."""
+    x = coerce(x)
+    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError(f"avgpool2 expects NCHW input with even height and width, got {x.shape}")
+    v = x.data
+    # the summation order of v.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), so the bits match
+    out = ((v[:, :, 0::2, 0::2] + v[:, :, 0::2, 1::2]) + (v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2])) / 4
+
+    def bwd(g: Array) -> None:
+        quarter = g / 4
+        full = np.empty_like(v)
+        for i in (0, 1):
+            for j in (0, 1):
+                full[:, :, i::2, j::2] = quarter
+        _accumulate(x, full)
+
+    return _make(out, (x,), "avgpool2", bwd)

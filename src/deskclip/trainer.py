@@ -404,6 +404,7 @@ def train(
                     img_policy, txt_policy, epoch, step,
                 )
                 mlm_rng = rng_for(train_cfg.seed, "mlm", epoch, step)
+                queue_before = queue.state()  # the step enqueues before it can fail
                 model.zero_grad()
                 try:
                     breakdown = compute_step_loss(model, views, loss_cfg, queue, len(vocab), mlm_rng)
@@ -431,10 +432,12 @@ def train(
                 best_accuracy = accuracy
                 snapshot(best_path, epoch + 1, 0)
     except TrainingAborted as err:
-        # parameters were not touched by the failing step: keep them
+        # parameters were not touched by the failing step: keep them, put the
+        # queue back, and record the failing step as the one a resume runs next
+        queue.load_state(*queue_before)
         log.write(f"abort reason={err}\n")
         log.close()
-        snapshot(final_path, train_cfg.epochs, 0)
+        snapshot(final_path, epoch, step)
         return TrainResult(
             final_path, best_path if best_accuracy >= 0 else None, metrics_path,
             final_accuracy, max(best_accuracy, 0.0), global_step,

@@ -16,7 +16,7 @@ import numpy as np
 from . import losses, tensor as T
 from .corpus import CorpusAccumulator, FilterPolicy, analyze, filter_captions
 from .data import Vocab, decode_caption, encode_caption, tokenize_words
-from .encoders import TextConfig, TextEncoder, VitConfig, VitEncoder, DualEncoder
+from .encoders import ConvConfig, ConvEncoder, DualEncoder, TextConfig, TextEncoder, VitConfig, VitEncoder
 from .gradcheck import gradient_report
 from .losses import (
     NNQueue,
@@ -135,25 +135,34 @@ def check_grad_primitives():
 
 def check_grad_encoders():
     rng = rng_for(0, "verify-grad")
-    model = DualEncoder(
+    text_cfg = TextConfig(vocab_size=24, context_length=8, width=8, depth=1, heads=2, embed_dim=8)
+    vit = DualEncoder(
         VitEncoder(VitConfig(image_size=8, patch_size=4, width=8, depth=1, heads=2, embed_dim=8), rng),
-        TextEncoder(TextConfig(vocab_size=24, context_length=8, width=8, depth=1, heads=2, embed_dim=8), rng),
+        TextEncoder(text_cfg, rng),
+    )
+    # the conv trunk is the only user of conv2d and the 2x2 pool
+    conv = DualEncoder(
+        ConvEncoder(ConvConfig(image_size=8, stage_channels=(2, 4), embed_dim=8), rng),
+        TextEncoder(text_cfg, rng),
     )
     images = T.Tensor(np.random.default_rng(3).uniform(0, 1, (2, 3, 8, 8)))
     ids = np.array([[1, 6, 7, 2, 0, 0, 0, 0], [1, 8, 9, 10, 2, 0, 0, 0]])
-
-    def loss():
-        breakdown = losses.clip_loss(model.encode_image(images), model.encode_text(ids), model.temperature())
-        return breakdown.total
-
-    picks = [
-        ("log_temperature", model.log_temperature),
-        ("image.ln_final.gain", dict(model.named_parameters())["image.ln_final.gain"]),
-        ("text.proj.weight", dict(model.named_parameters())["text.proj.weight"]),
+    sampled = [
+        (vit, ("log_temperature", "image.ln_final.gain", "text.proj.weight")),
+        (conv, ("image.stage0_filter", "image.proj.weight")),
     ]
-    report = gradient_report(loss, picks)
-    worst = max(report.values())
-    return worst <= 1e-4, f"worst rel. err {worst:.2e} across {len(picks)} sampled parameters"
+    worst, count = 0.0, 0
+    for model, names in sampled:
+
+        def loss():
+            breakdown = losses.clip_loss(model.encode_image(images), model.encode_text(ids), model.temperature())
+            return breakdown.total
+
+        params = dict(model.named_parameters())
+        report = gradient_report(loss, [(name, params[name]) for name in names])
+        worst = max(worst, *report.values())
+        count += len(names)
+    return worst <= 1e-4, f"worst rel. err {worst:.2e} across {count} sampled parameters (ViT and conv)"
 
 
 def check_loss_fixtures():

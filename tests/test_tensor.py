@@ -154,6 +154,46 @@ def test_matmul_grad_2d_and_batched():
     check(lambda: T.sum_(T.matmul(c, e) ** 2.0), [("c", c), ("e", e)])
 
 
+@pytest.fixture
+def unbroadcast_shapes(monkeypatch):
+    """Shapes that matmul's backward hands to _unbroadcast."""
+    seen = []
+    original = T._unbroadcast
+
+    def spy(grad, shape):
+        seen.append(shape)
+        return original(grad, shape)
+
+    monkeypatch.setattr(T, "_unbroadcast", spy)
+    return seen
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (2, 3, 5)])
+def test_matmul_shared_weight_grad_matches_batched_formula(lead, unbroadcast_shapes):
+    rng = np.random.default_rng(12)
+    a = rand(rng, *lead, 4)
+    w = rand(rng, 4, 6)
+    g = rng.standard_normal((*lead, 6))
+    T.backward(T.sum_(T.matmul(a, w) * T.constant(g)))
+    assert (4, 6) not in unbroadcast_shapes  # one 2-D GEMM, no batched product to sum
+    batched = (np.swapaxes(a.data, -1, -2) @ g).reshape(-1, 4, 6).sum(axis=0)
+    np.testing.assert_allclose(w.grad, batched, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wshape", [(1, 4, 6), (3, 4, 6)])
+def test_matmul_batched_weight_grad_goes_through_unbroadcast(wshape, unbroadcast_shapes):
+    rng = np.random.default_rng(13)
+    a = rand(rng, 3, 5, 4)
+    w = rand(rng, *wshape)
+    g = rng.standard_normal((3, 5, 6))
+    T.backward(T.sum_(T.matmul(a, w) * T.constant(g)))
+    assert wshape in unbroadcast_shapes
+    want = np.swapaxes(a.data, -1, -2) @ g
+    np.testing.assert_allclose(w.grad, want.sum(axis=0, keepdims=True) if wshape[0] == 1 else want,
+                               rtol=0, atol=1e-12)
+
+
 # softmax family ------------------------------------------------------------
 
 
@@ -276,6 +316,74 @@ def test_conv2d_grad():
     # padded
     wt3 = T.constant(rng.standard_normal((2, 4, 6, 6)))
     check(lambda: T.sum_(T.conv2d(x, w, padding=1) * wt3), [("x", x), ("w", w)], tol=5e-6)
+
+
+def _loop_conv2d(x, w, g, stride, padding):
+    """Output, input gradient and weight gradient of conv2d, one window at a time."""
+    n, c, h, width = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (width + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, f, oh, ow))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for b in range(n):
+        for k in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    out[b, k, i, j] = (xp[b, :, rows, cols] * w[k]).sum()
+                    gxp[b, :, rows, cols] += g[b, k, i, j] * w[k]
+                    gw[k] += g[b, k, i, j] * xp[b, :, rows, cols]
+    return out, gxp[:, :, padding : padding + h, padding : padding + width], gw
+
+
+@pytest.mark.parametrize(
+    "xshape, wshape, stride, padding",
+    [
+        ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1),  # stride and padding together
+        ((2, 3, 6, 7), (4, 3, 2, 3), 1, 0),  # non-square kernel
+        ((2, 3, 7, 8), (4, 3, 3, 2), 2, 1),  # both
+    ],
+)
+def test_conv2d_matches_loop_reference(xshape, wshape, stride, padding):
+    rng = np.random.default_rng(19)
+    x = rand(rng, *xshape)
+    w = rand(rng, *wshape)
+    out = T.conv2d(x, w, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape)
+    T.backward(T.sum_(out * T.constant(g)))
+    want_out, want_gx, want_gw = _loop_conv2d(x.data, w.data, g, stride, padding)
+    np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x.grad, want_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-12)
+
+
+def test_avgpool2_is_bitwise_the_reshaped_mean():
+    rng = np.random.default_rng(20)
+    n, c, h, w = 3, 4, 6, 8
+    data = rng.standard_normal((n, c, h, w))
+    g = rng.standard_normal((n, c, h // 2, w // 2))
+    pooled, reference = T.Tensor(data, requires_grad=True), T.Tensor(data.copy(), requires_grad=True)
+    out = T.avgpool2(pooled)
+    want = T.mean(T.reshape(reference, (n, c, h // 2, 2, w // 2, 2)), axis=(3, 5))
+    assert np.array_equal(out.data, want.data)
+    T.backward(T.sum_(out * T.constant(g)))
+    T.backward(T.sum_(want * T.constant(g)))
+    assert np.array_equal(pooled.grad, reference.grad)
+
+
+def test_avgpool2_grad_and_shape_check():
+    rng = np.random.default_rng(21)
+    x = rand(rng, 2, 3, 4, 6)
+    wt = T.constant(rng.standard_normal((2, 3, 2, 3)))
+    check(lambda: T.sum_(T.avgpool2(x) ** 2.0 * wt), [("x", x)])
+    with pytest.raises(ShapeError):
+        T.avgpool2(T.constant(np.zeros((2, 3, 5, 6))))
+    with pytest.raises(ShapeError):
+        T.avgpool2(T.constant(np.zeros((3, 4, 6))))
 
 
 # graph / backward mechanics ---------------------------------------------------

@@ -17,7 +17,7 @@ from deskclip.checkpoint import (
 from deskclip.augment import ImageAugPolicy, TextAugPolicy, default_synonyms
 from deskclip.data import Vocab, generate_synthetic
 from deskclip.encoders import ConvConfig, TextConfig, VitConfig
-from deskclip.errors import CheckpointError, ConfigError
+from deskclip.errors import CheckpointError, ConfigError, ContractError
 from deskclip.losses import VARIANTS, LossConfig, NNQueue
 from deskclip.trainer import (
     MLM_HEAD_PREFIX,
@@ -259,6 +259,45 @@ def test_composite_variant_trains_a_step(tmp_path, records):
     assert result.steps_run == 1
     lines = result.metrics_path.read_text().splitlines()
     assert "neighbor=" in lines[0] and "multiview=" in lines[0]
+
+
+def test_declip_logs_skip_counters(tmp_path, records):
+    result = run_micro(tmp_path, records, "declip-counters", variant="declip", stop_after_steps=1)
+    fields = result.metrics_path.read_text().splitlines()[0].split()
+    # the queue is empty on the first step, so the neighbor term is skipped
+    assert "neighbor_cold=1" in fields
+    assert any(f.startswith("text_mlm_skipped=") for f in fields)
+
+
+def test_abort_snapshots_the_failing_step_and_resume_reenters_it(tmp_path, records, monkeypatch):
+    import deskclip.trainer as trainer_mod
+
+    fail_at = 4  # epoch 1, step 1: three steps per epoch
+    real = trainer_mod.compute_step_loss
+    calls = []
+
+    def failing(*args, **kwargs):
+        breakdown = real(*args, **kwargs)  # fail after the step has filled the queue
+        calls.append(1)
+        if len(calls) == fail_at + 1:
+            raise ContractError("injected divergence")
+        return breakdown
+
+    whole = run_micro(tmp_path, records, "whole", epochs=2, variant="declip")
+    monkeypatch.setattr(trainer_mod, "compute_step_loss", failing)
+    broken = run_micro(tmp_path, records, "broken", epochs=2, variant="declip")
+    assert broken.aborted and broken.steps_run == fail_at
+    state = decode_train_state(load_checkpoint(broken.final_path)[2][STATE_TAG])
+    assert (state["epoch"], state["step_in_epoch"], state["global_step"]) == (1, 1, fail_at)
+
+    monkeypatch.setattr(trainer_mod, "compute_step_loss", real)
+    resumed = run_micro(tmp_path, records, "broken", epochs=2, variant="declip",
+                        resume_from=broken.final_path)
+    assert not resumed.aborted and resumed.steps_run == whole.steps_run
+    assert filecmp.cmp(whole.final_path, resumed.final_path, shallow=False)
+    log = resumed.metrics_path.read_text().splitlines()
+    abort = next(i for i, line in enumerate(log) if line.startswith("abort "))
+    assert log[abort + 1].startswith(f"step={fail_at} ")
 
 
 def test_train_rejects_empty_dataset(tmp_path):
