@@ -14,6 +14,7 @@ Layout:
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -26,6 +27,22 @@ VERSION = 1
 
 VOCAB_TAG = b"VOCB"
 STATE_TAG = b"STAT"
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` all at once.
+
+    The bytes go to ``<path>.tmp`` first, which is then renamed over
+    ``path``; a failed or killed write leaves the previous file whole.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def save_checkpoint(
@@ -49,7 +66,7 @@ def save_checkpoint(
         out += tag
         out += struct.pack("<Q", len(payload))
         out += payload
-    Path(path).write_bytes(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 class _Reader:

@@ -535,7 +535,11 @@ def tokenwise_alignment_loss(
         img_mask, txt_mask = _reduce_token_masks(sims4.data, img_mask, txt_mask, token_fraction)
 
     txt_pen = T.constant(np.where(txt_mask, 0.0, MASK_PENALTY)[None, None])    # (1,1,N,n2)
-    img_pen = T.constant(np.where(img_mask, 0.0, MASK_PENALTY)[:, :, None, None])
+    # with every image token kept (ViT, or conv at token fraction 1) the penalty is all
+    # zeros, and adding it would only copy sims4
+    img_pen = None
+    if not img_mask.all():
+        img_pen = T.constant(np.where(img_mask, 0.0, MASK_PENALTY)[:, :, None, None])  # (N,n1,1,1)
     img_keep = T.constant(img_mask.astype(np.float64)[:, :, None])             # (N,n1,1)
     txt_keep = T.constant(txt_mask.astype(np.float64)[None])                   # (1,N,n2)
     img_counts = T.constant(img_mask.sum(axis=1).astype(np.float64)[:, None])  # (N,1)
@@ -543,7 +547,7 @@ def tokenwise_alignment_loss(
 
     best_txt = T.max_(sims4 + txt_pen, axis=3)                      # (N, n1, N)
     image_side = T.sum_(best_txt * img_keep, axis=1) / img_counts   # (N, N): image i vs text j
-    best_img = T.max_(sims4 + img_pen, axis=1)                      # (N, N, n2)
+    best_img = T.max_(sims4 if img_pen is None else sims4 + img_pen, axis=1)  # (N, N, n2)
     text_side = T.sum_(best_img * txt_keep, axis=2) / txt_counts    # (N, N): image i vs text j
 
     targets = np.arange(n)

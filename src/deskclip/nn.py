@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -114,31 +113,12 @@ class MultiHeadSelfAttention(Module):
         super().__init__()
         if width % heads != 0:
             raise ConfigError(f"attention width {width} not divisible by {heads} heads")
-        self.width = width
         self.heads = heads
-        self.head_dim = width // heads
         self.qkv = Linear(width, 3 * width, rng)
         self.out = Linear(width, width, rng)
 
     def __call__(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        n, L, w = x.shape
-        h, d = self.heads, self.head_dim
-        fused = self.qkv(x)  # (n, L, 3w)
-
-        def split(part: Tensor) -> Tensor:
-            # (n, L, w) -> (n, h, L, d)
-            return T.transpose(T.reshape(part, (n, L, h, d)), (0, 2, 1, 3))
-
-        q = split(fused[:, :, :w])
-        k = split(fused[:, :, w : 2 * w])
-        v = split(fused[:, :, 2 * w :])
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
-        if attn_bias is not None:
-            scores = scores + T.constant(attn_bias)
-        weights = T.softmax(scores, axis=-1)
-        mixed = T.matmul(weights, v)  # (n, h, L, d)
-        merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, L, w))
-        return self.out(merged)
+        return self.out(T.attention(self.qkv(x), self.heads, attn_bias))
 
 
 class MLPBlock(Module):

@@ -8,6 +8,7 @@ reachable tensor that has ``requires_grad`` set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -180,8 +181,11 @@ def _accumulate(target: Tensor, grad: Array) -> None:
     if not target.requires_grad:
         return
     if target.grad is None:
-        target.grad = np.zeros_like(target.data)
-    target.grad += grad
+        # a fresh buffer, never an alias of ``grad``; adding +0.0 keeps the bits of
+        # zeros + grad (a -0.0 becomes +0.0) and broadcasts the same way
+        target.grad = np.add(grad, 0.0, out=np.empty_like(target.data))
+    else:
+        target.grad += grad
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], op: str, backward_fn: Callable[[Array], None]) -> Tensor:
@@ -221,8 +225,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out, (a, b), "add", bwd)
 
@@ -233,8 +239,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _make(out, (a, b), "sub", bwd)
 
@@ -245,8 +253,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out, (a, b), "mul", bwd)
 
@@ -257,8 +267,10 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out, (a, b), "div", bwd)
 
@@ -311,8 +323,16 @@ def gelu(a) -> Tensor:
     out = x * cdf
 
     def bwd(g: Array) -> None:
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        _accumulate(a, g * (cdf + x * pdf))
+        # g * (cdf + x * pdf) with pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), in one buffer;
+        # every product and sum is the same IEEE operation on the same operands
+        buf = -0.5 * x
+        buf *= x
+        np.exp(buf, out=buf)
+        buf *= _INV_SQRT_2PI
+        buf *= x
+        buf += cdf
+        buf *= g
+        _accumulate(a, buf)
 
     return _make(out, (a,), "gelu", bwd)
 
@@ -528,6 +548,57 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), "softmax", bwd)
 
 
+def attention(fused, heads: int, attn_bias: Array | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention over a fused qkv projection.
+
+    ``fused`` is (n, L, 3w): queries, keys and values side by side, each
+    split into ``heads`` heads of width d = w / heads. ``attn_bias`` is a
+    constant added to the pre-softmax scores, broadcastable to (n, heads,
+    L, L). Returns the heads' mixed values merged back to (n, L, w). One
+    tape node: q, k and v are strided views of ``fused`` and the backward
+    writes their gradients straight into one buffer of its shape.
+    """
+    fused = coerce(fused)
+    if fused.ndim != 3 or fused.shape[-1] % 3:
+        raise ShapeError(f"attention expects (n, L, 3w) fused qkv, got {fused.shape}")
+    n, L, w3 = fused.shape
+    w, h = w3 // 3, int(heads)
+    if h < 1 or w % h:
+        raise ShapeError(f"attention: width {w} not divisible by {h} heads")
+    d = w // h
+    scale = 1.0 / math.sqrt(d)
+    q, k, v = fused.data.reshape(n, L, 3, h, d).transpose(2, 0, 3, 1, 4)  # each (n, h, L, d)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    if attn_bias is not None:
+        try:
+            scores += attn_bias
+        except ValueError:
+            raise ShapeError(
+                f"attention: bias {np.shape(attn_bias)} does not broadcast to scores {scores.shape}"
+            ) from None
+    probs = _softmax_forward(scores, -1)
+    merged = np.empty((n, L, h, d))
+    np.matmul(probs, v, out=merged.transpose(0, 2, 1, 3))
+
+    def bwd(g: Array) -> None:
+        gm = g.reshape(n, L, h, d).transpose(0, 2, 1, 3)
+        gfused = np.empty((n, L, 3, h, d))
+        gq, gk, gv = gfused.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs.swapaxes(-1, -2), gm, out=gv)
+        # softmax backward, probs * (gp - sum(gp * probs)), then the score scale
+        gs = gm @ v.swapaxes(-1, -2)
+        inner = (gs * probs).sum(axis=-1, keepdims=True)
+        gs -= inner
+        gs *= probs
+        gs *= scale
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), q, out=gk)
+        _accumulate(fused, gfused.reshape(n, L, w3))
+
+    return _make(merged.reshape(n, L, w), (fused,), "attention", bwd)
+
+
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = coerce(a)
     if not -a.ndim <= axis < a.ndim:
@@ -580,11 +651,22 @@ def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
 
     def bwd(g: Array) -> None:
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        buf = g * xhat
+        if gain.requires_grad:
+            _accumulate(gain, buf.sum(axis=lead))
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=lead))
+        if not a.requires_grad:
+            return
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) in two buffers, same operations
         dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(a, inv * term)
+        centre = dxhat.mean(axis=-1, keepdims=True)
+        np.multiply(dxhat, xhat, out=buf)
+        np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
+        dxhat -= centre
+        dxhat -= buf
+        dxhat *= inv
+        _accumulate(a, dxhat)
 
     return _make(out, (a, gain, bias), "layernorm", bwd)
 

@@ -26,6 +26,7 @@ from .checkpoint import (
     encode_vocab,
     load_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
 from .data import (
     PairRecord,
@@ -292,6 +293,26 @@ def load_model_for_eval(path: str | Path):
 # the loop -------------------------------------------------------------------------
 
 
+def _cut_log(path: Path, global_step: int, epoch: int) -> None:
+    """Keep the log lines a checkpoint at (``epoch``, ``global_step``) covers.
+
+    Those are the ``step=N`` lines with N < global_step and the
+    ``epoch=E`` lines with E < epoch; anything later, an ``abort`` line or
+    a line cut short by a kill is dropped, so the resumed run appends
+    exactly what an uninterrupted run would have written next.
+    """
+    if not path.exists():
+        return
+    limits = {"step": global_step, "epoch": epoch}
+    kept = []
+    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+        key, _, rest = line.partition("=")
+        number = rest.split(" ", 1)[0].rstrip("\n")
+        if key in limits and line.endswith("\n") and number.isdigit() and int(number) < limits[key]:
+            kept.append(line)
+    write_atomic(path, "".join(kept).encode("utf-8"))
+
+
 def train(
     run_dir: str | Path,
     train_records: list[PairRecord],
@@ -374,6 +395,7 @@ def train(
         start_step = state["step_in_epoch"]
         global_step = state["global_step"]
         best_accuracy = state["best_accuracy"]
+        _cut_log(metrics_path, global_step, start_epoch)
 
     log = open(metrics_path, "a" if resume_from else "w", encoding="utf-8")
 

@@ -129,8 +129,14 @@ def check_grad_primitives():
         lambda: T.sum_(T.softmax(T.layernorm(T.gelu(x), gain, bias), axis=1) * w),
         [("x", x), ("gain", gain), ("bias", bias)],
     )
+    # two-head attention whose second row ends in a padding key
+    fused = T.Tensor(rng.standard_normal((2, 4, 12)), requires_grad=True)
+    mixing = T.constant(rng.standard_normal((2, 4, 4)))
+    pad = np.zeros((2, 1, 1, 4))
+    pad[1, ..., 3] = -1e9
+    report.update(gradient_report(lambda: T.sum_(T.attention(fused, 2, pad) * mixing), [("fused", fused)]))
     worst = max(report.values())
-    return worst <= 1e-6, f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain"
+    return worst <= 1e-6, f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain and attention"
 
 
 def check_grad_encoders():

@@ -214,6 +214,30 @@ def test_alignment_loss_matches_loop_oracle():
     assert worst <= 1e-10
 
 
+
+def _four_d_adds(loss):
+    return sum(node.op == "add" and node.ndim == 4 for node in T.build_graph(loss).nodes)
+
+
+def test_alignment_loss_penalizes_image_tokens_only_when_masked():
+    rng = np.random.default_rng(17)
+    img_tokens, txt_tokens = unit(rng, 3, 4, 6), unit(rng, 3, 5, 6)
+    txt_mask = np.ones((3, 5), dtype=bool)
+    txt_mask[1, 3:] = False
+    full = np.ones((3, 4), dtype=bool)
+    img = EmbeddingSet(Tensor(unit(rng, 3, 6)), Tensor(img_tokens, requires_grad=True), full, False)
+    txt = embset(unit(rng, 3, 6), txt_tokens, txt_mask)
+    loss = tokenwise_alignment_loss(img, txt, 0.4)
+    assert _four_d_adds(loss) == 1  # the text penalty; an all-zero image penalty is not added
+    assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, txt_mask, 0.4)) <= 1e-10
+    img_mask = full.copy()
+    img_mask[2, 1] = False
+    img = EmbeddingSet(img.pooled, img.tokens, img_mask, False)
+    loss = tokenwise_alignment_loss(img, txt, 0.4)
+    assert _four_d_adds(loss) == 2
+    assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, 0.4)) <= 1e-10
+
+
 # token-level fixtures ---------------------------------------------------------
 
 

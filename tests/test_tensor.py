@@ -1,9 +1,12 @@
 """Autodiff engine: analytic gradients vs central-difference oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from deskclip import tensor as T
 from deskclip.errors import ContractError, DegenerateInputError, ShapeError
@@ -66,6 +69,20 @@ def test_gelu_grad_and_values():
     assert abs(y[0]) < 1e-15
     assert abs(y[1] - 10.0) < 1e-9
     assert abs(y[2]) < 1e-9
+
+
+
+def test_gelu_is_bitwise_the_plain_formula():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((6, 7)) * 3.0
+    g = rng.standard_normal((6, 7))
+    a = T.Tensor(x, requires_grad=True)
+    out = T.gelu(a)
+    T.backward(T.sum_(out * T.constant(g)))
+    cdf = 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    pdf = 0.3989422804014327 * np.exp(-0.5 * x * x)
+    assert np.array_equal(out.data, x * cdf)
+    assert np.array_equal(a.grad, g * (cdf + x * pdf))
 
 
 def test_incompatible_shapes_raise():
@@ -265,6 +282,108 @@ def test_layernorm_grad():
     )
 
 
+
+def test_layernorm_is_bitwise_the_plain_formula():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2, 5, 8)) * 2.0 + 0.5
+    g = rng.standard_normal((2, 5, 8))
+    a = T.Tensor(x, requires_grad=True)
+    gain = T.Tensor(rng.standard_normal(8), requires_grad=True)
+    bias = T.Tensor(rng.standard_normal(8), requires_grad=True)
+    out = T.layernorm(a, gain, bias)
+    T.backward(T.sum_(out * T.constant(g)))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T.LAYERNORM_EPS)
+    xhat = (x - mu) * inv
+    dxhat = g * gain.data
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    assert np.array_equal(out.data, xhat * gain.data + bias.data)
+    assert np.array_equal(a.grad, inv * term)
+    assert np.array_equal(gain.grad, (g * xhat).sum(axis=(0, 1)))
+    assert np.array_equal(bias.grad, g.sum(axis=(0, 1)))
+
+
+# attention -------------------------------------------------------------------
+
+
+def _composed_attention(fused, heads, attn_bias):
+    """Multi-head attention from the generic tape ops, for reference."""
+    n, L, w3 = fused.shape
+    w = w3 // 3
+    d = w // heads
+
+    def split(part):
+        return T.transpose(T.reshape(part, (n, L, heads, d)), (0, 2, 1, 3))
+
+    q, k, v = (split(fused[:, :, i * w : (i + 1) * w]) for i in range(3))
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
+    if attn_bias is not None:
+        scores = scores + T.constant(attn_bias)
+    mixed = T.matmul(T.softmax(scores, axis=-1), v)
+    return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, L, w))
+
+
+def _padding_bias(n, L):
+    pad = np.zeros((n, L), dtype=bool)
+    pad[0, L - 2 :] = True  # the first row ends in two padding slots
+    return np.where(pad[:, None, None, :], -1e9, 0.0)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("padded", [False, True])
+def test_attention_matches_composed_path(heads, padded):
+    rng = np.random.default_rng(24)
+    n, L, w = 3, 5, 8
+    data = rng.standard_normal((n, L, 3 * w))
+    g = rng.standard_normal((n, L, w))
+    bias = _padding_bias(n, L) if padded else None
+    fused, reference = T.Tensor(data, requires_grad=True), T.Tensor(data.copy(), requires_grad=True)
+    out = T.attention(fused, heads, bias)
+    want = _composed_attention(reference, heads, bias)
+    assert out.shape == (n, L, w)
+    np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-12)
+    T.backward(T.sum_(out * T.constant(g)))
+    T.backward(T.sum_(want * T.constant(g)))
+    np.testing.assert_allclose(fused.grad, reference.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_attention_grad(padded):
+    rng = np.random.default_rng(25)
+    fused = rand(rng, 2, 4, 12)
+    w = T.constant(rng.standard_normal((2, 4, 4)))
+    bias = _padding_bias(2, 4) if padded else None
+    check(lambda: T.sum_(T.attention(fused, 2, bias) * w), [("fused", fused)])
+
+
+def test_attention_softmax_goes_through_the_patchable_forward(monkeypatch):
+    calls = []
+    original = T._softmax_forward
+
+    def spy(x, axis):
+        calls.append(x.shape)
+        return original(x, axis)
+
+    monkeypatch.setattr(T, "_softmax_forward", spy)
+    T.attention(T.constant(np.zeros((2, 3, 12))), 2)
+    assert calls == [(2, 2, 3, 3)]
+
+
+def test_attention_builds_one_node_and_checks_shapes():
+    fused = T.Tensor(np.zeros((2, 3, 12)), requires_grad=True)
+    out = T.attention(fused, 2)
+    assert out.op == "attention" and out._parents == (fused,)
+    with pytest.raises(ShapeError):
+        T.attention(T.constant(np.zeros((2, 3, 13))), 1)  # 3w not divisible by 3
+    with pytest.raises(ShapeError):
+        T.attention(T.constant(np.zeros((2, 3, 12))), 3)  # 3 heads do not divide w = 4
+    with pytest.raises(ShapeError):
+        T.attention(T.constant(np.zeros((3, 12))), 2)
+    with pytest.raises(ShapeError):
+        T.attention(fused, 2, np.zeros((2, 1, 3, 4)))  # bias does not fit the scores
+
+
 # embedding / cross entropy --------------------------------------------------
 
 
@@ -403,6 +522,55 @@ def test_shared_subexpression_accumulates_once_per_path():
     sq = x * x
     T.backward(sq + sq)
     assert abs(float(x.grad) - 12.0) < 1e-12
+
+
+
+def test_self_add_and_two_consumers_sum_without_aliasing():
+    x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    g = np.array([0.5, 0.25, -1.0])
+    T.backward(T.sum_((x + x) * T.constant(g)))
+    assert np.array_equal(x.grad, 2.0 * g)
+    # two consumers, one of them a reshape whose backward hands on a view of its
+    # own gradient: x.grad must be a fresh buffer, so the second add cannot write
+    # through to the first consumer's gradient
+    y = T.Tensor(np.arange(4.0), requires_grad=True)
+    gr, gy = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5, 0.25, -0.25])
+    shaped = T.reshape(y, (2, 2))
+    seen = []
+    closure = shaped._backward
+
+    def recording(grad):
+        seen.append(grad)
+        closure(grad)
+
+    shaped._backward = recording
+    T.backward(T.sum_(shaped * T.constant(gr)) + T.sum_(y * T.constant(gy)))
+    assert np.array_equal(y.grad, gr.ravel() + gy)
+    assert np.array_equal(seen[0], gr) and not np.shares_memory(y.grad, seen[0])
+
+
+def test_negative_zero_gradient_accumulates_to_positive_zero():
+    x = T.Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    T.backward(T.sum_(x * T.constant(np.array([-0.0, 1.0]))))
+    assert np.array_equal(x.grad, [0.0, 1.0])
+    assert not np.signbit(x.grad[0])
+    s = T.Tensor(np.array(1.5), requires_grad=True)  # a 0-d leaf broadcast into a vector
+    T.backward(T.sum_(s * T.constant(np.array([-0.0, -0.0]))))
+    assert s.grad.shape == () and not np.signbit(s.grad)
+
+
+def test_elementwise_backward_skips_constant_operands(unbroadcast_shapes):
+    rng = np.random.default_rng(26)
+    a = rand(rng, 3, 4)
+    c = T.constant(rng.standard_normal((1, 4)))
+    for op in (T.add, T.sub, T.mul, T.div):
+        unbroadcast_shapes.clear()
+        a.grad = None
+        T.backward(T.sum_(op(a, c)))
+        assert unbroadcast_shapes == [(3, 4)], op.__name__
+        T.backward(T.sum_(op(c, a)))
+        assert unbroadcast_shapes == [(3, 4), (3, 4)], op.__name__
+        assert c.grad is None
 
 
 def test_diamond_graph_grad():

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,27 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
 def test_checkpoint_rejects_bad_block_tag(tmp_path):
     with pytest.raises(CheckpointError, match="tag"):
         save_checkpoint(tmp_path / "x.ckpt", "k=v", {}, {b"TOOLONG": b""})
+
+
+def test_checkpoint_write_that_fails_part_way_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, "k=v", {"w": np.ones(3)})
+    before = path.read_bytes()
+    real_write = Path.write_bytes
+
+    def half_then_fail(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, "k=v", {"w": np.zeros((50, 50))})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+    save_checkpoint(path, "k=v", {"w": np.zeros((50, 50))})
+    assert np.array_equal(load_checkpoint(path)[1]["w"], np.zeros((50, 50)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
 def test_vocab_codec_roundtrip():
@@ -295,9 +317,21 @@ def test_abort_snapshots_the_failing_step_and_resume_reenters_it(tmp_path, recor
                         resume_from=broken.final_path)
     assert not resumed.aborted and resumed.steps_run == whole.steps_run
     assert filecmp.cmp(whole.final_path, resumed.final_path, shallow=False)
-    log = resumed.metrics_path.read_text().splitlines()
-    abort = next(i for i, line in enumerate(log) if line.startswith("abort "))
-    assert log[abort + 1].startswith(f"step={fail_at} ")
+    # the resume cut the abort line and re-ran step 4 in its place
+    assert resumed.metrics_path.read_text() == whole.metrics_path.read_text()
+
+
+def test_resume_from_a_checkpoint_older_than_the_log_cuts_the_log_back(tmp_path, records):
+    whole = run_micro(tmp_path, records, "whole", epochs=2)
+    part = run_micro(tmp_path, records, "part", epochs=2, stop_after_steps=5)
+    assert part.best_path is not None  # written at the end of epoch 0, after step 2
+    with part.metrics_path.open("a") as log:
+        log.write("step=5 total=0.12")  # a line cut short by a kill
+    lines = part.metrics_path.read_text().splitlines()
+    assert lines[3].startswith("epoch=0 ") and lines[4].startswith("step=3 ") and len(lines) == 7
+    resumed = run_micro(tmp_path, records, "part", epochs=2, resume_from=part.best_path)
+    assert resumed.metrics_path.read_text() == whole.metrics_path.read_text()
+    assert filecmp.cmp(whole.final_path, resumed.final_path, shallow=False)
 
 
 def test_train_rejects_empty_dataset(tmp_path):
