@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
+import time
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
@@ -185,15 +187,18 @@ def _sweep_one(payload):
     cfg = load_run_config(None, cfg_sections)
     records, val_records, names, prompts = _gather_run_inputs(cfg)
     text_cfg = dataclasses.replace(cfg.text, depth=depth)
+    started = time.perf_counter()
     result = train(
         Path(out_root) / f"depth{depth}",
         records, val_records, names,
         cfg.train, cfg.loss, cfg.image, text_cfg, prompts=prompts,
     )
+    # wall time of the whole run, so eval and checkpoint writes are included
+    s_per_step = (time.perf_counter() - started) / result.steps_run if result.steps_run else math.nan
     from .trainer import build_model
 
     params = build_model(cfg.train, cfg.image, text_cfg).parameter_count()
-    return depth, params, result.final_accuracy, result.aborted
+    return depth, params, result.final_accuracy, result.aborted, s_per_step
 
 
 def cmd_sweep(args) -> int:
@@ -225,10 +230,10 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_one(p) for p in payloads]
     rows.sort()
-    lines = [f"{'depth':>5}  {'params':>10}  {'val_top1':>8}"]
-    for depth, params, accuracy, aborted in rows:
+    lines = [f"{'depth':>5}  {'params':>10}  {'val_top1':>8}  {'s_per_step':>10}"]
+    for depth, params, accuracy, aborted, s_per_step in rows:
         status = "  (aborted)" if aborted else ""
-        lines.append(f"{depth:>5}  {params:>10}  {accuracy:>8.4f}{status}")
+        lines.append(f"{depth:>5}  {params:>10}  {accuracy:>8.4f}  {s_per_step:>10.3f}{status}")
     table = "\n".join(lines)
     print(table)
     Path(out_root).mkdir(parents=True, exist_ok=True)

@@ -109,10 +109,12 @@ class TextConfig:
 class EmbeddingSet:
     """Pooled plus per-token embeddings for one batch.
 
-    ``tokens`` has a fixed token axis; ``mask[n, t]`` marks which slots are
-    real. ``overlapping_receptive_fields`` is True when neighbouring tokens
-    saw overlapping input regions (convolutional trunks), which matters for
-    interpreting token-wise similarity maps.
+    ``mask[n, t]`` marks which slots of ``tokens`` are real. The token axis
+    is the same for every row but not fixed across batches: the text
+    encoder makes it as wide as the batch's longest sequence, not its
+    context length. ``overlapping_receptive_fields`` is True when
+    neighbouring tokens saw overlapping input regions (convolutional
+    trunks), which matters for interpreting token-wise similarity maps.
     """
 
     pooled: Tensor               # (N, D)
@@ -210,6 +212,13 @@ class TextEncoder(Module):
     Attention is bidirectional (not causal) so the same trunk can score
     masked-token reconstruction; padding positions are masked out of every
     attention row. Per-token output covers non-padding positions.
+
+    Ids come in as (N, context_length), but the trunk runs only over the
+    batch's longest sequence: trailing columns that are padding in every
+    row are dropped first. A padding key gets an attention weight of
+    exactly zero and every consumer masks padding slots out, so those
+    columns change no output and no gradient. Hidden states, ``tokens``
+    and ``mask`` are therefore (N, L, ...) with L <= context_length.
     """
 
     def __init__(self, cfg: TextConfig, rng: np.random.Generator):
@@ -232,25 +241,39 @@ class TextEncoder(Module):
             raise ContractError(f"token id outside [0, {self.cfg.vocab_size})")
         return ids
 
-    def forward_hidden(self, ids: np.ndarray) -> Tensor:
-        """Final-layernorm hidden states (N, L, width), before projection."""
+    def _trimmed_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Validated ids without the trailing columns that are padding in every row."""
         ids = self._validate_ids(ids)
+        real = np.flatnonzero((ids != self.cfg.pad_id).any(axis=0))
+        return ids[:, : real[-1] + 1] if real.size else ids
+
+    def _hidden(self, ids: np.ndarray) -> Tensor:
+        """The trunk over ids that ``_trimmed_ids`` returned."""
         n, L = ids.shape
         pad = ids == self.cfg.pad_id
         # rows may attend anywhere except padding columns
         bias = np.where(pad[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
-        x = T.embedding_lookup(self.token_embedding, ids) + self.pos_embedding
+        pos = self.pos_embedding if L == self.cfg.context_length else self.pos_embedding[:, :L]
+        x = T.embedding_lookup(self.token_embedding, ids) + pos
         for block in self.blocks:
             x = block(x, bias)
         return self.ln_final(x)
 
+    def forward_hidden(self, ids: np.ndarray) -> Tensor:
+        """Final-layernorm hidden states (N, L, width), before projection.
+
+        L is the batch's longest sequence, so a position (row, col) of a
+        non-padding token indexes the same slot as in ``ids``.
+        """
+        return self._hidden(self._trimmed_ids(ids))
+
     def __call__(self, ids: np.ndarray) -> EmbeddingSet:
-        ids = self._validate_ids(ids)
-        hidden = self.forward_hidden(ids)
-        n, L = ids.shape
+        ids = self._trimmed_ids(ids)
+        n = ids.shape[0]
         eot = np.argmax(ids == self.cfg.end_id, axis=1)
         if not (ids[np.arange(n), eot] == self.cfg.end_id).all():
             raise ContractError("a sequence has no end-of-text token")
+        hidden = self._hidden(ids)
         pooled = T.l2_normalize(self.proj(T.select_positions(hidden, eot)))
         mask = ids != self.cfg.pad_id
         # padding slots get a constant stand-in so normalization cannot hit a
@@ -265,6 +288,8 @@ class TextEncoder(Module):
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ShapeError(f"positions must be (P, 2), got {pos.shape}")
         n, L, w = hidden.shape
+        if pos.size and (pos.min() < 0 or pos[:, 0].max() >= n or pos[:, 1].max() >= L):
+            raise IndexError(f"positions outside the ({n}, {L}) hidden grid")
         flat = T.reshape(hidden, (n * L, w))
         picked = T.embedding_lookup(flat, pos[:, 0] * L + pos[:, 1])
         return self.mlm_head(picked)

@@ -8,9 +8,10 @@ reachable tensor that has ``requires_grad`` set.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -188,7 +189,30 @@ def _accumulate(target: Tensor, grad: Array) -> None:
         target.grad += grad
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block.
+
+    Every op still computes its value, but returns a tensor with
+    ``requires_grad=False``, no parents and no backward closure, so the
+    forward activations a closure would hold are freed as soon as they
+    go out of scope. Recording resumes on exit, also after an exception.
+    """
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], op: str, backward_fn: Callable[[Array], None]) -> Tensor:
+    if not _recording:
+        return Tensor(data, op=op)
     requires = any(p.requires_grad for p in parents)
     return Tensor(
         data,

@@ -154,7 +154,8 @@ def check_grad_encoders():
     images = T.Tensor(np.random.default_rng(3).uniform(0, 1, (2, 3, 8, 8)))
     ids = np.array([[1, 6, 7, 2, 0, 0, 0, 0], [1, 8, 9, 10, 2, 0, 0, 0]])
     sampled = [
-        (vit, ("log_temperature", "image.ln_final.gain", "text.proj.weight")),
+        # the ids are 5 of 8 slots wide, so the text trunk reads a slice of pos_embedding
+        (vit, ("log_temperature", "image.ln_final.gain", "text.proj.weight", "text.pos_embedding")),
         (conv, ("image.stage0_filter", "image.proj.weight")),
     ]
     worst, count = 0.0, 0

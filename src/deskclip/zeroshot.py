@@ -62,7 +62,8 @@ def build_classifier(
         if not tokenize_words(name):
             raise ContractError(f"class name {name!r} tokenizes to nothing")
         ids = encode_batch(prompts.fill(name), vocab, context_length)
-        pooled = model.encode_text(ids).pooled.data
+        with T.no_grad():
+            pooled = model.encode_text(ids).pooled.data
         mean = pooled.mean(axis=0)
         norm = float(np.linalg.norm(mean))
         if norm < 1e-12:
@@ -78,7 +79,8 @@ def classify(images: np.ndarray, classifier: np.ndarray, model, batch_size: int 
     preds = []
     for start in range(0, images.shape[0], batch_size):
         chunk = T.Tensor(images[start : start + batch_size])
-        pooled = model.encode_image(chunk).pooled.data
+        with T.no_grad():
+            pooled = model.encode_image(chunk).pooled.data
         if pooled.shape[1] != classifier.shape[1]:
             raise ContractError(
                 f"embedding dim {pooled.shape[1]} does not match classifier dim {classifier.shape[1]}"

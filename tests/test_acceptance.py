@@ -90,11 +90,22 @@ def _grad_problem(variant):
     return model, total_loss
 
 
+def _five_point(total_loss, flat, i, h):
+    """(-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / 12h at coordinate i, restored after."""
+    keep = flat[i]
+    values = []
+    for k in (2, 1, -1, -2):
+        flat[i] = keep + k * h
+        values.append(float(total_loss().data))
+    flat[i] = keep
+    return (-values[0] + 8 * values[1] - 8 * values[2] + values[3]) / (12 * h)
+
+
 def test_gradient_oracle():
     started = time.monotonic()
-    worst_rate = 1.0
-    worst_err = 0.0
     checked = 0
+    fallbacks = 0
+    misses = []
     for variant in VARIANTS:
         model, total_loss = _grad_problem(variant)
         params = trainable_parameters(model, variant)
@@ -103,15 +114,13 @@ def test_gradient_oracle():
         T.backward(total_loss())
         analytic = {name: p.grad.copy() for name, p in params}
 
-        hits = 0
-        masked = 0
         for name, p in params:
             flat = p.data.reshape(-1)
             grad = analytic[name].reshape(-1)
             for i in range(flat.size):
                 if abs(grad[i]) <= 1e-8:
                     continue
-                masked += 1
+                checked += 1
                 h = 1e-5 * max(1.0, abs(flat[i]))
                 keep = flat[i]
                 flat[i] = keep + h
@@ -121,21 +130,22 @@ def test_gradient_oracle():
                 flat[i] = keep
                 fd = (up - down) / (2 * h)
                 rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]))
-                if rel <= 1e-4:
-                    hits += 1
-                else:
-                    worst_err = max(worst_err, rel)
-        rate = hits / masked
-        worst_rate = min(worst_rate, rate)
-        checked += masked
-        assert rate >= 0.99, f"{variant}: only {rate:.4%} of {masked} gradients match"
+                if rel > 1e-4:
+                    # on gradients of ~1e-7 round-off swamps a central difference at
+                    # h=1e-5; a 5-point stencil at a wider step has O(h^4) truncation
+                    fallbacks += 1
+                    fd = _five_point(total_loss, flat, i, 1e-3 * max(1.0, abs(keep)))
+                    rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]))
+                if rel > 1e-4:
+                    misses.append(f"{variant} {name}[{i}] rel. err {rel:.2e}")
     elapsed = time.monotonic() - started
-    ok = worst_rate >= 0.99 and elapsed < 300
+    ok = not misses and elapsed < 300
     note(
         "gradient-oracle",
         ok,
-        f"5 variants, {checked} finite-difference probes, worst pass rate "
-        f"{worst_rate:.4f}, {elapsed:.0f}s",
+        f"5 variants, {checked} finite-difference probes, {len(misses)} outside 1e-4, "
+        f"{fallbacks} needed the 5-point fallback, {elapsed:.0f}s"
+        + (f"; first misses {misses[:3]}" if misses else ""),
     )
 
 

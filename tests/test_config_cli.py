@@ -321,6 +321,7 @@ def test_sweep_table_and_param_growth(tmp_path, capsys, data_dir):
     assert [r[0] for r in rows] == ["1", "2"]
     params = [int(r[1]) for r in rows]
     assert params[0] < params[1]
-    assert (out / "sweep.txt").read_text().splitlines()[0].split() == ["depth", "params", "val_top1"]
+    assert (out / "sweep.txt").read_text().splitlines()[0].split() == ["depth", "params", "val_top1", "s_per_step"]
+    assert all(float(r[3]) > 0 for r in rows)
     assert (out / "depth1" / "final.ckpt").exists()
     assert (out / "depth2" / "final.ckpt").exists()

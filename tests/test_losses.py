@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from deskclip import tensor as T
-from deskclip.encoders import EmbeddingSet
+from deskclip.encoders import EmbeddingSet, TextEncoder
 from deskclip.errors import ConfigError, ContractError, ShapeError
 from deskclip.losses import (
     LossConfig,
@@ -392,6 +392,52 @@ def test_masked_token_loss_empty_batch_counts_skip(tiny_text_encoder):
     loss, skipped = masked_token_loss(tiny_text_encoder, make_mlm_batch(ids, 32, rng))
     assert loss.item() == 0.0
     assert skipped == 2  # one unmaskable row, plus the empty-batch skip
+
+
+TRIM_IDS = np.array([[1, 6, 7, 2, 0, 0, 0, 0], [1, 8, 9, 10, 11, 2, 0, 0], [1, 12, 2, 0, 0, 0, 0, 0]])
+
+
+def _assert_trim_changes_nothing(monkeypatch, enc, term):
+    """``term(enc)`` and its text gradients agree within 1e-12 with the trunk trimmed and at full width."""
+    results = []
+    for trim in (True, False):
+        if not trim:
+            monkeypatch.setattr(TextEncoder, "_trimmed_ids", TextEncoder._validate_ids)
+        enc.zero_grad()
+        loss = term(enc)
+        T.backward(loss)
+        results.append((loss.item(), {n: p.grad.copy() for n, p in enc.named_parameters() if p.grad is not None}))
+    (trimmed, g1), (full, g2) = results
+    assert abs(trimmed - full) <= 1e-12
+    assert g1.keys() == g2.keys()
+    for name in g1:
+        assert np.allclose(g1[name], g2[name], rtol=0, atol=1e-12), name
+
+
+def test_masked_token_loss_is_the_same_on_trimmed_hidden_states(monkeypatch, tiny_text_encoder):
+    batch = make_mlm_batch(TRIM_IDS, 32, np.random.default_rng(4))
+    widths = []
+
+    def term(enc):
+        widths.append(enc.forward_hidden(batch.ids).shape[1])
+        return masked_token_loss(enc, batch)[0]
+
+    _assert_trim_changes_nothing(monkeypatch, tiny_text_encoder, term)
+    assert widths == [6, 8]
+
+
+def test_alignment_loss_is_the_same_on_trimmed_text_tokens(monkeypatch, tiny_text_encoder):
+    rng = np.random.default_rng(9)
+    img = embset(unit(rng, 3, 8), unit(rng, 3, 4, 8))
+    widths = []
+
+    def term(enc):
+        txt = enc(TRIM_IDS)
+        widths.append(txt.tokens.shape[1])
+        return tokenwise_alignment_loss(img, txt, 0.1)
+
+    _assert_trim_changes_nothing(monkeypatch, tiny_text_encoder, term)
+    assert widths == [6, 8]
 
 
 # multi-view and neighbor terms ---------------------------------------------------

@@ -11,7 +11,7 @@ from deskclip.encoders import (
     VitConfig,
     VitEncoder,
 )
-from deskclip.errors import ConfigError, ContractError
+from deskclip.errors import ConfigError, ContractError, ShapeError
 from deskclip.nn import LayerNorm, Linear, Module, MultiHeadSelfAttention, trunc_normal
 
 
@@ -146,8 +146,71 @@ def test_text_padding_content_is_invisible():
     enc = TextEncoder(tiny_text(), rng())
     a = np.array([[1, 5, 2, 0, 0, 0, 0, 0]])
     out_a = enc(a)
-    assert np.array_equal(out_a.mask[0], [True, True, True, False, False, False, False, False])
+    # the token axis spans the batch's longest caption, not the context
+    assert np.array_equal(out_a.mask[0], [True, True, True])
     assert np.allclose(np.linalg.norm(out_a.pooled.data, axis=1), 1.0, atol=1e-9)
+    beside = enc(np.array([[1, 5, 2, 0, 0, 0, 0, 0], [1, 9, 9, 9, 9, 9, 9, 2]]))
+    assert np.array_equal(beside.mask[0], [True, True, True, False, False, False, False, False])
+
+
+SHORT = np.array([[1, 6, 7, 2, 0, 0, 0, 0]])
+FULL = np.array([[1, 9, 8, 9, 8, 9, 8, 2]])
+LONGER = np.array([[1, 9, 8, 9, 8, 2, 0, 0]])
+
+
+def _row0_scalar_and_grads(enc, ids):
+    """Pooled and real-token embeddings of row 0, and the gradients of a scalar built from them."""
+    enc.zero_grad()
+    out = enc(ids)
+    real = int(out.mask[0].sum())
+    weights = np.random.default_rng(7).standard_normal((1 + real, out.pooled.shape[1]))
+    scalar = T.sum_(out.pooled[0] * T.constant(weights[0])) + T.sum_(out.tokens[0, :real] * T.constant(weights[1:]))
+    T.backward(scalar)
+    grads = {name: p.grad.copy() for name, p in enc.named_parameters() if p.grad is not None}
+    return out.pooled.data[0], out.tokens.data[0, :real], grads
+
+
+@pytest.mark.parametrize("neighbour", [LONGER, FULL], ids=["longer", "full-width"])
+def test_text_caption_alone_equals_caption_beside_a_longer_one(neighbour):
+    enc = TextEncoder(tiny_text(), rng())
+    pooled_a, tokens_a, grads_a = _row0_scalar_and_grads(enc, SHORT)
+    pooled_b, tokens_b, grads_b = _row0_scalar_and_grads(enc, np.concatenate([SHORT, neighbour]))
+    assert np.allclose(pooled_a, pooled_b, rtol=0, atol=1e-12)
+    assert np.allclose(tokens_a, tokens_b, rtol=0, atol=1e-12)
+    assert grads_a.keys() == grads_b.keys() and "pos_embedding" in grads_a
+    for name in grads_a:
+        assert np.allclose(grads_a[name], grads_b[name], rtol=0, atol=1e-12), name
+
+
+def test_text_pos_embedding_beyond_the_trimmed_width_gets_zero_gradient():
+    enc = TextEncoder(tiny_text(), rng())
+    out = enc(np.concatenate([SHORT, LONGER]))
+    assert out.tokens.shape[1] == 6 and out.mask.shape == (2, 6)
+    T.backward(T.sum_(out.pooled * T.constant(np.ones(out.pooled.shape))) + T.sum_(out.tokens))
+    grad = enc.pos_embedding.grad
+    assert grad.shape == (1, 8, 12)
+    assert np.all(grad[:, 6:] == 0.0)
+    assert np.all(np.abs(grad[:, :6]).max(axis=-1) > 0)
+
+
+def test_text_full_width_batch_builds_no_slice():
+    enc = TextEncoder(tiny_text(), rng())
+    full = enc(np.concatenate([SHORT, FULL]))
+    assert full.tokens.shape[1] == enc.cfg.context_length
+    assert [n.op for n in T.build_graph(full.tokens).nodes].count("slice") == 0
+    trimmed = enc(SHORT)
+    assert trimmed.tokens.shape[1] == 4
+    assert [n.op for n in T.build_graph(trimmed.tokens).nodes].count("slice") == 1
+    assert enc.forward_hidden(SHORT).shape == (1, 4, 12)
+
+
+def test_text_rejects_ids_of_the_wrong_width():
+    enc = TextEncoder(tiny_text(), rng())
+    for ids in (SHORT[:, :6], np.concatenate([SHORT, [[0]]], axis=1), SHORT[0]):
+        with pytest.raises(ShapeError):
+            enc(ids)
+        with pytest.raises(ShapeError):
+            enc.forward_hidden(ids)
 
 
 def test_text_rejects_bad_ids():
@@ -174,6 +237,8 @@ def test_mlm_logits_shape_and_grad():
     assert logits.shape == (2, 32)
     T.backward(T.mean(logits))
     assert enc.token_embedding.grad is not None
+    with pytest.raises(IndexError):
+        enc.mlm_logits(hidden, np.array([[0, 4]]))  # past the trimmed width
 
 
 # the dual wrapper ------------------------------------------------------------

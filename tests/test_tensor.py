@@ -612,3 +612,26 @@ def test_numeric_gradient_matches_closed_form():
     x = T.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     num = numeric_gradient(lambda: T.sum_(x**2.0), x)
     assert np.allclose(num, [2.0, 4.0, 6.0], atol=1e-8)
+
+
+# no_grad ----------------------------------------------------------------------
+
+
+def test_no_grad_outputs_have_no_parents_or_closure():
+    w = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    x = T.Tensor(np.arange(6.0).reshape(2, 3))
+    with T.no_grad():
+        y = T.gelu(T.matmul(x, w)) + w[0]
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert np.array_equal(y.data, (T.gelu(T.matmul(x, w)) + w[0]).data)
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    w = T.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ShapeError):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            T.add(w, np.ones(3))
+    y = w * 2.0
+    assert y.requires_grad and y._parents[0] is w

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from deskclip.data import Vocab, class_names, generate_synthetic
+from deskclip import tensor as T
+from deskclip.data import Vocab, class_names, encode_batch, generate_synthetic, load_images
 from deskclip.encoders import TextConfig, VitConfig
 from deskclip.errors import ConfigError, ContractError
 from deskclip.trainer import TrainConfig, build_model
@@ -174,6 +175,39 @@ def test_evaluate_requires_labels(micro_model, micro_vocab):
     with pytest.raises(ContractError, match="label"):
         evaluate(micro_model, stripped, class_names(2), desk_prompts(), micro_vocab,
                  MICRO_TEXT.context_length, image_size=16)
+
+
+def test_eval_records_no_tape_and_predicts_as_a_tracked_forward(micro_model, micro_vocab, monkeypatch):
+    records = generate_synthetic(num_classes=4, per_class=4, seed=5)
+    images = load_images(records, 16)
+    names, prompts = class_names(4), desk_prompts()
+    classifier = build_classifier(names, prompts, micro_model, micro_vocab, MICRO_TEXT.context_length)
+    predictions = classify(images, classifier, micro_model)
+
+    # the same arithmetic with the tape on
+    tracked = []
+    for name in names:
+        ids = encode_batch(prompts.fill(name), micro_vocab, MICRO_TEXT.context_length)
+        pooled = micro_model.encode_text(ids).pooled
+        assert pooled.requires_grad
+        mean = pooled.data.mean(axis=0)
+        tracked.append(mean / np.linalg.norm(mean))
+    assert np.array_equal(np.stack(tracked), classifier)
+    pooled = micro_model.encode_image(T.Tensor(images)).pooled
+    assert np.array_equal(np.argmax(pooled.data @ classifier.T, axis=1), predictions)
+
+    # inside eval every encoder output is a bare constant
+    outputs = []
+    encode_image = type(micro_model).encode_image
+
+    def recording(self, chunk):
+        outputs.append(encode_image(self, chunk))
+        return outputs[-1]
+
+    monkeypatch.setattr(type(micro_model), "encode_image", recording)
+    classify(images, classifier, micro_model)
+    assert outputs and all(o.pooled._parents == () and not o.pooled.requires_grad for o in outputs)
+    assert micro_model.temperature().requires_grad  # recording is back on
 
 
 def test_template_order_invariance(micro_model, micro_vocab):
