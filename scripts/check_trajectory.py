@@ -2,9 +2,11 @@
 """Loss-trajectory check for kernel rewrites.
 
 Trains the first 20 steps of the end-to-end acceptance recipe (8-class
-synthetic desk data, batch 64, seed 0) in the given checkout (default:
+synthetic desk data, configs/desk.ini) in the given checkout (default:
 the one holding this script) and prints ``repr`` of the step's total
 loss for conv clip, conv defilip and vit defilip, one line per step.
+The recipe file is the one next to this script, so an older checkout
+trains with the same recipe.
 metrics.log keeps only 6 decimals, so it cannot tell a reordered float
 sum from a wrong one; these lines keep all 17 digits.
 
@@ -28,10 +30,7 @@ from pathlib import Path
 
 STEPS = 20
 TOLERANCE = 1e-9
-RECIPE = [
-    "train.epochs=10", "train.batch_size=64", "train.seed=0",
-    "train.peak_lr=0.0006", "train.warmup_epochs=2",
-]
+DESK_RECIPE = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
 RUNS = [("conv", "clip"), ("conv", "defilip"), ("vit", "defilip")]
 
 
@@ -41,7 +40,7 @@ def trajectory(encoder: str, variant: str, data: Path, out: Path) -> list[float]
     from deskclip.config import load_run_config
     from deskclip.data import read_manifest
 
-    cfg = load_run_config(None, [f"train.variant={variant}", f"train.image_encoder={encoder}"] + RECIPE)
+    cfg = load_run_config(DESK_RECIPE, [f"train.variant={variant}", f"train.image_encoder={encoder}"])
     records = read_manifest(data / "train.tsv")
     val = read_manifest(data / "val.tsv")
     names = [line for line in (data / "classes.txt").read_text().splitlines() if line]

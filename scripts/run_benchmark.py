@@ -2,9 +2,11 @@
 """Train all five supervision variants on the synthetic benchmark and
 print their zero-shot accuracies side by side.
 
-Writes one run directory per variant under --out and a benchmark.txt
-summary. Expects a dataset laid out like `deskclip synth` produces; point
---data at that directory (it is generated on the fly when absent).
+Every variant trains with the desk recipe in configs/desk.ini; --set
+overrides any of its keys, e.g. --set train.epochs=2. Writes one run
+directory per variant under --out and a benchmark.txt summary. Expects a
+dataset laid out like `deskclip synth` produces; point --data at that
+directory (it is generated on the fly when absent).
 """
 
 import argparse
@@ -19,14 +21,14 @@ from deskclip.trainer import train
 from deskclip.data import read_manifest
 from deskclip.zeroshot import desk_prompts
 
+DESK_RECIPE = Path(__file__).resolve().parents[1] / "configs" / "desk.ini"
+
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--data", default="runs/benchmark-data")
     p.add_argument("--out", default="runs/benchmark")
     p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                    help="extra config overrides applied to every variant")
@@ -64,16 +66,7 @@ def main() -> int:
 
     rows = []
     for variant in variants:
-        cfg = load_run_config(None, [
-            f"train.variant={variant}",
-            f"train.epochs={args.epochs}",
-            f"train.batch_size={args.batch_size}",
-            f"train.seed={args.seed}",
-            # desk-scale recipe; stock defaults (vit, peak 1e-3) collapse here
-            "train.image_encoder=conv",
-            "train.peak_lr=0.0006",
-            "train.warmup_epochs=2",
-        ] + args.set)
+        cfg = load_run_config(DESK_RECIPE, [f"train.variant={variant}", f"train.seed={args.seed}"] + args.set)
         started = time.time()
         result = train(
             Path(args.out) / variant,

@@ -7,6 +7,7 @@ on a CPU in float64 so gradients can be checked against finite
 differences.
 """
 
+from .config import TrainConfig
 from .encoders import ConvConfig, DualEncoder, TextConfig, VitConfig
 from .errors import (
     CheckpointError,
@@ -18,7 +19,7 @@ from .errors import (
     TrainingAborted,
 )
 from .losses import VARIANTS, LossBreakdown, LossConfig, NNQueue
-from .trainer import TrainConfig, TrainResult, load_model_for_eval, train
+from .trainer import TrainResult, load_model_for_eval, train
 from .zeroshot import PromptSet, desk_prompts, evaluate, full_prompts
 
 __version__ = "0.1.0"

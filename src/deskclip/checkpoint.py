@@ -88,6 +88,12 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8: {err}") from None
+
 
 def _pack_named_arrays(arrays: dict[str, np.ndarray]) -> bytes:
     out = bytearray(struct.pack("<I", len(arrays)))
@@ -105,7 +111,7 @@ def _pack_named_arrays(arrays: dict[str, np.ndarray]) -> bytes:
 def _unpack_named_arrays(r: _Reader) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = r.text(r.u32(), "tensor name")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         count = int(np.prod(shape)) if shape else 1
@@ -125,7 +131,7 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict[
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    config_text = r.take(r.u32()).decode("utf-8")
+    config_text = r.text(r.u32(), "config text")
     tensors = _unpack_named_arrays(r)
     blocks: dict[bytes, bytes] = {}
     for _ in range(r.u32()):
@@ -145,9 +151,12 @@ def encode_vocab(token_to_id: dict[str, int]) -> bytes:
 
 
 def decode_vocab(payload: bytes) -> dict[str, int]:
+    text = _Reader(payload, "<VOCB block>").text(len(payload), "vocabulary")
     table: dict[str, int] = {}
-    for line in payload.decode("utf-8").splitlines():
-        tok, idx = line.rsplit("\t", 1)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tok, tab, idx = line.rpartition("\t")
+        if not (tab and idx.isascii() and idx.isdigit()):
+            raise CheckpointError(f"vocabulary line {lineno} is not token<TAB>id: {line!r}")
         table[tok] = int(idx)
     return table
 

@@ -26,7 +26,7 @@ from .data import (
     write_manifest,
 )
 from .errors import CheckpointError, ConfigError, ManifestError, TrainingAborted
-from .trainer import TrainResult, load_model_for_eval, train
+from .trainer import TrainResult, build_model, load_model_for_eval, train
 from .verify import FAULTS, run_verify
 from .zeroshot import PromptSet, desk_prompts, evaluate, evaluation_report
 
@@ -182,9 +182,7 @@ def cmd_verify(args) -> int:
     return run_verify(faults=faults, list_only=args.list)
 
 
-def _sweep_one(payload):
-    depth, cfg_sections, out_root = payload
-    cfg = load_run_config(None, cfg_sections)
+def _sweep_one(cfg: RunConfig, depth: int, out_root: str):
     records, val_records, names, prompts = _gather_run_inputs(cfg)
     text_cfg = dataclasses.replace(cfg.text, depth=depth)
     started = time.perf_counter()
@@ -195,8 +193,6 @@ def _sweep_one(payload):
     )
     # wall time of the whole run, so eval and checkpoint writes are included
     s_per_step = (time.perf_counter() - started) / result.steps_run if result.steps_run else math.nan
-    from .trainer import build_model
-
     params = build_model(cfg.train, cfg.image, text_cfg).parameter_count()
     return depth, params, result.final_accuracy, result.aborted, s_per_step
 
@@ -208,28 +204,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--depths must be comma-separated integers, got {args.depths!r}")
     if not depths:
         raise ConfigError("--depths is empty")
-    base = load_run_config(args.config, args.set)  # fail fast on bad config
-    out_root = args.out or base.data.out_dir
-    # overrides are re-applied per worker so each payload is self-contained
-    serialized = list(args.set or [])
-    if args.config:
-        from .config import read_config_file
-
-        file_pairs = [
-            f"{section}.{key}={value}"
-            for section, mapping in read_config_file(args.config).items()
-            for key, value in mapping.items()
-        ]
-        serialized = file_pairs + serialized
-    payloads = [(depth, serialized, out_root) for depth in depths]
-    if args.jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one, payloads))
-    else:
-        rows = [_sweep_one(p) for p in payloads]
-    rows.sort()
+    cfg = load_run_config(args.config, args.set)
+    out_root = args.out or cfg.data.out_dir
+    rows = [_sweep_one(cfg, depth, out_root) for depth in sorted(depths)]
     lines = [f"{'depth':>5}  {'params':>10}  {'val_top1':>8}  {'s_per_step':>10}"]
     for depth, params, accuracy, aborted, s_per_step in rows:
         status = "  (aborted)" if aborted else ""
@@ -302,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE")
     p.add_argument("--depths", default="1,2,3,4", help="comma-separated depth list")
     p.add_argument("--out", help="sweep root directory (runs land in depth<N>/ below it)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(fn=cmd_sweep)
 
     return parser

@@ -3,22 +3,50 @@
 A run is described by five sections: [train], [loss], [image], [text],
 [data]. Unknown sections or keys are rejected outright so typos fail
 before any work starts. The same flat `section.key=value` text format is
-embedded in checkpoints for exact run identity.
+embedded in checkpoints for exact run identity: `render_config_text`
+writes it and `parse_config_text` reads it back.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .encoders import ConvConfig, TextConfig, VitConfig
 from .errors import ConfigError
 from .losses import LossConfig
-from .trainer import TrainConfig
 
 SECTIONS = ("train", "loss", "image", "text", "data")
+
+
+@dataclass
+class TrainConfig:
+    variant: str = "clip"
+    epochs: int = 10
+    batch_size: int = 64
+    base_lr: float = 1e-4
+    peak_lr: float = 1e-3
+    warmup_epochs: float = 1.0
+    weight_decay: float = 0.1
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    seed: int = 0
+    image_encoder: str = "vit"  # vit | conv
+
+    def __post_init__(self):
+        if not 0 < self.base_lr <= self.peak_lr:
+            raise ConfigError("need peak_lr >= base_lr > 0")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.warmup_epochs < 0 or (self.epochs and self.warmup_epochs > self.epochs):
+            raise ConfigError("warmup_epochs must lie in [0, epochs]")
+        if self.image_encoder not in ("vit", "conv"):
+            raise ConfigError("image_encoder must be 'vit' or 'conv'")
+        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
+            raise ConfigError("betas must lie in [0, 1)")
 
 
 @dataclass
@@ -133,8 +161,26 @@ def load_run_config(
     return build_run_config(sections)
 
 
+def render_config_text(train_cfg: TrainConfig, loss_cfg: LossConfig, image_cfg, text_cfg: TextConfig) -> str:
+    """Flat, sorted section.key=value text; embedded in checkpoints."""
+    sections = {
+        "train": asdict(train_cfg),
+        "loss": asdict(loss_cfg),
+        "image": asdict(image_cfg),
+        "text": asdict(text_cfg),
+    }
+    lines = []
+    for section in sorted(sections):
+        for key in sorted(sections[section]):
+            value = sections[section][key]
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{section}.{key}={value}")
+    return "\n".join(lines)
+
+
 def parse_config_text(text: str):
-    """Inverse of trainer.render_config_text, for checkpoint identity."""
+    """Inverse of render_config_text, for checkpoint identity."""
     sections: dict[str, dict[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -23,6 +23,12 @@ TEMPERATURE_MAX = 100.0
 ATTN_MASK_PENALTY = -1e9
 
 
+def _require_positive(cfg, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class VitConfig:
     image_size: int = 32
@@ -34,15 +40,13 @@ class VitConfig:
     channels: int = 3
 
     def __post_init__(self):
+        _require_positive(self, "image_size", "patch_size", "width", "depth", "heads", "embed_dim", "channels")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
-        for name in ("image_size", "patch_size", "width", "depth", "heads", "embed_dim", "channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
 
     @property
     def grid(self) -> int:
@@ -64,6 +68,9 @@ class ConvConfig:
     def __post_init__(self):
         if not self.stage_channels:
             raise ConfigError("stage_channels must be non-empty")
+        _require_positive(self, "image_size", "channels", "kernel_size", "embed_dim")
+        if min(self.stage_channels) < 1:
+            raise ConfigError(f"stage_channels must be positive, got {self.stage_channels}")
         if self.kernel_size % 2 != 1:
             raise ConfigError("kernel_size must be odd")
         side = self.image_size
@@ -93,6 +100,10 @@ class TextConfig:
     MAX_CONTEXT = 76
 
     def __post_init__(self):
+        # depth 0 is valid: a text tower of embeddings and the final projection only
+        _require_positive(self, "width", "heads", "embed_dim")
+        if self.depth < 0:
+            raise ConfigError("depth must be >= 0")
         if self.context_length > self.MAX_CONTEXT:
             raise ConfigError(f"context_length {self.context_length} exceeds ceiling {self.MAX_CONTEXT}")
         if self.context_length < 4:

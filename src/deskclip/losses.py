@@ -422,38 +422,6 @@ def neighbor_supervision_loss(
 # token-wise alignment --------------------------------------------------------------
 
 
-def tokenwise_max_similarity(
-    img_tokens: Tensor,
-    txt_tokens: Tensor,
-    img_mask: np.ndarray | None = None,
-    txt_mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Late-interaction similarity between one image and one text.
-
-    Image-side score: every image token finds its best-matching text token
-    and the matches are averaged; text-side score swaps the roles. Ties in
-    the match pick the lowest token index. Returns (image_side, text_side)
-    scalars; they differ in general.
-    """
-    if img_tokens.ndim != 2 or txt_tokens.ndim != 2:
-        raise ShapeError("tokenwise_max_similarity expects (tokens, dim) operands")
-    n1, n2 = img_tokens.shape[0], txt_tokens.shape[0]
-    img_mask = np.ones(n1, dtype=bool) if img_mask is None else np.asarray(img_mask, dtype=bool)
-    txt_mask = np.ones(n2, dtype=bool) if txt_mask is None else np.asarray(txt_mask, dtype=bool)
-    if not img_mask.any() or not txt_mask.any():
-        raise DegenerateInputError("tokenwise similarity needs at least one unmasked token per side")
-    sims = T.matmul(img_tokens, T.transpose(txt_tokens))  # (n1, n2)
-    txt_pen = T.constant(np.where(txt_mask, 0.0, MASK_PENALTY))
-    img_pen = T.constant(np.where(img_mask, 0.0, MASK_PENALTY))
-    img_keep = T.constant(img_mask.astype(np.float64))
-    txt_keep = T.constant(txt_mask.astype(np.float64))
-    best_txt = T.max_(sims + txt_pen, axis=1)  # (n1,)
-    image_side = T.sum_(best_txt * img_keep) / T.constant(float(img_mask.sum()))
-    best_img = T.max_(sims + T.reshape(img_pen, (n1, 1)), axis=0)  # (n2,)
-    text_side = T.sum_(best_img * txt_keep) / T.constant(float(txt_mask.sum()))
-    return image_side, text_side
-
-
 def select_topk_tokens(tokens: np.ndarray, scores: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Keep the ceil(fraction * n) highest-scoring tokens, order preserved.
 

@@ -10,7 +10,7 @@ checkpoint resume continues the interrupted trajectory bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .checkpoint import (
     save_checkpoint,
     write_atomic,
 )
+from .config import TrainConfig, parse_config_text, render_config_text
 from .data import (
     PairRecord,
     Vocab,
@@ -54,34 +55,6 @@ from .losses import (
 from .optim import AdamW, lr_at
 from .seeding import rng_for
 from .zeroshot import PromptSet, desk_prompts, evaluate
-
-
-@dataclass
-class TrainConfig:
-    variant: str = "clip"
-    epochs: int = 10
-    batch_size: int = 64
-    base_lr: float = 1e-4
-    peak_lr: float = 1e-3
-    warmup_epochs: float = 1.0
-    weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-    image_encoder: str = "vit"  # vit | conv
-
-    def __post_init__(self):
-        if not 0 < self.base_lr <= self.peak_lr:
-            raise ConfigError("need peak_lr >= base_lr > 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.warmup_epochs < 0 or (self.epochs and self.warmup_epochs > self.epochs):
-            raise ConfigError("warmup_epochs must lie in [0, epochs]")
-        if self.image_encoder not in ("vit", "conv"):
-            raise ConfigError("image_encoder must be 'vit' or 'conv'")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("betas must lie in [0, 1)")
 
 
 @dataclass
@@ -123,24 +96,6 @@ def trainable_parameters(model: DualEncoder, variant: str) -> list:
     if "text_mlm" in LossConfig(variant=variant).term_weights():
         return named
     return [(n, p) for n, p in named if not n.startswith(MLM_HEAD_PREFIX)]
-
-
-def render_config_text(train_cfg: TrainConfig, loss_cfg: LossConfig, image_cfg, text_cfg: TextConfig) -> str:
-    """Flat, sorted section.key=value text; embedded in checkpoints."""
-    sections = {
-        "train": asdict(train_cfg),
-        "loss": asdict(loss_cfg),
-        "image": asdict(image_cfg),
-        "text": asdict(text_cfg),
-    }
-    lines = []
-    for section in sorted(sections):
-        for key in sorted(sections[section]):
-            value = sections[section][key]
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{section}.{key}={value}")
-    return "\n".join(lines)
 
 
 # per-step view assembly -----------------------------------------------------------
@@ -276,17 +231,25 @@ def save_training_checkpoint(
     save_checkpoint(path, config_text, _model_tensors(model), blocks)
 
 
-def load_model_for_eval(path: str | Path):
-    """(model, vocab, configs) from a checkpoint, ready for inference."""
-    from .config import parse_config_text
-
-    config_text, tensors, blocks = load_checkpoint(path)
-    train_cfg, loss_cfg, image_cfg, text_cfg = parse_config_text(config_text)
-    model = build_model(train_cfg, image_cfg, text_cfg)
-    _restore_model(model, tensors)
+def _checkpoint_vocab(blocks: dict[bytes, bytes], path) -> Vocab:
     if VOCAB_TAG not in blocks:
         raise CheckpointError(f"{path}: missing vocabulary block")
-    vocab = Vocab(decode_vocab(blocks[VOCAB_TAG]))
+    try:
+        return Vocab(decode_vocab(blocks[VOCAB_TAG]))
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: vocabulary block does not build a vocabulary: {err}") from err
+
+
+def load_model_for_eval(path: str | Path):
+    """(model, vocab, configs) from a checkpoint, ready for inference."""
+    config_text, tensors, blocks = load_checkpoint(path)
+    try:
+        train_cfg, loss_cfg, image_cfg, text_cfg = parse_config_text(config_text)
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: embedded config does not parse: {err}") from err
+    model = build_model(train_cfg, image_cfg, text_cfg)
+    _restore_model(model, tensors)
+    vocab = _checkpoint_vocab(blocks, path)
     return model, vocab, (train_cfg, loss_cfg, image_cfg, text_cfg)
 
 
@@ -386,7 +349,7 @@ def train(
         if STATE_TAG not in blocks or VOCAB_TAG not in blocks:
             raise CheckpointError(f"{resume_from}: missing train-state or vocabulary block")
         _restore_model(model, tensors)
-        vocab = Vocab(decode_vocab(blocks[VOCAB_TAG]))
+        vocab = _checkpoint_vocab(blocks, resume_from)
         state = decode_train_state(blocks[STATE_TAG])
         optimizer.load_state(state["adam_t"], state["moments_m"], state["moments_v"])
         queue = NNQueue(state["queue_capacity"])

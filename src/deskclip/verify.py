@@ -16,15 +16,14 @@ import numpy as np
 from . import losses, tensor as T
 from .corpus import CorpusAccumulator, FilterPolicy, analyze, filter_captions
 from .data import Vocab, decode_caption, encode_caption, tokenize_words
-from .encoders import ConvConfig, ConvEncoder, DualEncoder, TextConfig, TextEncoder, VitConfig, VitEncoder
+from .encoders import ConvConfig, ConvEncoder, DualEncoder, EmbeddingSet, TextConfig, TextEncoder, VitConfig, VitEncoder
 from .gradcheck import gradient_report
 from .losses import (
     NNQueue,
     info_nce,
-    multiview_loss,
     neighbor_supervision_loss,
     nt_xent_loss,
-    tokenwise_max_similarity,
+    tokenwise_alignment_loss,
 )
 from .optim import lr_at
 from .seeding import rng_for
@@ -85,15 +84,20 @@ def _unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _loop_info_nce(left: np.ndarray, right: np.ndarray, temperature: float) -> float:
-    n = left.shape[0]
+def _loop_matching_ce(scores: list[list[float]], temperature: float) -> float:
+    """Mean over rows i of -log softmax(scores[i] / temperature)[i]."""
     total = 0.0
-    for i in range(n):
-        logits = [float(left[i] @ right[j]) / temperature for j in range(n)]
+    for i, row in enumerate(scores):
+        logits = [score / temperature for score in row]
         peak = max(logits)
         log_z = peak + math.log(sum(math.exp(l - peak) for l in logits))
         total += -(logits[i] - log_z)
-    return total / n
+    return total / len(scores)
+
+
+def _loop_info_nce(left: np.ndarray, right: np.ndarray, temperature: float) -> float:
+    n = left.shape[0]
+    return _loop_matching_ce([[float(left[i] @ right[j]) for j in range(n)] for i in range(n)], temperature)
 
 
 def _loop_nt_xent(a: np.ndarray, b: np.ndarray, temperature: float) -> float:
@@ -110,10 +114,23 @@ def _loop_nt_xent(a: np.ndarray, b: np.ndarray, temperature: float) -> float:
     return total / (2 * n)
 
 
-def _loop_tokenwise(img_tokens: np.ndarray, txt_tokens: np.ndarray) -> tuple[float, float]:
-    image_side = np.mean([max(tok @ other for other in txt_tokens) for tok in img_tokens])
-    text_side = np.mean([max(tok @ other for other in img_tokens) for tok in txt_tokens])
-    return float(image_side), float(text_side)
+def _loop_alignment(img_tokens, img_mask, txt_tokens, txt_mask, temperature: float) -> float:
+    """Token-wise alignment loss of a batch, one (image, text) pair at a time."""
+    n = len(img_tokens)
+    image_side = [[0.0] * n for _ in range(n)]  # row: image, column: text
+    text_side = [[0.0] * n for _ in range(n)]   # row: text, column: image
+    for i in range(n):
+        img = img_tokens[i][img_mask[i]]
+        for j in range(n):
+            txt = txt_tokens[j][txt_mask[j]]
+            image_side[i][j] = float(np.mean([max(float(a @ b) for b in txt) for a in img]))
+            text_side[j][i] = float(np.mean([max(float(a @ b) for a in img) for b in txt]))
+    return 0.5 * (_loop_matching_ce(image_side, temperature) + _loop_matching_ce(text_side, temperature))
+
+
+def _prefix_masks(rng, n: int, tokens: int) -> np.ndarray:
+    """(n, tokens) masks that keep a random non-empty prefix of each row, as padding does."""
+    return np.arange(tokens) < rng.integers(1, tokens + 1, size=(n, 1))
 
 
 # checks: each returns (ok, detail) ------------------------------------------------
@@ -204,11 +221,16 @@ def check_bruteforce(instances: int = 20):
         worst = max(worst, abs(got - _loop_info_nce(left, right, temp)))
         got = nt_xent_loss(T.Tensor(left), T.Tensor(right), temp).item()
         worst = max(worst, abs(got - _loop_nt_xent(left, right, temp)))
-        img_toks = _unit_rows(rng, int(rng.integers(1, 4)), d)
-        txt_toks = _unit_rows(rng, int(rng.integers(1, 4)), d)
-        got_i, got_t = (v.item() for v in tokenwise_max_similarity(T.Tensor(img_toks), T.Tensor(txt_toks)))
-        want_i, want_t = _loop_tokenwise(img_toks, txt_toks)
-        worst = max(worst, abs(got_i - want_i), abs(got_t - want_t))
+        n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        img_toks = _unit_rows(rng, n * n1, d).reshape(n, n1, d)
+        txt_toks = _unit_rows(rng, n * n2, d).reshape(n, n2, d)
+        img_mask, txt_mask = _prefix_masks(rng, n, n1), _prefix_masks(rng, n, n2)
+        got = tokenwise_alignment_loss(
+            EmbeddingSet(T.Tensor(left), T.Tensor(img_toks), img_mask),
+            EmbeddingSet(T.Tensor(right), T.Tensor(txt_toks), txt_mask),
+            temp,
+        ).item()
+        worst = max(worst, abs(got - _loop_alignment(img_toks, img_mask, txt_toks, txt_mask, temp)))
         # queue retrieval vs exhaustive scan
         queue = NNQueue(16)
         stored = _unit_rows(rng, 8, d)
@@ -240,14 +262,27 @@ def check_composition():
 
 
 def check_filip_tiebreak():
-    img = T.Tensor(np.array([[1.0, 0.0]]))
-    txt = T.Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]), requires_grad=True)
-    image_side, _ = tokenwise_max_similarity(img, txt)
-    T.backward(image_side)
-    grad_first = float(np.abs(txt.grad[0]).sum())
-    grad_second = float(np.abs(txt.grad[1]).sum())
-    ok = grad_first > 0 and grad_second == 0
-    return ok, f"tied match routed to token 0 (|g0|={grad_first:.3f}, |g1|={grad_second:.3f})"
+    # two identical one-token images; text 0 holds two identical tokens, so each
+    # image's best match in text 0 is a tie. The images being identical, the
+    # text-side gradients on text 0 cancel, and what its tokens receive is the
+    # image-side gradient, which must all go to the lower index: by hand,
+    # (2 p - 1) / (4 tau) along the image token, p = softmax([1, 0.6] / tau)[0].
+    temperature = 0.5
+    token = np.array([1.0, 0.0])
+    images = np.tile(token, (2, 1, 1))
+    texts = T.Tensor(np.array([[token, token], [[0.6, 0.8], [0.0, 1.0]]]), requires_grad=True)
+    loss = tokenwise_alignment_loss(
+        EmbeddingSet(T.Tensor(images[:, 0]), T.Tensor(images), np.ones((2, 1), bool)),
+        EmbeddingSet(T.Tensor(images[:, 0]), texts, np.ones((2, 2), bool)),
+        temperature,
+    )
+    T.backward(loss)
+    p = 1.0 / (1.0 + math.exp(-0.4 / temperature))
+    want = (2 * p - 1) / (4 * temperature) * token
+    first_gap = float(np.abs(texts.grad[0, 0] - want).max())
+    second = float(np.abs(texts.grad[0, 1]).max())
+    ok = first_gap <= 1e-12 and second <= 1e-12
+    return ok, f"tied match routed to token 0 (gap to hand gradient {first_gap:.1e}, |g1|={second:.1e})"
 
 
 def check_softmax_stability():

@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from deskclip.encoders import TextConfig, TextEncoder
+
+ROOT = Path(__file__).resolve().parents[1]
+# the desk recipe: what the end-to-end gate and the scripts train with
+DESK_RECIPE = ROOT / "configs" / "desk.ini"
 
 # Acceptance-criteria outcomes, appended by tests/test_acceptance.py and
 # echoed after the run so the pass/fail line per criterion survives

@@ -1,19 +1,24 @@
+import importlib
+import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from deskclip.checkpoint import STATE_TAG, decode_train_state, load_checkpoint, save_checkpoint
+from deskclip.checkpoint import STATE_TAG, VOCAB_TAG, decode_train_state, load_checkpoint, save_checkpoint
 from deskclip.cli import main
 from deskclip.config import (
     apply_overrides,
     build_run_config,
     load_run_config,
     parse_config_text,
+    render_config_text,
 )
 from deskclip.encoders import ConvConfig, VitConfig
 from deskclip.errors import ConfigError
-from deskclip.trainer import render_config_text
+
+from conftest import DESK_RECIPE, ROOT
 
 MICRO_SETS = [
     "train.epochs=1", "train.batch_size=4", "train.warmup_epochs=0.5",
@@ -110,6 +115,25 @@ def test_config_file_parsing(tmp_path):
     assert (cfg.train.epochs, cfg.train.seed, cfg.text.depth) == (5, 9, 2)
 
 
+def test_perfbench_recipe_matches_desk_ini(monkeypatch):
+    """perfbench/workloads.py spells the desk recipe out; it must stay the one in configs/desk.ini."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in ("workloads", "checks", "tracing"):  # perfbench's flat module names
+            sys.modules.pop(name, None)
+    train = load_run_config(DESK_RECIPE).train
+    steps_per_epoch = workloads.STEPS_PER_EPOCH
+    assert workloads.BATCH == train.batch_size
+    assert (workloads.BASE_LR, workloads.PEAK_LR) == (train.base_lr, train.peak_lr)
+    assert workloads.WARMUP_STEPS == math.ceil(train.warmup_epochs * steps_per_epoch)
+    assert workloads.TOTAL_STEPS == train.epochs * steps_per_epoch
+    assert workloads.WEIGHT_DECAY == train.weight_decay
+    assert workloads.BETAS == (train.beta1, train.beta2)
+    assert workloads.ADAM_EPS == train.eps
+
+
 def test_render_parse_roundtrip():
     cfg = load_run_config(overrides=MICRO_SETS + ["train.variant=declip"])
     text = render_config_text(cfg.train, cfg.loss, cfg.image, cfg.text)
@@ -143,6 +167,18 @@ def test_unknown_variant_exits_2_listing_valid(capsys):
     assert "blip" in err
     for variant in ("clip", "slip", "filip", "declip", "defilip"):
         assert variant in err
+
+
+@pytest.mark.parametrize("override", [
+    "text.heads=0", "image.heads=0", "image.patch_size=0", "text.depth=-3", "text.width=0",
+    "train.image_encoder=conv image.stage_channels=0,16", "train.image_encoder=conv image.kernel_size=-1",
+])
+def test_nonpositive_size_exits_2(capsys, override):
+    argv = ["train", "--validate-only"]
+    for item in override.split():
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(capsys):
@@ -250,6 +286,59 @@ def test_resume_rejects_corrupt_queue_state_exits_3(tmp_path, capsys, data_dir, 
               + micro_args(data_dir))
     assert rc == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def _corrupt_byte(offset):
+    def corrupt(ckpt):
+        raw = bytearray(ckpt.read_bytes())
+        raw[offset(raw)] = 0xFF  # never valid in UTF-8
+        ckpt.write_bytes(bytes(raw))
+    return corrupt
+
+
+def _corrupt_config(edit):
+    def corrupt(ckpt):
+        config, tensors, blocks = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, edit(config), tensors, blocks)
+    return corrupt
+
+
+def _corrupt_vocab(edit):
+    def corrupt(ckpt):
+        config, tensors, blocks = load_checkpoint(ckpt)
+        blocks[VOCAB_TAG] = edit(blocks[VOCAB_TAG])
+        save_checkpoint(ckpt, config, tensors, blocks)
+    return corrupt
+
+
+# the config text starts at byte 16 (magic, version, length); the first tensor
+# name 8 bytes after it (tensor count, name length)
+CORRUPTIONS = {
+    "config-not-utf8": (_corrupt_byte(lambda raw: 16), "config text is not UTF-8"),
+    "tensor-name-not-utf8": (
+        _corrupt_byte(lambda raw: 16 + struct.unpack_from("<I", raw, 12)[0] + 8), "tensor name is not UTF-8"
+    ),
+    "vocab-not-utf8": (_corrupt_vocab(lambda vocab: b"\xff" + vocab), "vocabulary is not UTF-8"),
+    "vocab-line-without-tab": (_corrupt_vocab(lambda vocab: vocab + b"\nnotab"), "vocabulary line"),
+    "config-unknown-key": (_corrupt_config(lambda config: config + "\ntrain.bogus=1"), "embedded config"),
+    "config-unparsable-value": (
+        _corrupt_config(lambda config: config.replace("train.epochs=1", "train.epochs=one")), "embedded config"
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_eval_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, corruption):
+    corrupt, message = CORRUPTIONS[corruption]
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
+    corrupt(out / "final.ckpt")
+    capsys.readouterr()
+    rc = main(["eval", str(out / "final.ckpt"),
+               "--manifest", str(data_dir / "val.tsv"),
+               "--classes", str(data_dir / "classes.txt")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
 
 
 def test_stats_plain_and_filtered(tmp_path, capsys):

@@ -23,7 +23,6 @@ from deskclip.losses import (
     paired_nce,
     select_topk_tokens,
     tokenwise_alignment_loss,
-    tokenwise_max_similarity,
 )
 from deskclip.tensor import Tensor
 
@@ -157,23 +156,6 @@ def test_nt_xent_matches_loop_oracle():
     assert worst <= 1e-10
 
 
-def test_tokenwise_similarity_matches_loop_oracle():
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(100):
-        n1, n2, d = (int(rng.integers(1, 4)) for _ in range(3))
-        d += 2
-        img, txt = unit(rng, n1, d), unit(rng, n2, d)
-        img_mask = np.ones(n1, dtype=bool)
-        txt_mask = np.ones(n2, dtype=bool)
-        if n1 > 1:
-            img_mask[rng.integers(0, n1)] = False
-        got_i, got_t = tokenwise_max_similarity(Tensor(img), Tensor(txt), img_mask, txt_mask)
-        want_i, want_t = loop_tokenwise(img, txt, img_mask, txt_mask)
-        worst = max(worst, abs(got_i.item() - want_i), abs(got_t.item() - want_t))
-    assert worst <= 1e-10
-
-
 def loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, temperature):
     n = img_tokens.shape[0]
     image_side = np.zeros((n, n))
@@ -239,32 +221,6 @@ def test_alignment_loss_penalizes_image_tokens_only_when_masked():
 
 
 # token-level fixtures ---------------------------------------------------------
-
-
-def test_tokenwise_fixture_half_and_one():
-    img = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    txt = Tensor(np.array([[1.0, 0.0]]))
-    image_side, text_side = tokenwise_max_similarity(img, txt)
-    assert abs(image_side.item() - 0.5) < 1e-15
-    assert abs(text_side.item() - 1.0) < 1e-15
-
-
-def test_tokenwise_identical_single_tokens():
-    tok = Tensor(np.array([[0.6, 0.8]]))
-    image_side, text_side = tokenwise_max_similarity(tok, tok)
-    assert abs(image_side.item() - 1.0) < 1e-12
-    assert abs(text_side.item() - 1.0) < 1e-12
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_tokenwise_scores_stay_in_cosine_range(n1, n2, seed):
-    rng = np.random.default_rng(seed)
-    image_side, text_side = tokenwise_max_similarity(
-        Tensor(unit(rng, n1, 4)), Tensor(unit(rng, n2, 4))
-    )
-    assert -1.0 - 1e-12 <= image_side.item() <= 1.0 + 1e-12
-    assert -1.0 - 1e-12 <= text_side.item() <= 1.0 + 1e-12
 
 
 def test_single_token_alignment_equals_clip():

@@ -112,6 +112,21 @@ def test_vit_config_validation():
         VitConfig(image_size=30, patch_size=4, width=12, depth=1, heads=2, embed_dim=8)
     with pytest.raises(ConfigError):
         VitConfig(image_size=8, patch_size=4, width=13, depth=1, heads=2, embed_dim=8)
+    # sizes are checked before they divide anything
+    for field in ("image_size", "patch_size", "width", "depth", "heads", "embed_dim", "channels"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=f"{field} must be positive"):
+                VitConfig(**{field: bad})
+
+
+def test_conv_config_validation():
+    for field in ("image_size", "channels", "kernel_size", "embed_dim"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=f"{field} must be positive"):
+                ConvConfig(**{field: bad})
+    for stages in ((0, 16), (8, -16)):
+        with pytest.raises(ConfigError, match="stage_channels must be positive"):
+            ConvConfig(stage_channels=stages)
 
 
 def test_conv_encoder_shapes_and_flag():
@@ -226,6 +241,16 @@ def test_text_config_validation():
         tiny_text(context_length=80)  # beyond the hard ceiling
     with pytest.raises(ConfigError):
         tiny_text(vocab_size=4)  # leaves no room for real tokens
+    for field in ("width", "heads", "embed_dim"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=f"{field} must be positive"):
+                tiny_text(**{field: bad})
+    with pytest.raises(ConfigError, match="depth must be >= 0"):
+        tiny_text(depth=-3)
+    # no transformer blocks at all is the far end of the text-depth axis, and it runs
+    enc = TextEncoder(tiny_text(depth=0), rng())
+    assert len(enc.blocks) == 0
+    assert enc(np.array([[1, 6, 7, 2, 0, 0, 0, 0]])).pooled.shape == (1, 8)
 
 
 def test_mlm_logits_shape_and_grad():
