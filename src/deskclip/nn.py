@@ -76,7 +76,12 @@ class ModuleList:
 
 
 class Linear(Module):
-    """Affine map x @ weight + bias, weight stored (in_dim, out_dim)."""
+    """Affine map x @ weight + bias, weight stored (in_dim, out_dim).
+
+    One ``matmul`` tape node per call, with the bias folded in: the tape
+    keeps no pre-bias product. ``x`` may carry any leading axes; they
+    share the weight, so the product runs as one 2-D GEMM over its rows.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         super().__init__()
@@ -86,10 +91,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return T.matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

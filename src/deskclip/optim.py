@@ -86,12 +86,14 @@ class AdamW:
         return self.t, self.m, self.v
 
     def load_state(self, t: int, m: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> None:
+        """Replace the step count and both moments; on a mismatch nothing changes."""
         names = {name for name, _ in self.named_params}
         if set(m) != names or set(v) != names:
             raise ConfigError("optimizer state does not match the parameter set")
-        self.t = int(t)
         for name, p in self.named_params:
-            if m[name].shape != p.data.shape:
+            if m[name].shape != p.data.shape or v[name].shape != p.data.shape:
                 raise ConfigError(f"moment shape mismatch for {name!r}")
+        self.t = int(t)
+        for name, _ in self.named_params:
             self.m[name] = m[name].astype(np.float64).copy()
             self.v[name] = v[name].astype(np.float64).copy()

@@ -178,13 +178,23 @@ def backward(loss: Tensor) -> None:
             node._parents = ()
 
 
-def _accumulate(target: Tensor, grad: Array) -> None:
+def _accumulate(target: Tensor, grad: Array, owned: bool = False) -> None:
+    """Add ``grad`` into ``target.grad``.
+
+    ``owned`` says ``grad`` is a buffer of the target's shape that the
+    backward closure built for this call and never touches again (never
+    an alias of its incoming gradient), so it becomes ``target.grad``
+    without a copy.
+    """
     if not target.requires_grad:
         return
     if target.grad is None:
-        # a fresh buffer, never an alias of ``grad``; adding +0.0 keeps the bits of
+        # never an alias of a buffer someone else holds; adding +0.0 keeps the bits of
         # zeros + grad (a -0.0 becomes +0.0) and broadcasts the same way
-        target.grad = np.add(grad, 0.0, out=np.empty_like(target.data))
+        if owned:
+            target.grad = np.add(grad, 0.0, out=grad)
+        else:
+            target.grad = np.add(grad, 0.0, out=np.empty_like(target.data))
     else:
         target.grad += grad
 
@@ -356,7 +366,7 @@ def gelu(a) -> Tensor:
         buf *= x
         buf += cdf
         buf *= g
-        _accumulate(a, buf)
+        _accumulate(a, buf, owned=True)
 
     return _make(out, (a,), "gelu", bwd)
 
@@ -527,26 +537,54 @@ def max_(a, axis: int, keepdims: bool = False) -> Tensor:
 # linear algebra ---------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, plus ``bias`` broadcast over the product's rows when given.
+
+    One tape node with parents (a, b, bias): the bias is added in place on
+    the product, so no pre-bias buffer is kept. When ``b`` is a 2-D weight
+    shared by every leading index of ``a``, the forward product and both
+    gradients run as one 2-D GEMM over ``a``'s rows.
+    """
     a, b = coerce(a), coerce(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    try:
-        out = a.data @ b.data
-    except ValueError:
-        raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} x {b.shape}") from None
+    shared = b.ndim == 2 and a.ndim > 2
+    if shared:
+        out = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    else:
+        try:
+            out = a.data @ b.data
+        except ValueError:
+            raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} x {b.shape}") from None
+    parents = (a, b)
+    if bias is not None:
+        bias = coerce(bias)
+        try:
+            out += bias.data
+        except ValueError:
+            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to the product {out.shape}") from None
+        parents += (bias,)
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.ndim == 2 and a.ndim > 2:
-            # one weight shared by every leading index: fold them into the GEMM's inner sum
-            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            if shared:
+                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
+            else:
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            _accumulate(a, ga, owned=True)
+        if b.requires_grad:
+            if shared:
+                # one weight shared by every leading index: fold them into the GEMM's inner sum
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            _accumulate(b, gb, owned=True)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
 
-    return _make(out, (a, b), "matmul", bwd)
+    return _make(out, parents, "matmul", bwd)
 
 
 # normalization and activations ------------------------------------------
@@ -618,7 +656,7 @@ def attention(fused, heads: int, attn_bias: Array | None = None) -> Tensor:
         gs *= scale
         np.matmul(gs, k, out=gq)
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
-        _accumulate(fused, gfused.reshape(n, L, w3))
+        _accumulate(fused, gfused.reshape(n, L, w3), owned=True)
 
     return _make(merged.reshape(n, L, w), (fused,), "attention", bwd)
 
@@ -690,7 +728,7 @@ def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
         dxhat -= centre
         dxhat -= buf
         dxhat *= inv
-        _accumulate(a, dxhat)
+        _accumulate(a, dxhat, owned=True)
 
     return _make(out, (a, gain, bias), "layernorm", bwd)
 
@@ -770,14 +808,16 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         g3 = g.reshape(n, f, oh * ow)
         # weight gradient: one GEMM with the batch and output positions as the inner sum
         gw = g3.transpose(1, 0, 2).reshape(f, n * oh * ow) @ cols.reshape(n * oh * ow, c * kh * kw)
-        _accumulate(w, gw.reshape(w.shape))
+        _accumulate(w, gw.reshape(w.shape), owned=True)
+        if not x.requires_grad:  # e.g. the image batch itself
+            return
         # col2im: each (i, j) tap of the column gradient is one block added at a strided offset
         gcols = (wf.T @ g3).reshape(n, c, kh, kw, oh, ow)
         gxp = np.zeros((n, c, hp, wp))
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += gcols[:, :, i, j]
-        _accumulate(x, gxp[:, :, p : hp - p, p : wp - p] if p else gxp)
+        _accumulate(x, gxp[:, :, p : hp - p, p : wp - p] if p else gxp, owned=True)
 
     return _make(out, (x, w), "conv2d", bwd)
 

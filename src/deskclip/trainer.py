@@ -351,7 +351,10 @@ def train(
         _restore_model(model, tensors)
         vocab = _checkpoint_vocab(blocks, resume_from)
         state = decode_train_state(blocks[STATE_TAG])
-        optimizer.load_state(state["adam_t"], state["moments_m"], state["moments_v"])
+        try:
+            optimizer.load_state(state["adam_t"], state["moments_m"], state["moments_v"])
+        except ConfigError as err:
+            raise CheckpointError(f"{resume_from}: {err}") from err
         queue = NNQueue(state["queue_capacity"])
         queue.load_state(state["queue_buffer"], state["queue_fill"], state["queue_head"])
         start_epoch = state["epoch"]

@@ -152,8 +152,19 @@ def check_grad_primitives():
     pad = np.zeros((2, 1, 1, 4))
     pad[1, ..., 3] = -1e9
     report.update(gradient_report(lambda: T.sum_(T.attention(fused, 2, pad) * mixing), [("fused", fused)]))
+    # a Linear layer's product: one weight shared by every row of a 3-D input, bias folded in
+    a = T.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    lin_w = T.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    lin_b = T.Tensor(rng.standard_normal(5), requires_grad=True)
+    out_mix = T.constant(rng.standard_normal((2, 3, 5)))
+    report.update(gradient_report(
+        lambda: T.sum_(T.gelu(T.matmul(a, lin_w, lin_b)) * out_mix),
+        [("linear.a", a), ("linear.weight", lin_w), ("linear.bias", lin_b)],
+    ))
     worst = max(report.values())
-    return worst <= 1e-6, f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain and attention"
+    return worst <= 1e-6, (
+        f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain, attention and biased matmul"
+    )
 
 
 def check_grad_encoders():
@@ -172,7 +183,8 @@ def check_grad_encoders():
     ids = np.array([[1, 6, 7, 2, 0, 0, 0, 0], [1, 8, 9, 10, 2, 0, 0, 0]])
     sampled = [
         # the ids are 5 of 8 slots wide, so the text trunk reads a slice of pos_embedding
-        (vit, ("log_temperature", "image.ln_final.gain", "text.proj.weight", "text.pos_embedding")),
+        (vit, ("log_temperature", "image.ln_final.gain", "image.blocks.0.mlp.fc1.bias",
+               "text.proj.weight", "text.pos_embedding")),
         (conv, ("image.stage0_filter", "image.proj.weight")),
     ]
     worst, count = 0.0, 0

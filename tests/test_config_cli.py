@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from deskclip.checkpoint import STATE_TAG, VOCAB_TAG, decode_train_state, load_checkpoint, save_checkpoint
+from deskclip.checkpoint import (
+    STATE_TAG,
+    VOCAB_TAG,
+    decode_train_state,
+    encode_train_state,
+    load_checkpoint,
+    save_checkpoint,
+)
 from deskclip.cli import main
 from deskclip.config import (
     apply_overrides,
@@ -286,6 +293,35 @@ def test_resume_rejects_corrupt_queue_state_exits_3(tmp_path, capsys, data_dir, 
               + micro_args(data_dir))
     assert rc == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def _rename_first_m(state):
+    first = next(iter(state["moments_m"]))
+    state["moments_m"]["no.such.parameter"] = state["moments_m"].pop(first)
+
+
+def _reshape_first_v(state):
+    first = next(iter(state["moments_v"]))
+    state["moments_v"][first] = np.zeros(state["moments_v"][first].size + 1)
+
+
+@pytest.mark.parametrize("edit", [_rename_first_m, _reshape_first_v],
+                         ids=["moments-m-renamed", "moments-v-wrong-shape"])
+def test_resume_rejects_moments_that_do_not_fit_the_model_exits_3(tmp_path, capsys, data_dir, edit):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
+    ckpt = out / "final.ckpt"
+    config, tensors, blocks = load_checkpoint(ckpt)
+    state = decode_train_state(blocks[STATE_TAG])
+    edit(state)
+    blocks[STATE_TAG] = encode_train_state(**state)
+    save_checkpoint(ckpt, config, tensors, blocks)
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]
+              + micro_args(data_dir))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "does not match the parameter set" in err or "moment shape mismatch" in err
 
 
 def _corrupt_byte(offset):

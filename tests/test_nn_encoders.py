@@ -65,6 +65,18 @@ def test_trunc_normal_stays_inside_two_sigma():
     assert abs(draws.mean()) < 0.002
 
 
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+def test_linear_records_one_matmul_node(bias):
+    layer = Linear(3, 2, rng(), bias=bias)
+    x = T.Tensor(np.arange(12.0).reshape(2, 2, 3), requires_grad=True)
+    out = layer(x)
+    params = (layer.weight, layer.bias) if bias else (layer.weight,)
+    assert out.op == "matmul" and out._parents == (x,) + params
+    assert [node.op for node in T.build_graph(out).nodes] == ["leaf"] * (1 + len(params)) + ["matmul"]
+    want = x.data @ layer.weight.data + (layer.bias.data if bias else 0.0)
+    assert np.array_equal(out.data, want)
+
+
 def test_layernorm_standardizes_last_axis():
     ln = LayerNorm(6)
     out = ln(T.Tensor(rng().standard_normal((3, 6)) * 5 + 2)).data

@@ -182,3 +182,8 @@ def test_adamw_load_state_validates_names_and_shapes():
         opt.load_state(1, {"other": np.zeros(2)}, {"other": np.zeros(2)})
     with pytest.raises(ConfigError):
         opt.load_state(1, {"w": np.zeros(3)}, {"w": np.zeros(2)})
+    # a bad second moment is found before anything is assigned: no half-load
+    with pytest.raises(ConfigError):
+        opt.load_state(5, {"w": np.ones(2)}, {"w": np.zeros(3)})
+    t, m, v = opt.state()
+    assert t == 0 and np.array_equal(m["w"], np.zeros(2)) and v["w"].shape == (2,)

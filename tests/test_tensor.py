@@ -211,6 +211,79 @@ def test_matmul_batched_weight_grad_goes_through_unbroadcast(wshape, unbroadcast
                                rtol=0, atol=1e-12)
 
 
+def _composed_and_fused(a_data, w_data, b_data, g, take=lambda t: t):
+    """Output and (a, w, bias) gradients of matmul + add, then of the fused op."""
+    results = []
+    for fused in (False, True):
+        a, w, b = (T.Tensor(v.copy(), requires_grad=True) for v in (a_data, w_data, b_data))
+        x = take(a)
+        out = T.matmul(x, w, b) if fused else T.matmul(x, w) + b
+        T.backward(T.sum_(out * T.constant(g)))
+        results.append((out.data, a.grad, w.grad, b.grad))
+    return results
+
+
+@pytest.mark.parametrize("ashape, take", [
+    ((5, 4), lambda t: t),
+    ((2, 3, 4), lambda t: t),
+    ((2, 4, 4), lambda t: t[:, 1:]),  # non-contiguous rows, as the ViT's token projection
+    ((2, 2, 3, 4), lambda t: t),
+], ids=["2d", "3d", "3d-strided", "4d"])
+def test_matmul_bias_matches_the_composed_add(ashape, take):
+    rng = np.random.default_rng(14)
+    a, w, b = rng.standard_normal(ashape), rng.standard_normal((4, 6)), rng.standard_normal(6)
+    out_shape = take(T.constant(a)).shape[:-1] + (6,)
+    g = rng.standard_normal(out_shape)
+    (out0, *grads0), (out1, *grads1) = _composed_and_fused(a, w, b, g, take)
+    assert np.array_equal(out1, out0)
+    for want, got in zip(grads0, grads1):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    a_t, w_t, b_t = rand(rng, *ashape), rand(rng, 4, 6), rand(rng, 6)
+    check(lambda: T.sum_(T.matmul(take(a_t), w_t, b_t) ** 2.0), [("a", a_t), ("w", w_t), ("bias", b_t)])
+
+
+def test_matmul_bias_is_one_node_and_checks_shapes():
+    rng = np.random.default_rng(15)
+    a, w, b = rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)
+    out = T.matmul(a, w, b)
+    assert out.op == "matmul" and out._parents == (a, w, b)
+    assert [node.op for node in T.build_graph(out).nodes] == ["leaf"] * 3 + ["matmul"]
+    with T.no_grad():
+        quiet = T.matmul(a, w, b)
+    assert quiet._parents == () and not quiet.requires_grad and np.array_equal(quiet.data, out.data)
+    with pytest.raises(ShapeError, match="does not broadcast"):
+        T.matmul(a, w, T.constant(np.zeros(4)))
+    with pytest.raises(ShapeError, match="does not broadcast"):
+        T.matmul(a, w, T.constant(np.zeros((3, 2, 3, 5))))  # would grow the product
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        T.matmul(a, T.constant(np.zeros((3, 5))), b)
+    with pytest.raises(ShapeError, match="rank >= 2"):
+        T.matmul(T.constant(np.zeros(4)), w, b)
+
+
+@pytest.mark.parametrize("ashape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+def test_matmul_skips_the_input_gradient_of_a_constant(ashape, unbroadcast_shapes):
+    rng = np.random.default_rng(16)
+    a_data, w_data = rng.standard_normal(ashape), rng.standard_normal((4, 5))
+    g = T.constant(rng.standard_normal(ashape[:-1] + (5,)))
+    grads = []
+    for requires in (True, False):
+        a, w = T.Tensor(a_data, requires_grad=requires), T.Tensor(w_data, requires_grad=True)
+        unbroadcast_shapes.clear()
+        T.backward(T.sum_(T.matmul(a, w) * g))
+        grads.append(w.grad)
+    assert a.grad is None and ashape not in unbroadcast_shapes
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_owned_gradient_buffer_turns_negative_zero_positive():
+    # gelu's slope at -2 is negative, so its backward builds 0.0 * slope = -0.0 in the
+    # buffer it hands over; the leaf must still read +0.0, as zeros + grad would
+    x = T.Tensor(np.array([-2.0, 1.0]), requires_grad=True)
+    T.backward(T.sum_(T.gelu(x) * T.constant(np.array([0.0, 1.0]))))
+    assert x.grad[0] == 0.0 and not np.signbit(x.grad[0])
+
+
 # softmax family ------------------------------------------------------------
 
 
@@ -413,6 +486,20 @@ def test_cross_entropy_grad():
 
 
 # conv2d ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("padding", [0, 1], ids=["unpadded", "padded"])
+def test_conv2d_weight_gradient_is_unchanged_for_a_constant_input(padding):
+    rng = np.random.default_rng(17)
+    x_data, w_data = rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((4, 3, 3, 3))
+    grads = []
+    for requires in (True, False):
+        x, w = T.Tensor(x_data, requires_grad=requires), T.Tensor(w_data, requires_grad=True)
+        out = T.conv2d(x, w, padding=padding)
+        T.backward(T.sum_(out * T.constant(np.cos(np.arange(out.size)).reshape(out.shape))))
+        grads.append(w.grad)
+    assert x.grad is None
+    assert np.array_equal(grads[0], grads[1])
 
 
 def test_conv2d_known_value():
