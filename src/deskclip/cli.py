@@ -1,6 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, eval, stats, synth, verify, sweep-text-depth.
+Subcommands: train, eval, stats, synth, verify, sweep. `sweep --over
+SECTION.KEY=V1,V2,...` is the one multi-run driver: one `train` run per
+value, in order, in one process, and one comparison table. Over
+`text.depth` it is the model axis of the benchmark, over `train.variant`
+the supervision axis.
+
 Exit codes form a stable contract: 0 success, 1 verification or accuracy
 failure (including aborted training), 2 usage/config/manifest problems,
 3 checkpoint or artifact mismatch.
@@ -9,7 +14,6 @@ failure (including aborted training), 2 usage/config/manifest problems,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -182,40 +186,53 @@ def cmd_verify(args) -> int:
     return run_verify(faults=faults, list_only=args.list)
 
 
-def _sweep_one(cfg: RunConfig, depth: int, out_root: str):
-    records, val_records, names, prompts = _gather_run_inputs(cfg)
-    text_cfg = dataclasses.replace(cfg.text, depth=depth)
-    started = time.perf_counter()
-    result = train(
-        Path(out_root) / f"depth{depth}",
-        records, val_records, names,
-        cfg.train, cfg.loss, cfg.image, text_cfg, prompts=prompts,
-    )
-    # wall time of the whole run, so eval and checkpoint writes are included
-    s_per_step = (time.perf_counter() - started) / result.steps_run if result.steps_run else math.nan
-    params = build_model(cfg.train, cfg.image, text_cfg).parameter_count()
-    return depth, params, result.final_accuracy, result.aborted, s_per_step
+def _sweep_values(over: str) -> tuple[str, list[str]]:
+    """``section.key=v1,v2,...`` -> (key, values); each value names its run directory."""
+    key, sep, listed = over.partition("=")
+    values = [v.strip() for v in listed.split(",") if v.strip()]
+    if not sep or not values:
+        raise ConfigError(f"--over must look like section.key=v1,v2,..., got {over!r}")
+    for value in values:
+        if values.count(value) > 1:
+            raise ConfigError(f"--over lists {value!r} twice")
+        if "/" in value or "\\" in value or value in (".", ".."):
+            raise ConfigError(f"--over value {value!r} is not a directory name")
+    return key.strip(), values
 
 
 def cmd_sweep(args) -> int:
-    try:
-        depths = [int(d) for d in args.depths.split(",") if d.strip()]
-    except ValueError:
-        raise ConfigError(f"--depths must be comma-separated integers, got {args.depths!r}")
-    if not depths:
-        raise ConfigError("--depths is empty")
-    cfg = load_run_config(args.config, args.set)
-    out_root = args.out or cfg.data.out_dir
-    rows = [_sweep_one(cfg, depth, out_root) for depth in sorted(depths)]
-    lines = [f"{'depth':>5}  {'params':>10}  {'val_top1':>8}  {'s_per_step':>10}"]
-    for depth, params, accuracy, aborted, s_per_step in rows:
-        status = "  (aborted)" if aborted else ""
-        lines.append(f"{depth:>5}  {params:>10}  {accuracy:>8.4f}  {s_per_step:>10.3f}{status}")
+    key, values = _sweep_values(args.over)
+    out_root = Path(args.out or load_run_config(args.config, args.set).data.out_dir)
+    # every run's config and inputs are checked before the first run starts
+    runs = []
+    for value in values:
+        cfg = load_run_config(args.config, args.set + [f"{key}={value}"])
+        runs.append((value, cfg, _gather_run_inputs(cfg)))
+    rows = []
+    for value, cfg, (records, val_records, names, prompts) in runs:
+        started = time.perf_counter()
+        result = train(
+            out_root / value, records, val_records, names,
+            cfg.train, cfg.loss, cfg.image, cfg.text, prompts=prompts,
+        )
+        # wall time of the whole run, so eval and checkpoint writes are included
+        elapsed = time.perf_counter() - started
+        s_per_step = elapsed / result.steps_run if result.steps_run else math.nan
+        params = build_model(cfg.train, cfg.image, cfg.text).parameter_count()
+        rows.append((value, params, result, s_per_step))
+    width = max(len(key), *(len(value) for value in values))
+    lines = [f"{key:>{width}}  {'params':>10}  {'val_top1':>8}  {'s_per_step':>10}  {'best_top1':>9}"]
+    for value, params, result, s_per_step in rows:
+        status = "  (aborted)" if result.aborted else ""
+        lines.append(
+            f"{value:>{width}}  {params:>10}  {result.final_accuracy:>8.4f}  "
+            f"{s_per_step:>10.3f}  {result.best_accuracy:>9.4f}{status}"
+        )
     table = "\n".join(lines)
     print(table)
-    Path(out_root).mkdir(parents=True, exist_ok=True)
-    (Path(out_root) / "sweep.txt").write_text(table + "\n", encoding="utf-8")
-    return EXIT_FAILURE if any(r[3] for r in rows) else EXIT_OK
+    out_root.mkdir(parents=True, exist_ok=True)
+    (out_root / "sweep.txt").write_text(table + "\n", encoding="utf-8")
+    return EXIT_FAILURE if any(result.aborted for _, _, result, _ in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,11 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)  # test hooks: deliberately break one internal
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("sweep-text-depth", help="train at several text-encoder depths")
+    p = sub.add_parser("sweep", help="train one run per value of a config key, emit a comparison table")
+    p.add_argument("--over", required=True, metavar="SECTION.KEY=V1,V2,...",
+                   help="the key to vary and its values; run V writes to <out>/V/")
     p.add_argument("--config", help="INI config file; omit to use built-in defaults")
-    p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE")
-    p.add_argument("--depths", default="1,2,3,4", help="comma-separated depth list")
-    p.add_argument("--out", help="sweep root directory (runs land in depth<N>/ below it)")
+    p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                   help="override a config value in every run (repeatable)")
+    p.add_argument("--out", help="sweep root directory (overrides data.out_dir)")
     p.set_defaults(fn=cmd_sweep)
 
     return parser

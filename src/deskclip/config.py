@@ -56,7 +56,6 @@ class DataConfig:
     classes_file: str = ""
     prompts_file: str = ""  # empty picks the built-in desk prompt set
     out_dir: str = "runs/run"
-    image_size: int = 32
 
 
 @dataclass
@@ -75,17 +74,8 @@ def _parse_value(raw: str, type_name: str, key: str):
             return int(raw)
         if type_name == "float":
             return float(raw)
-        if type_name == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if type_name.startswith("tuple"):
-            parts = [p for p in raw.split(",") if p.strip()]
-            if "int" in type_name:
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
+        if type_name == "tuple[int, ...]":
+            return tuple(int(p) for p in raw.split(",") if p.strip())
         return raw
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {type_name}") from None

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .data import MASK_ID, NUM_RESERVED
 from .encoders import EmbeddingSet, TextEncoder
 from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from .tensor import Tensor
@@ -264,8 +265,6 @@ def make_mlm_batch(
     ids: np.ndarray,
     vocab_size: int,
     rng: np.random.Generator,
-    special_ids: tuple[int, ...] = (0, 1, 2, 3, 4),
-    mask_id: int = 3,
     rate: float = MLM_RATE,
 ) -> MlmBatch:
     """Corrupt ``rate`` of the ordinary tokens per sequence.
@@ -278,9 +277,8 @@ def make_mlm_batch(
     ids = np.asarray(ids, dtype=np.int64)
     corrupted = ids.copy()
     n, L = ids.shape
-    maskable = ~np.isin(ids, special_ids)
-    first_ordinary = max(special_ids) + 1
-    if first_ordinary >= vocab_size:
+    maskable = ids >= NUM_RESERVED  # the reserved ids are 0 .. NUM_RESERVED - 1
+    if NUM_RESERVED >= vocab_size:
         raise ConfigError("vocabulary has no ordinary ids to sample for corruption")
     rows, cols, targets = [], [], []
     skipped = 0
@@ -298,9 +296,9 @@ def make_mlm_batch(
             targets.append(ids[i, j])
             u = rng.random()
             if u < MLM_MASK_PROB:
-                corrupted[i, j] = mask_id
+                corrupted[i, j] = MASK_ID
             elif u < MLM_MASK_PROB + MLM_RANDOM_PROB:
-                corrupted[i, j] = rng.integers(first_ordinary, vocab_size)
+                corrupted[i, j] = rng.integers(NUM_RESERVED, vocab_size)
             # else: keep the original id, prediction site only
     positions = np.stack([rows, cols], axis=1) if rows else np.zeros((0, 2), dtype=np.int64)
     return MlmBatch(corrupted, positions.astype(np.int64), np.asarray(targets, dtype=np.int64), skipped)

@@ -382,6 +382,8 @@ def train(
 
     final_accuracy = 0.0
     steps_this_call = 0
+    stopped_at: tuple[int, int] | None = None  # (epoch, step) a resume of final.ckpt runs next
+    abort_reason: str | None = None
     try:
         for epoch in range(start_epoch, train_cfg.epochs):
             for step, batch in enumerate(iter_batches(train_records, train_cfg.batch_size, train_cfg.seed, epoch)):
@@ -406,12 +408,10 @@ def train(
                 global_step += 1
                 steps_this_call += 1
                 if stop_after_steps is not None and steps_this_call >= stop_after_steps:
-                    log.close()
-                    snapshot(final_path, epoch, step + 1)
-                    return TrainResult(
-                        final_path, best_path if best_path.exists() else None, metrics_path,
-                        final_accuracy, max(best_accuracy, 0.0), global_step,
-                    )
+                    stopped_at = (epoch, step + 1)
+                    break
+            if stopped_at is not None:
+                break
             accuracy = run_eval()
             final_accuracy = accuracy
             log.write(f"epoch={epoch} val_top1={accuracy:.4f}\n")
@@ -424,21 +424,22 @@ def train(
         # queue back, and record the failing step as the one a resume runs next
         queue.load_state(*queue_before)
         log.write(f"abort reason={err}\n")
+        abort_reason = str(err)
+        stopped_at = (epoch, step)
+    finally:
         log.close()
-        snapshot(final_path, epoch, step)
-        return TrainResult(
-            final_path, best_path if best_accuracy >= 0 else None, metrics_path,
-            final_accuracy, max(best_accuracy, 0.0), global_step,
-            aborted=True, abort_reason=str(err),
-        )
 
-    log.close()
-    snapshot(final_path, train_cfg.epochs, 0)
+    snapshot(final_path, *(stopped_at or (train_cfg.epochs, 0)))
+    # a best.ckpt left by an earlier run in this directory is not this run's,
+    # and a best accuracy resumed from elsewhere names no file here
+    has_best = best_accuracy >= 0 and best_path.exists()
     return TrainResult(
         final_path,
-        best_path if best_path.exists() else None,
+        best_path if has_best else None,
         metrics_path,
         final_accuracy,
         max(best_accuracy, 0.0),
         global_step,
+        aborted=abort_reason is not None,
+        abort_reason=abort_reason or "",
     )

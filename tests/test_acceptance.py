@@ -45,7 +45,7 @@ from deskclip.trainer import (
     trainable_parameters,
 )
 
-from conftest import ACCEPTANCE_LINES, DESK_RECIPE
+from tests.conftest import ACCEPTANCE_LINES, DESK_RECIPE
 
 
 def note(name: str, ok: bool, detail: str = "") -> None:
@@ -455,7 +455,7 @@ def test_depth_sweep(tmp_path, capsys):
     assert cli_main(["synth", str(data_dir), "--classes", "4", "--train", "240",
                      "--val", "80", "--seed", "0", "--image-size", "16"]) == 0
     out = tmp_path / "sweep"
-    argv = ["sweep-text-depth", "--depths", "1,2,3,4", "--out", str(out)]
+    argv = ["sweep", "--over", "text.depth=1,2,3,4", "--out", str(out)]
     for item in SWEEP_SETS + [
         f"data.train_manifest={data_dir}/train.tsv",
         f"data.val_manifest={data_dir}/val.tsv",

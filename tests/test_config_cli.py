@@ -25,7 +25,7 @@ from deskclip.config import (
 from deskclip.encoders import ConvConfig, VitConfig
 from deskclip.errors import ConfigError
 
-from conftest import DESK_RECIPE, ROOT
+from tests.conftest import DESK_RECIPE, ROOT
 
 MICRO_SETS = [
     "train.epochs=1", "train.batch_size=4", "train.warmup_epochs=0.5",
@@ -438,15 +438,58 @@ def test_random_init_eval_near_chance(tmp_path, capsys, data_dir):
 
 def test_sweep_table_and_param_growth(tmp_path, capsys, data_dir):
     out = tmp_path / "sweep"
-    rc = main(["sweep-text-depth", "--depths", "1,2", "--out", str(out)]
-              + micro_args(data_dir))
+    rc = main(["sweep", "--over", "text.depth=2,1", "--out", str(out)] + micro_args(data_dir))
     assert rc == 0
     table = capsys.readouterr().out
-    rows = [line.split() for line in table.splitlines()[1:]]
-    assert [r[0] for r in rows] == ["1", "2"]
+    assert (out / "sweep.txt").read_text() == table
+    header, *rows = [line.split() for line in table.splitlines()]
+    assert header == ["text.depth", "params", "val_top1", "s_per_step", "best_top1"]
+    assert [r[0] for r in rows] == ["2", "1"]  # the order the values were given
     params = [int(r[1]) for r in rows]
-    assert params[0] < params[1]
-    assert (out / "sweep.txt").read_text().splitlines()[0].split() == ["depth", "params", "val_top1", "s_per_step"]
+    assert params[0] > params[1]
     assert all(float(r[3]) > 0 for r in rows)
-    assert (out / "depth1" / "final.ckpt").exists()
-    assert (out / "depth2" / "final.ckpt").exists()
+    assert (out / "1" / "final.ckpt").exists()
+    assert (out / "2" / "final.ckpt").exists()
+
+
+def test_sweep_over_variants_trains_each_as_train_would(tmp_path, capsys, data_dir):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--over", "train.variant=clip,filip", "--out", str(out)] + micro_args(data_dir))
+    assert rc == 0
+    header, *rows = [line.split() for line in (out / "sweep.txt").read_text().splitlines()]
+    assert header[0] == "train.variant"
+    assert [r[0] for r in rows] == ["clip", "filip"]
+    for variant in ("clip", "filip"):
+        assert (out / variant / "final.ckpt").exists()
+        assert f"train.variant={variant}" in (out / variant / "config.resolved").read_text()
+    # a sweep run is the `train` run with the swept value as one more --set
+    single = tmp_path / "single"
+    assert main(["train", "--out", str(single)] + micro_args(data_dir, "train.variant=filip")) == 0
+    for name in ("metrics.log", "final.ckpt", "best.ckpt"):
+        assert (single / name).read_bytes() == (out / "filip" / name).read_bytes()
+
+
+@pytest.mark.parametrize("over, message", [
+    ("train.bogus=1,2", "unknown key"),
+    ("text.depth=1,two", "text.depth: cannot parse"),
+    ("text.depth=", "section.key=v1,v2"),
+    ("text.depth", "section.key=v1,v2"),
+    ("text.depth=1,2,1", "lists '1' twice"),
+    ("data.prompts_file=desk.txt,sub/desk.txt", "not a directory name"),
+    ("data.prompts_file=..", "not a directory name"),
+    ("data.classes_file=classes.txt,missing.txt", "classes file not found"),
+], ids=["unknown-key", "bad-value", "empty-list", "no-equals-sign", "duplicate", "path-separator",
+        "parent-directory", "missing-input-of-a-later-run"])
+def test_sweep_rejects_before_any_run_exits_2(tmp_path, capsys, monkeypatch, data_dir, over, message):
+    monkeypatch.chdir(data_dir)  # relative classes files resolve against the data directory
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--over", over, "--out", str(out)] + micro_args(data_dir))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_data_image_size_is_not_a_key(capsys):
+    """The image size is image.image_size; [data] has no second copy of it."""
+    assert main(["train", "--validate-only", "--set", "data.image_size=32"]) == 2
+    assert "unknown key(s) in [data]: image_size" in capsys.readouterr().err

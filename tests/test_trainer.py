@@ -244,6 +244,13 @@ def test_zero_epochs_writes_initial_checkpoint(tmp_path, records):
     assert VOCAB_TAG in blocks and STATE_TAG in blocks
 
 
+def test_fresh_run_in_a_reused_directory_names_no_best_checkpoint(tmp_path, records):
+    first = run_micro(tmp_path, records, "run", epochs=1)
+    assert first.best_path is not None
+    fresh = run_micro(tmp_path, records, "run", epochs=0)  # best.ckpt of the first run remains
+    assert fresh.best_path is None
+
+
 def test_training_is_deterministic(tmp_path, records):
     a = run_micro(tmp_path, records, "a")
     b = run_micro(tmp_path, records, "b")
