@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,7 +117,6 @@ class TextConfig:
             raise ConfigError("pad_id and end_id must differ")
 
 
-@dataclass
 class EmbeddingSet:
     """Pooled plus per-token embeddings for one batch.
 
@@ -126,12 +126,38 @@ class EmbeddingSet:
     context length. ``overlapping_receptive_fields`` is True when
     neighbouring tokens saw overlapping input regions (convolutional
     trunks), which matters for interpreting token-wise similarity maps.
+
+    ``tokens`` may be given as a Tensor or as a zero-argument builder of
+    one. A builder runs the first time ``tokens`` is read, under the tape
+    recording state in force when the set was made (so tokens of a
+    ``no_grad`` pass record no tape wherever they are read), and its
+    Tensor is kept from then on. A caller that reads only ``pooled`` never
+    pays for the per-token outputs.
     """
 
-    pooled: Tensor               # (N, D)
-    tokens: Tensor               # (N, T, D)
-    mask: np.ndarray             # (N, T) bool
-    overlapping_receptive_fields: bool = False
+    def __init__(
+        self,
+        pooled: Tensor,                            # (N, D)
+        tokens: Tensor | Callable[[], Tensor],     # (N, T, D)
+        mask: np.ndarray,                          # (N, T) bool
+        overlapping_receptive_fields: bool = False,
+    ):
+        self.pooled = pooled
+        self.mask = mask
+        self.overlapping_receptive_fields = overlapping_receptive_fields
+        if isinstance(tokens, Tensor):
+            self._tokens, self._builder = tokens, None
+        else:
+            self._tokens, self._builder = None, tokens
+        self._recording = T.is_recording()
+
+    @property
+    def tokens(self) -> Tensor:
+        if self._tokens is None:
+            with T.recording(self._recording):
+                self._tokens = self._builder()
+            self._builder = None  # let go of the activations it closed over
+        return self._tokens
 
 
 class VitEncoder(Module):
@@ -139,6 +165,13 @@ class VitEncoder(Module):
 
     Per-token output covers the patch positions only; the class token is
     pooled separately and never appears in the token set.
+
+    The last block is split by query rows. Its layernorm and fused qkv
+    run once over every row; the class row alone then goes through the
+    attention, the MLP, ``ln_final`` and ``proj`` to give ``pooled``. The
+    patch rows take the same path only when ``tokens`` is read, so a pass
+    that needs ``pooled`` alone (an augmented view, an eval batch) runs
+    the rest of the last block for one row in 65.
     """
 
     def __init__(self, cfg: VitConfig, rng: np.random.Generator):
@@ -171,13 +204,17 @@ class VitEncoder(Module):
         x = self.patch_proj(self._patchify(images))
         cls = T.broadcast_to(self.class_token, (n, 1, cfg.width))
         x = T.concat([cls, x], axis=1) + self.pos_embedding
-        for block in self.blocks:
+        *trunk, last = self.blocks
+        for block in trunk:
             x = block(x)
-        x = self.ln_final(x)
-        pooled = T.l2_normalize(self.proj(x[:, 0]))
-        tokens = T.l2_normalize(self.proj(x[:, 1:]))
+        fused = last.fuse(x)
+
+        def embed(rows: slice) -> Tensor:
+            return T.l2_normalize(self.proj(self.ln_final(last.finish(x, fused, rows=rows))))
+
+        pooled = T.reshape(embed(slice(0, 1)), (n, cfg.embed_dim))
         mask = np.ones((n, cfg.num_patches), dtype=bool)
-        return EmbeddingSet(pooled, tokens, mask, overlapping_receptive_fields=False)
+        return EmbeddingSet(pooled, lambda: embed(slice(1, None)), mask, overlapping_receptive_fields=False)
 
 
 class ConvEncoder(Module):
@@ -211,10 +248,9 @@ class ConvEncoder(Module):
             x = T.avgpool2(T.gelu(T.conv2d(x, w, padding=pad)))
         n, c, gh, gw = x.shape
         cells = T.transpose(T.reshape(x, (n, c, gh * gw)), (0, 2, 1))  # (n, cells, c)
-        tokens = T.l2_normalize(self.proj(cells))
         pooled = T.l2_normalize(self.proj(T.mean(cells, axis=1)))
         mask = np.ones((n, gh * gw), dtype=bool)
-        return EmbeddingSet(pooled, tokens, mask, overlapping_receptive_fields=True)
+        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(cells)), mask, overlapping_receptive_fields=True)
 
 
 class TextEncoder(Module):
@@ -287,10 +323,13 @@ class TextEncoder(Module):
         hidden = self._hidden(ids)
         pooled = T.l2_normalize(self.proj(T.select_positions(hidden, eot)))
         mask = ids != self.cfg.pad_id
-        # padding slots get a constant stand-in so normalization cannot hit a
-        # zero norm there; the mask excludes them from every consumer
-        keep = T.constant(mask[:, :, None].astype(np.float64))
-        tokens = T.l2_normalize(self.proj(hidden) * keep + (T.constant(1.0) - keep))
+
+        def tokens() -> Tensor:
+            # padding slots get a constant stand-in so normalization cannot hit a
+            # zero norm there; the mask excludes them from every consumer
+            keep = T.constant(mask[:, :, None].astype(np.float64))
+            return T.l2_normalize(self.proj(hidden) * keep + (T.constant(1.0) - keep))
+
         return EmbeddingSet(pooled, tokens, mask, overlapping_receptive_fields=False)
 
     def mlm_logits(self, hidden: Tensor, positions: np.ndarray) -> Tensor:

@@ -120,7 +120,11 @@ class MultiHeadSelfAttention(Module):
         self.out = Linear(width, width, rng)
 
     def __call__(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        return self.out(T.attention(self.qkv(x), self.heads, attn_bias))
+        return self.mix(self.qkv(x), attn_bias)
+
+    def mix(self, fused: Tensor, attn_bias: np.ndarray | None = None, rows: slice | None = None) -> Tensor:
+        """Attention output at query rows ``rows`` from the fused qkv of all rows."""
+        return self.out(T.attention(fused, self.heads, attn_bias, rows=rows))
 
 
 class MLPBlock(Module):
@@ -134,7 +138,13 @@ class MLPBlock(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-layernorm residual block: x + attn(ln(x)), then x + mlp(ln(x))."""
+    """Pre-layernorm residual block: x + attn(ln(x)), then x + mlp(ln(x)).
+
+    ``fuse`` and ``finish`` are the block in two parts: the fused qkv of
+    every row, then the output at a slice of query rows. Every row past
+    the attention depends only on itself, so a caller that needs some
+    rows' outputs sooner than others can finish them apart.
+    """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
         super().__init__()
@@ -144,5 +154,17 @@ class TransformerBlock(Module):
         self.mlp = MLPBlock(width, rng)
 
     def __call__(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), attn_bias)
+        return self.finish(x, self.fuse(x), attn_bias)
+
+    def fuse(self, x: Tensor) -> Tensor:
+        """The fused qkv projection (N, L, 3 * width) of every row of ``x``."""
+        return self.attn.qkv(self.ln1(x))
+
+    def finish(
+        self, x: Tensor, fused: Tensor, attn_bias: np.ndarray | None = None, rows: slice | None = None
+    ) -> Tensor:
+        """The block's output at query rows ``rows`` of ``x`` (default: all)."""
+        if rows is not None:
+            x = x[:, rows]
+        x = x + self.attn.mix(fused, attn_bias, rows)
         return x + self.mlp(self.ln2(x))

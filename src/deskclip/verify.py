@@ -152,6 +152,11 @@ def check_grad_primitives():
     pad = np.zeros((2, 1, 1, 4))
     pad[1, ..., 3] = -1e9
     report.update(gradient_report(lambda: T.sum_(T.attention(fused, 2, pad) * mixing), [("fused", fused)]))
+    # the same attention for the last two query rows only, over the keys and values of all four
+    row_mixing = T.constant(mixing.data[:, 2:])
+    report.update(gradient_report(
+        lambda: T.sum_(T.attention(fused, 2, pad, rows=slice(2, 4)) * row_mixing), [("fused.rows", fused)]
+    ))
     # a Linear layer's product: one weight shared by every row of a 3-D input, bias folded in
     a = T.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     lin_w = T.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
@@ -163,7 +168,8 @@ def check_grad_primitives():
     ))
     worst = max(report.values())
     return worst <= 1e-6, (
-        f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain, attention and biased matmul"
+        f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain, attention (all rows and "
+        f"a query-row slice) and biased matmul"
     )
 
 

@@ -119,6 +119,81 @@ def test_vit_batch_rows_are_independent():
     assert np.allclose(full[1], solo[0], atol=1e-12)
 
 
+def _unsplit_vit(enc, images):
+    """(pooled, tokens) with every block, the last one too, run over all rows at once."""
+    n = images.shape[0]
+    x = enc.patch_proj(enc._patchify(images))
+    x = T.concat([T.broadcast_to(enc.class_token, (n, 1, enc.cfg.width)), x], axis=1) + enc.pos_embedding
+    for block in enc.blocks:
+        x = block(x)
+    x = enc.ln_final(x)
+    return T.l2_normalize(enc.proj(x[:, 0])), T.l2_normalize(enc.proj(x[:, 1:]))
+
+
+def _grads(module, loss):
+    module.zero_grad()
+    T.backward(loss)
+    return {name: p.grad.copy() for name, p in module.named_parameters() if p.grad is not None}
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_vit_split_last_block_matches_the_unsplit_reference(depth):
+    enc = VitEncoder(VitConfig(image_size=8, patch_size=4, width=12, depth=depth, heads=2, embed_dim=8), rng())
+    images = T.Tensor(rng().uniform(0, 1, (3, 3, 8, 8)))
+    weights = np.random.default_rng(5).standard_normal((2, 3, 5, 8))
+
+    def loss(pooled, tokens):
+        return T.sum_(pooled * T.constant(weights[0, :, 0])) + T.sum_(tokens * T.constant(weights[1, :, 1:]))
+
+    out = enc(images)
+    want_pooled, want_tokens = _unsplit_vit(enc, images)
+    np.testing.assert_allclose(out.pooled.data, want_pooled.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.tokens.data, want_tokens.data, rtol=0, atol=1e-12)
+    got, want = _grads(enc, loss(out.pooled, out.tokens)), _grads(enc, loss(want_pooled, want_tokens))
+    assert got.keys() == want.keys() and len(got) == len(enc.parameters())
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_vit_pooled_alone_records_no_patch_row_nodes(monkeypatch):
+    cfg = tiny_vit()
+    n, patches = 2, cfg.num_patches
+    made = []
+    original = T._make
+
+    def spy(data, parents, op, backward_fn):
+        made.append((op, data.shape))
+        return original(data, parents, op, backward_fn)
+
+    monkeypatch.setattr(T, "_make", spy)
+    enc = VitEncoder(cfg, rng())
+    out = enc(T.Tensor(rng().uniform(0, 1, (n, 3, 8, 8))))
+    T.backward(T.sum_(out.pooled))
+    # the patch embedding is the only node over the patch rows alone
+    patch_rows = [op for op, shape in made if shape[:2] == (n, patches)]
+    assert patch_rows == ["reshape", "matmul"]
+    assert [shape for op, shape in made if op == "attention"] == [(n, 1, cfg.width)]
+    del made[:]
+    assert out.tokens.shape == (n, patches, cfg.embed_dim)
+    assert [shape for op, shape in made if op == "attention"] == [(n, patches, cfg.width)]
+    assert out.tokens is out.tokens and len([op for op, _ in made if op == "attention"]) == 1
+
+
+def test_tokens_follow_the_recording_state_of_the_encoder_call():
+    enc = VitEncoder(tiny_vit(), rng())
+    images = T.Tensor(rng().uniform(0, 1, (2, 3, 8, 8)))
+    with T.no_grad():
+        untracked = enc(images)
+    tracked = enc(images)
+    with T.no_grad():
+        tokens = tracked.tokens
+    assert tokens.requires_grad and tokens._parents
+    assert T.is_recording()
+    tokens = untracked.tokens
+    assert not tokens.requires_grad and tokens._parents == () and tokens._backward is None
+    assert np.array_equal(tokens.data, tracked.tokens.data)
+
+
 def test_vit_config_validation():
     with pytest.raises(ConfigError):
         VitConfig(image_size=30, patch_size=4, width=12, depth=1, heads=2, embed_dim=8)
@@ -148,6 +223,28 @@ def test_conv_encoder_shapes_and_flag():
     assert out.pooled.shape == (2, 8)
     assert out.tokens.shape == (2, cfg.final_grid**2, 8)
     assert out.overlapping_receptive_fields
+
+
+def test_conv_lazy_tokens_equal_eager_ones_bit_for_bit():
+    enc = ConvEncoder(ConvConfig(image_size=16, stage_channels=(4, 8), kernel_size=3, embed_dim=8), rng())
+    images = T.Tensor(rng().uniform(0, 1, (2, 3, 16, 16)))
+    weights = np.random.default_rng(5).standard_normal((2, 2, 16, 8))
+
+    def loss(pooled, tokens):
+        return T.sum_(pooled * T.constant(weights[0, :, 0])) + T.sum_(tokens * T.constant(weights[1]))
+
+    out = enc(images)
+    x = images
+    for w in enc.filters:
+        x = T.avgpool2(T.gelu(T.conv2d(x, w, padding=1)))
+    cells = T.transpose(T.reshape(x, (2, 8, 16)), (0, 2, 1))
+    eager_tokens = T.l2_normalize(enc.proj(cells))
+    eager_pooled = T.l2_normalize(enc.proj(T.mean(cells, axis=1)))
+    assert np.array_equal(out.tokens.data, eager_tokens.data)
+    assert np.array_equal(out.pooled.data, eager_pooled.data)
+    got, want = _grads(enc, loss(out.pooled, out.tokens)), _grads(enc, loss(eager_pooled, eager_tokens))
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_conv_config_rejects_non_halvable_size():
@@ -229,6 +326,27 @@ def test_text_full_width_batch_builds_no_slice():
     assert trimmed.tokens.shape[1] == 4
     assert [n.op for n in T.build_graph(trimmed.tokens).nodes].count("slice") == 1
     assert enc.forward_hidden(SHORT).shape == (1, 4, 12)
+
+
+def test_text_lazy_tokens_equal_eager_ones_bit_for_bit():
+    enc = TextEncoder(tiny_text(), rng())
+    ids = np.concatenate([SHORT, LONGER])
+    weights = np.random.default_rng(5).standard_normal((2, 2, 6, 8))
+
+    def loss(pooled, tokens):
+        return T.sum_(pooled * T.constant(weights[0, :, 0])) + T.sum_(tokens * T.constant(weights[1]))
+
+    out = enc(ids)
+    hidden = enc.forward_hidden(ids)
+    eager_pooled = T.l2_normalize(enc.proj(T.select_positions(hidden, [3, 5])))
+    keep = T.constant(out.mask[:, :, None].astype(np.float64))
+    eager_tokens = T.l2_normalize(enc.proj(hidden) * keep + (T.constant(1.0) - keep))
+    assert np.array_equal(out.tokens.data, eager_tokens.data)
+    assert np.array_equal(out.pooled.data, eager_pooled.data)
+    got, want = _grads(enc, loss(out.pooled, out.tokens)), _grads(enc, loss(eager_pooled, eager_tokens))
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_text_rejects_ids_of_the_wrong_width():

@@ -457,6 +457,54 @@ def test_attention_builds_one_node_and_checks_shapes():
         T.attention(fused, 2, np.zeros((2, 1, 3, 4)))  # bias does not fit the scores
 
 
+@pytest.mark.parametrize("rows", [slice(0, 1), slice(1, None), slice(2, 4), slice(-2, None)],
+                         ids=["first", "rest", "middle", "negative"])
+@pytest.mark.parametrize("padded", [False, True])
+def test_attention_rows_match_the_same_rows_of_full_attention(rows, padded):
+    rng = np.random.default_rng(26)
+    n, L, w = 3, 5, 8
+    data = rng.standard_normal((n, L, 3 * w))
+    picked = np.arange(L)[rows]
+    g = rng.standard_normal((n, L, w))
+    bias = _padding_bias(n, L) if padded else None
+    fused, reference = T.Tensor(data, requires_grad=True), T.Tensor(data.copy(), requires_grad=True)
+    out = T.attention(fused, 2, bias, rows=rows)
+    full = T.attention(reference, 2, bias)
+    assert out.shape == (n, len(picked), w)
+    np.testing.assert_allclose(out.data, full.data[:, picked], rtol=0, atol=1e-12)
+    # the full pass under a gradient that is zero outside the picked rows
+    g_full = np.zeros_like(g)
+    g_full[:, picked] = g[:, picked]
+    T.backward(T.sum_(out * T.constant(g[:, picked])))
+    T.backward(T.sum_(full * T.constant(g_full)))
+    np.testing.assert_allclose(fused.grad, reference.grad, rtol=0, atol=1e-12)
+
+
+def test_attention_rows_outside_the_slice_get_zero_query_gradient():
+    rng = np.random.default_rng(27)
+    n, L, w = 2, 5, 8
+    fused = rand(rng, n, L, 3 * w)
+    T.backward(T.sum_(T.attention(fused, 2, rows=slice(1, 3)) * T.constant(rng.standard_normal((n, 2, w)))))
+    gq = fused.grad[:, :, :w]
+    assert np.all(gq[:, [0, 3, 4]] == 0.0)
+    assert np.all(np.abs(gq[:, 1:3]) > 0)
+    assert np.all(np.abs(fused.grad[:, :, w:]) > 0)  # keys and values of every row
+
+
+def test_attention_rows_grad():
+    rng = np.random.default_rng(28)
+    fused = rand(rng, 2, 4, 12)
+    w = T.constant(rng.standard_normal((2, 2, 4)))
+    check(lambda: T.sum_(T.attention(fused, 2, _padding_bias(2, 4), rows=slice(2, 4)) * w), [("fused", fused)])
+
+
+@pytest.mark.parametrize("rows", [slice(0, 4, 2), slice(3, 3), slice(5, None), slice(2, 1), 0, [0, 1]],
+                         ids=["strided", "empty", "past-the-end", "reversed", "int", "list"])
+def test_attention_rejects_bad_rows(rows):
+    with pytest.raises(ShapeError):
+        T.attention(T.constant(np.zeros((2, 5, 12))), 2, rows=rows)
+
+
 # embedding / cross entropy --------------------------------------------------
 
 
