@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=800)
     p.add_argument("--val", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-size", type=int, default=32)
+    p.add_argument("--image-size", type=int, default=32,
+                   help="side of the rendered image files; only with --materialize (inline specs "
+                        "are rendered at the run's image.image_size when loaded)")
     p.add_argument("--materialize", action="store_true",
                    help="render images to farbfeld files instead of inline specs")
     p.set_defaults(fn=cmd_synth)
@@ -308,10 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ManifestError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as err:
+    except (ConfigError, ManifestError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CheckpointError as err:

@@ -91,10 +91,8 @@ def _build_dataclass(cls, mapping: dict[str, str], section: str):
         )
     kwargs = {}
     for key, raw in mapping.items():
-        type_name = fields[key].type
-        if not isinstance(type_name, str):
-            type_name = getattr(type_name, "__name__", str(type_name))
-        kwargs[key] = _parse_value(raw, type_name, f"{section}.{key}")
+        # every config module postpones annotations, so a field's type is its source text
+        kwargs[key] = _parse_value(raw, fields[key].type, f"{section}.{key}")
     return cls(**kwargs)
 
 
@@ -173,13 +171,11 @@ def parse_config_text(text: str):
     """Inverse of render_config_text, for checkpoint identity."""
     sections: dict[str, dict[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        if "=" not in line or "." not in line.split("=", 1)[0]:
-            raise ConfigError(f"config text line {lineno}: expected section.key=value")
-        dotted, value = line.split("=", 1)
-        section, key = dotted.split(".", 1)
-        sections.setdefault(section, {})[key] = value
+        try:
+            apply_overrides(sections, [line.strip()])
+        except ConfigError as err:
+            raise ConfigError(f"config text line {lineno}: {err}") from None
     cfg = build_run_config(sections)
     return cfg.train, cfg.loss, cfg.image, cfg.text

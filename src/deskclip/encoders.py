@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
+from .data import END_ID, PAD_ID
 from .errors import ConfigError, ContractError, ShapeError
 from .nn import INIT_STD, LayerNorm, Linear, Module, ModuleList, TransformerBlock, trunc_normal
 from .tensor import Tensor
@@ -82,10 +83,6 @@ class ConvConfig:
         if side < 2:
             raise ConfigError("final feature grid smaller than 2x2; drop a stage or grow the input")
 
-    @property
-    def final_grid(self) -> int:
-        return self.image_size // (2 ** len(self.stage_channels))
-
 
 @dataclass(frozen=True)
 class TextConfig:
@@ -113,8 +110,9 @@ class TextConfig:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.vocab_size < 8:
             raise ConfigError("vocab_size too small for the reserved ids")
-        if self.pad_id == self.end_id:
-            raise ConfigError("pad_id and end_id must differ")
+        # kept as fields so the config text stays the same; the tokenizer writes only these ids
+        if (self.pad_id, self.end_id) != (PAD_ID, END_ID):
+            raise ConfigError(f"pad_id and end_id must be {PAD_ID} and {END_ID}, the ids encode_batch writes")
 
 
 class EmbeddingSet:
@@ -300,8 +298,7 @@ class TextEncoder(Module):
         pad = ids == self.cfg.pad_id
         # rows may attend anywhere except padding columns
         bias = np.where(pad[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
-        pos = self.pos_embedding if L == self.cfg.context_length else self.pos_embedding[:, :L]
-        x = T.embedding_lookup(self.token_embedding, ids) + pos
+        x = T.embedding_lookup(self.token_embedding, ids) + self.pos_embedding[:, :L]
         for block in self.blocks:
             x = block(x, bias)
         return self.ln_final(x)

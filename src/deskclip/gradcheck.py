@@ -13,16 +13,12 @@ import numpy as np
 
 from .tensor import Tensor
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 GRAD_MASK_FLOOR = 1e-8
 
 
-def numeric_gradient(
-    fn: Callable[[], Tensor],
-    param: Tensor,
-    step: float = DEFAULT_STEP,
-) -> np.ndarray:
-    """Central-difference d fn / d param, one coordinate at a time.
+def numeric_gradient(fn: Callable[[], Tensor], param: Tensor) -> np.ndarray:
+    """Central-difference d fn / d param with step ``STEP``, one coordinate at a time.
 
     ``fn`` must recompute the scalar from current parameter values on
     every call; ``param.data`` is perturbed in place and restored.
@@ -31,12 +27,12 @@ def numeric_gradient(
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + step
+        flat[i] = saved + STEP
         hi = fn().item()
-        flat[i] = saved - step
+        flat[i] = saved - STEP
         lo = fn().item()
         flat[i] = saved
-        grad[i] = (hi - lo) / (2.0 * step)
+        grad[i] = (hi - lo) / (2.0 * STEP)
     return grad.reshape(param.data.shape)
 
 
@@ -48,18 +44,13 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def gradient_report(
-    fn: Callable[[], Tensor],
-    params: Sequence[tuple[str, Tensor]],
-    step: float = DEFAULT_STEP,
-    mask_floor: float = GRAD_MASK_FLOOR,
-) -> dict[str, float]:
+def gradient_report(fn: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
     """Per-parameter worst relative error between tape and oracle.
 
-    Entries where both gradients are below ``mask_floor`` are skipped:
-    at those coordinates the relative error of two near-zero numbers is
-    dominated by finite-difference noise. A parameter whose every entry
-    is masked reports 0.0.
+    Entries where both gradients are below ``GRAD_MASK_FLOOR`` are
+    skipped: at those coordinates the relative error of two near-zero
+    numbers is dominated by finite-difference noise. A parameter whose
+    every entry is masked reports 0.0.
     """
     from .tensor import backward
 
@@ -71,12 +62,7 @@ def gradient_report(
     report: dict[str, float] = {}
     for name, p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = numeric_gradient(fn, p, step=step)
-        mask = np.maximum(np.abs(analytic), np.abs(numeric)) > mask_floor
-        if not mask.any():
-            report[name] = 0.0
-            continue
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-        err = np.abs(analytic - numeric) / denom
-        report[name] = float(err[mask].max())
+        numeric = numeric_gradient(fn, p)
+        mask = np.maximum(np.abs(analytic), np.abs(numeric)) > GRAD_MASK_FLOOR
+        report[name] = relative_error(analytic[mask], numeric[mask]) if mask.any() else 0.0
     return report

@@ -147,9 +147,6 @@ class LossBreakdown:
         if not np.isfinite(self.total.data).all():
             raise ContractError("total loss is not finite")
 
-    def value(self, name: str) -> float:
-        return self.terms[name].item()
-
     def recompute_total(self) -> float:
         return sum(self.weights[k] * self.terms[k].item() for k in self.terms)
 
@@ -396,47 +393,41 @@ def neighbor_supervision_loss(
     txt_pooled: Tensor,
     queue: NNQueue,
     temperature,
-    update_queue: bool = True,
 ) -> tuple[Tensor, int]:
     """Contrast images against nearest-neighbor texts retrieved from history.
 
     The neighbors are constants (no gradient reaches past steps). On a cold
     queue the term is zero and the skip counter reports it; the current
-    texts are enqueued either way when ``update_queue`` is set.
+    texts are enqueued either way, after the lookup.
     """
     _assert_unit_rows(img_pooled, "neighbor img")
     _assert_unit_rows(txt_pooled, "neighbor txt")
     if queue.fill == 0:
-        if update_queue:
-            queue.enqueue(txt_pooled.data)
+        queue.enqueue(txt_pooled.data)
         return T.constant(0.0), 1
     neighbors = T.constant(queue.nearest(txt_pooled.data))
     loss = paired_nce(img_pooled, neighbors, temperature)
-    if update_queue:
-        queue.enqueue(txt_pooled.data)
+    queue.enqueue(txt_pooled.data)
     return loss, 0
 
 
 # token-wise alignment --------------------------------------------------------------
 
 
-def select_topk_tokens(tokens: np.ndarray, scores: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the ceil(fraction * n) highest-scoring tokens, order preserved.
+def select_topk_tokens(tokens: np.ndarray, scores: np.ndarray, fraction: float) -> np.ndarray:
+    """Indices of the ceil(fraction * n) highest-scoring tokens, in ascending order.
 
-    Returns (reduced tokens, kept indices). At least one token survives;
-    score ties keep the lower index.
+    At least one token survives; score ties keep the lower index.
     """
     if not 0.0 < fraction <= 1.0:
         raise ContractError(f"fraction must lie in (0, 1], got {fraction}")
-    tokens = np.asarray(tokens)
     scores = np.asarray(scores, dtype=np.float64)
-    n = tokens.shape[0]
+    n = len(tokens)
     if scores.shape != (n,):
         raise ShapeError(f"scores shape {scores.shape} does not match {n} tokens")
     k = max(1, math.ceil(fraction * n))
     ranked = np.argsort(-scores, kind="stable")[:k]
-    kept = np.sort(ranked)
-    return tokens[kept], kept
+    return np.sort(ranked)
 
 
 def _reduce_token_masks(
@@ -461,7 +452,7 @@ def _reduce_token_masks(
     for i in range(n):
         for mask, scores, out in ((img_mask, img_scores, new_img), (txt_mask, txt_scores, new_txt)):
             valid = np.flatnonzero(mask[i])
-            _, kept = select_topk_tokens(valid, scores[i, valid], fraction)
+            kept = select_topk_tokens(valid, scores[i, valid], fraction)
             out[i, valid[kept]] = True
     return new_img, new_txt
 

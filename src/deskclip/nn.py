@@ -11,6 +11,7 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 INIT_STD = 0.02
+MLP_HIDDEN_MULT = 4
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
@@ -58,9 +59,6 @@ class ModuleList:
     def __init__(self, modules=()):
         self.modules = list(modules)
 
-    def append(self, module: Module) -> None:
-        self.modules.append(module)
-
     def __iter__(self):
         return iter(self.modules)
 
@@ -85,8 +83,6 @@ class Linear(Module):
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         super().__init__()
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Tensor(trunc_normal(rng, (in_dim, out_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
@@ -107,8 +103,9 @@ class LayerNorm(Module):
 class MultiHeadSelfAttention(Module):
     """Standard scaled dot-product self-attention with a fused qkv projection.
 
-    ``attn_bias`` is added to the pre-softmax scores, shape broadcastable to
-    (batch, heads, seq, seq); large negative entries mask positions out.
+    The layer's output is ``mix(qkv(x), attn_bias)``. ``attn_bias`` is added
+    to the pre-softmax scores, shape broadcastable to (batch, heads, seq,
+    seq); large negative entries mask positions out.
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
@@ -119,19 +116,16 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(width, 3 * width, rng)
         self.out = Linear(width, width, rng)
 
-    def __call__(self, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        return self.mix(self.qkv(x), attn_bias)
-
     def mix(self, fused: Tensor, attn_bias: np.ndarray | None = None, rows: slice | None = None) -> Tensor:
         """Attention output at query rows ``rows`` from the fused qkv of all rows."""
         return self.out(T.attention(fused, self.heads, attn_bias, rows=rows))
 
 
 class MLPBlock(Module):
-    def __init__(self, width: int, rng: np.random.Generator, hidden_mult: int = 4):
+    def __init__(self, width: int, rng: np.random.Generator):
         super().__init__()
-        self.fc1 = Linear(width, hidden_mult * width, rng)
-        self.fc2 = Linear(hidden_mult * width, width, rng)
+        self.fc1 = Linear(width, MLP_HIDDEN_MULT * width, rng)
+        self.fc2 = Linear(MLP_HIDDEN_MULT * width, width, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))

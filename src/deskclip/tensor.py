@@ -70,12 +70,6 @@ class Tensor:
             raise ContractError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, op="detach")
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -480,44 +474,45 @@ def select_positions(a, positions) -> Tensor:
 # reductions -------------------------------------------------------------
 
 
-def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
+def _axis(op: str, axis: int, shape: tuple[int, ...]) -> int:
+    """``axis`` as an index in [0, ndim); ShapeError outside [-ndim, ndim)."""
+    if not -len(shape) <= axis < len(shape):
+        raise ShapeError(f"{op}: axis {axis} invalid for shape {shape}")
+    return int(axis) % len(shape)
+
+
+def _reduced_axes(op: str, axis, shape: tuple[int, ...]) -> tuple[int, ...]:
     if axis is None:
-        return tuple(range(ndim))
+        return tuple(range(len(shape)))
     if isinstance(axis, int):
         axis = (axis,)
-    axes = tuple(int(ax) % ndim for ax in axis)
+    axes = tuple(_axis(op, ax, shape) for ax in axis)
     if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate reduction axes {axis}")
+        raise ShapeError(f"{op}: duplicate reduction axes {axis}")
     return axes
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = coerce(a)
-    axes = _normalize_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
+    axes = _reduced_axes("sum", axis, a.shape)
+    out = a.data.sum(axis=axes)
 
     def bwd(g: Array) -> None:
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy(), owned=True)
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axes), a.shape).copy(), owned=True)
 
     return _make(out, (a,), "sum", bwd)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = coerce(a)
-    axes = _normalize_axes(axis, a.ndim)
+    axes = _reduced_axes("mean", axis, a.shape)
     count = 1
     for ax in axes:
         count *= a.shape[ax]
-    out = a.data.mean(axis=axes, keepdims=keepdims)
+    out = a.data.mean(axis=axes)
 
     def bwd(g: Array) -> None:
-        if not keepdims:
-            for ax in sorted(axes):
-                g = np.expand_dims(g, ax)
-        full = np.broadcast_to(g, a.shape).copy()  # an array even when a is 0-d
+        full = np.broadcast_to(np.expand_dims(g, axes), a.shape).copy()  # an array even when a is 0-d
         full /= count
         _accumulate(a, full, owned=True)
 
@@ -529,22 +524,17 @@ def _argmax_forward(x: Array, axis: int) -> Array:
     return np.argmax(x, axis=axis)
 
 
-def max_(a, axis: int, keepdims: bool = False) -> Tensor:
+def max_(a, axis: int) -> Tensor:
     """Max along one axis; ties route gradient to the lowest index."""
     a = coerce(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"max: axis {axis} invalid for shape {a.shape}")
-    axis = axis % a.ndim
+    axis = _axis("max", axis, a.shape)
     idx = _argmax_forward(a.data, axis=axis)
     idx_exp = np.expand_dims(idx, axis)
-    picked = np.take_along_axis(a.data, idx_exp, axis=axis)
-    out = picked if keepdims else np.squeeze(picked, axis=axis)
+    out = np.squeeze(np.take_along_axis(a.data, idx_exp, axis=axis), axis=axis)
 
     def bwd(g: Array) -> None:
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx_exp, g, axis=axis)
+        np.put_along_axis(full, idx_exp, np.expand_dims(g, axis), axis=axis)
         _accumulate(a, full, owned=True)
 
     return _make(out, (a,), "max", bwd)
@@ -614,9 +604,7 @@ def _softmax_forward(x: Array, axis: int) -> Array:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = coerce(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    axis = axis % a.ndim
+    axis = _axis("softmax", axis, a.shape)
     out = _softmax_forward(a.data, axis)
 
     def bwd(g: Array) -> None:
@@ -699,9 +687,7 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: slice | N
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = coerce(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"log_softmax: axis {axis} invalid for shape {a.shape}")
-    axis = axis % a.ndim
+    axis = _axis("log_softmax", axis, a.shape)
     shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
@@ -718,9 +704,7 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     unit-norm invariant downstream is exact rather than approximate.
     """
     a = coerce(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"l2_normalize: axis {axis} invalid for shape {a.shape}")
-    axis = axis % a.ndim
+    axis = _axis("l2_normalize", axis, a.shape)
     norms = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
     if np.any(norms < NORMALIZE_MIN_NORM):
         raise DegenerateInputError("l2_normalize: slice with near-zero norm")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 
 import numpy as np
 
@@ -28,55 +29,47 @@ from .losses import (
 from .optim import lr_at
 from .seeding import rng_for
 
-FAULTS = ("filip-tiebreak", "softmax-stability", "queue-fifo")
+def _highest_index_ties(x, axis):
+    flipped = np.flip(x, axis=axis)
+    return x.shape[axis] - 1 - np.argmax(flipped, axis=axis)
+
+
+def _naive_softmax(x, axis):
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(x)
+        return e / e.sum(axis=axis, keepdims=True)
+
+
+def _stuck_head_enqueue(self, vectors):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if self.buffer is None:
+        self.buffer = np.zeros((self.capacity, vectors.shape[1]))
+    k = min(vectors.shape[0], self.capacity)
+    self.buffer[:k] = vectors[:k]  # head never advances: eviction order wrong
+    self.fill = min(self.capacity, self.fill + vectors.shape[0])
+
+
+# fault name -> (owner, attribute, broken replacement)
+_FAULT_PATCHES = {
+    "filip-tiebreak": (T, "_argmax_forward", _highest_index_ties),
+    "softmax-stability": (T, "_softmax_forward", _naive_softmax),
+    "queue-fifo": (NNQueue, "enqueue", _stuck_head_enqueue),
+}
+FAULTS = tuple(_FAULT_PATCHES)
 
 
 @contextlib.contextmanager
 def inject_fault(name: str):
     """Deliberately break one internal mechanism for the check's duration."""
-    if name == "filip-tiebreak":
-        original = T._argmax_forward
-
-        def highest_index_ties(x, axis):
-            flipped = np.flip(x, axis=axis)
-            return x.shape[axis] - 1 - np.argmax(flipped, axis=axis)
-
-        T._argmax_forward = highest_index_ties
-        try:
-            yield
-        finally:
-            T._argmax_forward = original
-    elif name == "softmax-stability":
-        original = T._softmax_forward
-
-        def naive(x, axis):
-            with np.errstate(over="ignore", invalid="ignore"):
-                e = np.exp(x)
-                return e / e.sum(axis=axis, keepdims=True)
-
-        T._softmax_forward = naive
-        try:
-            yield
-        finally:
-            T._softmax_forward = original
-    elif name == "queue-fifo":
-        original = NNQueue.enqueue
-
-        def stuck_head(self, vectors):
-            vectors = np.asarray(vectors, dtype=np.float64)
-            if self.buffer is None:
-                self.buffer = np.zeros((self.capacity, vectors.shape[1]))
-            k = min(vectors.shape[0], self.capacity)
-            self.buffer[:k] = vectors[:k]  # head never advances: eviction order wrong
-            self.fill = min(self.capacity, self.fill + vectors.shape[0])
-
-        NNQueue.enqueue = stuck_head
-        try:
-            yield
-        finally:
-            NNQueue.enqueue = original
-    else:
+    if name not in _FAULT_PATCHES:
         raise ValueError(f"unknown fault {name!r}; known: {', '.join(FAULTS)}")
+    owner, attribute, broken = _FAULT_PATCHES[name]
+    original = getattr(owner, attribute)
+    setattr(owner, attribute, broken)
+    try:
+        yield
+    finally:
+        setattr(owner, attribute, original)
 
 
 def _unit_rows(rng, n, d):
@@ -188,7 +181,7 @@ def check_grad_encoders():
     images = T.Tensor(np.random.default_rng(3).uniform(0, 1, (2, 3, 8, 8)))
     ids = np.array([[1, 6, 7, 2, 0, 0, 0, 0], [1, 8, 9, 10, 2, 0, 0, 0]])
     sampled = [
-        # the ids are 5 of 8 slots wide, so the text trunk reads a slice of pos_embedding
+        # the ids are 5 of 8 slots wide, so the text trunk reads 5 rows of pos_embedding
         (vit, ("log_temperature", "image.ln_final.gain", "image.blocks.0.mlp.fc1.bias",
                "text.proj.weight", "text.pos_embedding")),
         (conv, ("image.stage0_filter", "image.proj.weight")),
@@ -197,14 +190,20 @@ def check_grad_encoders():
     for model, names in sampled:
 
         def loss():
-            breakdown = losses.clip_loss(model.encode_image(images), model.encode_text(ids), model.temperature())
-            return breakdown.total
+            # the pooled path through clip and the token path through token-wise alignment
+            img, txt = model.encode_image(images), model.encode_text(ids)
+            return (losses.clip_loss(img, txt, model.temperature()).total
+                    + tokenwise_alignment_loss(img, txt, model.temperature()))
 
         params = dict(model.named_parameters())
-        report = gradient_report(loss, [(name, params[name]) for name in names])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the conv trunk's tokens overlap by design
+            report = gradient_report(loss, [(name, params[name]) for name in names])
         worst = max(worst, *report.values())
         count += len(names)
-    return worst <= 1e-4, f"worst rel. err {worst:.2e} across {count} sampled parameters (ViT and conv)"
+    return worst <= 1e-4, (
+        f"worst rel. err {worst:.2e} across {count} sampled parameters (ViT and conv, pooled and token paths)"
+    )
 
 
 def check_loss_fixtures():

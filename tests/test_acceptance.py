@@ -246,9 +246,7 @@ def test_brute_force_equivalence():
         stored = unit_rows(rng, int(rng.integers(1, 9)), d)
         queue = NNQueue(16)
         queue.enqueue(stored)
-        term, skipped = neighbor_supervision_loss(
-            Tensor(left), Tensor(right), queue, tau, update_queue=False
-        )
+        term, skipped = neighbor_supervision_loss(Tensor(left), Tensor(right), queue, tau)
         assert skipped == 0
         worst["neighbor"] = max(
             worst["neighbor"], abs(float(term.data) - oracle_neighbor(left, right, stored, tau))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from deskclip import tensor as T
 from deskclip.checkpoint import (
     STATE_TAG,
     VOCAB_TAG,
@@ -22,8 +23,9 @@ from deskclip.config import (
     parse_config_text,
     render_config_text,
 )
-from deskclip.encoders import ConvConfig, VitConfig
+from deskclip.encoders import ConvConfig, EmbeddingSet, VitConfig
 from deskclip.errors import ConfigError
+from deskclip.verify import check_grad_encoders
 
 from tests.conftest import DESK_RECIPE, ROOT
 
@@ -186,6 +188,18 @@ def test_nonpositive_size_exits_2(capsys, override):
         argv += ["--set", item]
     assert main(argv) == 2
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["text.pad_id=7", "text.end_id=5", "text.pad_id=2 text.end_id=0"],
+                         ids=["pad-id", "end-id", "swapped"])
+def test_text_ids_other_than_the_tokenizers_exit_2(capsys, override):
+    # encode_batch always pads with PAD_ID and ends with END_ID; the encoder must mask the same ids
+    argv = ["train", "--validate-only"]
+    for item in override.split():
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert "pad_id and end_id must be 0 and 2" in capsys.readouterr().err
+    assert main(["train", "--validate-only", "--set", "text.pad_id=0", "--set", "text.end_id=2"]) == 0
 
 
 def test_unknown_config_key_exits_2(capsys):
@@ -420,6 +434,14 @@ def test_verify_list_names_checks_without_running(capsys):
     assert "grad.primitives" in out
     assert "queue.fifo" in out
     assert "PASS" not in out
+
+
+def test_grad_encoders_check_reaches_the_token_path(monkeypatch):
+    # tokens cut off from the tape: the finite differences still see the token path, the tape does not
+    reads = EmbeddingSet.tokens.fget
+    monkeypatch.setattr(EmbeddingSet, "tokens", property(lambda self: T.constant(reads(self).data.copy())))
+    ok, detail = check_grad_encoders()
+    assert not ok, detail
 
 
 def test_random_init_eval_near_chance(tmp_path, capsys, data_dir):

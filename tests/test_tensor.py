@@ -92,6 +92,10 @@ def test_incompatible_shapes_raise():
         T.add(a, b)
     with pytest.raises(ShapeError):
         T.matmul(a, b)
+    for reduce, axis in ((T.sum_, 5), (T.mean, -3), (T.max_, 2), (T.softmax, -3),
+                         (T.log_softmax, 2), (T.l2_normalize, 5), (T.sum_, (0, -2))):
+        with pytest.raises(ShapeError):
+            reduce(a, axis=axis)  # out of range for a 2-D operand, or a repeated axis
 
 
 # shape ops ---------------------------------------------------------------
@@ -729,13 +733,6 @@ def test_backward_deterministic():
     ga1, gb1 = run()
     ga2, gb2 = run()
     assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
-
-
-def test_detach_blocks_gradient():
-    x = T.Tensor(np.array([2.0]), requires_grad=True)
-    y = T.sum_(x.detach() * x)
-    T.backward(y)
-    assert np.array_equal(x.grad, [2.0])
 
 
 def test_relative_error_helper():
