@@ -361,13 +361,17 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) GELU."""
     a = coerce(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    # 0.5 * (1 + erf(x / sqrt 2)) in one buffer: the same IEEE operations in the same order
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array even when x is 0-d
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def bwd(g: Array) -> None:
         # g * (cdf + x * pdf) with pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), in one buffer;
         # every product and sum is the same IEEE operation on the same operands
-        buf = -0.5 * x
+        buf = np.multiply(x, -0.5, out=np.empty_like(x))
         buf *= x
         np.exp(buf, out=buf)
         buf *= _INV_SQRT_2PI
@@ -484,7 +488,7 @@ def _axis(op: str, axis: int, shape: tuple[int, ...]) -> int:
 def _reduced_axes(op: str, axis, shape: tuple[int, ...]) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(len(shape)))
-    if isinstance(axis, int):
+    if isinstance(axis, (int, np.integer)):
         axis = (axis,)
     axes = tuple(_axis(op, ax, shape) for ax in axis)
     if len(set(axes)) != len(axes):
@@ -803,7 +807,15 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of NCHW input with FCkk filters."""
+    """2-D cross-correlation of NCHW input with FCkk filters, as one GEMM over im2col columns.
+
+    The columns are laid out channel-major, ``(c, kh, kw, n, oh, ow)`` viewed as
+    ``(c*kh*kw, n*oh*ow)`` (Caffe's layout), so each of the kh*kw taps fills its block by
+    copying whole strided output rows of the padded input. Each output of ``wf @ cols``
+    still sums over ``(c, kh, kw)`` in the weight's own order, and each entry of the weight
+    gradient ``g @ cols.T`` over ``(n, oh, ow)`` in batch order: the layout decides which
+    elements are copied together, not the order of any sum.
+    """
     x, w = coerce(x), coerce(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
@@ -819,25 +831,29 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     ow = (wp - kw) // s + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::s, ::s]  # (n, c, oh, ow, kh, kw)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n, oh * ow, c * kh * kw)
+    xt = xp.transpose(1, 0, 2, 3)  # (c, n, hp, wp) view
+    cols = np.empty((c, kh, kw, n, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xt[:, :, i : i + s * oh : s, j : j + s * ow : s]
+    cols = cols.reshape(c * kh * kw, n * oh * ow)
     wf = w.data.reshape(f, c * kh * kw)
-    out = (cols @ wf.T).transpose(0, 2, 1).reshape(n, f, oh, ow)
+    out = np.ascontiguousarray((wf @ cols).reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
 
     def bwd(g: Array) -> None:
-        g3 = g.reshape(n, f, oh * ow)
+        g2 = g.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
         # weight gradient: one GEMM with the batch and output positions as the inner sum
-        gw = g3.transpose(1, 0, 2).reshape(f, n * oh * ow) @ cols.reshape(n * oh * ow, c * kh * kw)
+        gw = g2 @ cols.T
         _accumulate(w, gw.reshape(w.shape), owned=True)
         if not x.requires_grad:  # e.g. the image batch itself
             return
         # col2im: each (i, j) tap of the column gradient is one block added at a strided offset
-        gcols = (wf.T @ g3).reshape(n, c, kh, kw, oh, ow)
+        gcols = (wf.T @ g2).reshape(c, kh, kw, n, oh, ow)
         gxp = np.zeros((n, c, hp, wp))
+        gxt = gxp.transpose(1, 0, 2, 3)  # (c, n, hp, wp) view
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += gcols[:, :, i, j]
+                gxt[:, :, i : i + s * oh : s, j : j + s * ow : s] += gcols[:, i, j]
         _accumulate(x, gxp[:, :, p : hp - p, p : wp - p] if p else gxp, owned=True)
 
     return _make(out, (x, w), "conv2d", bwd)

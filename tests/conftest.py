@@ -1,9 +1,16 @@
-from pathlib import Path
+import os
 
-import numpy as np
-import pytest
+# one BLAS thread, set before numpy loads, as perfbench/run.py does: the suite's
+# wall-time gates then do not depend on how many threads OpenBLAS would start
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from deskclip.encoders import TextConfig, TextEncoder
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from deskclip.encoders import TextConfig, TextEncoder  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 # the desk recipe: what the end-to-end gate and the scripts train with

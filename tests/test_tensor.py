@@ -85,6 +85,17 @@ def test_gelu_is_bitwise_the_plain_formula():
     assert np.array_equal(a.grad, g * (cdf + x * pdf))
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (4, 32, 16, 16)], ids=["0-d", "vector", "conv-stage"])
+def test_gelu_forward_is_bitwise_the_composed_formula(shape):
+    x = np.random.default_rng(23).standard_normal(shape) * 3.0
+    a = T.Tensor(x, requires_grad=True)
+    out = T.gelu(a)
+    # 0.7071067811865476 is 1/sqrt(2) rounded once, as the engine uses it; x / sqrt(2) rounds differently
+    assert np.array_equal(out.data, x * (0.5 * (1.0 + erf(x * 0.7071067811865476))))
+    T.backward(T.sum_(out))  # a 0-d input too
+    assert a.grad.shape == shape
+
+
 def test_incompatible_shapes_raise():
     a = T.constant(np.zeros((2, 3)))
     b = T.constant(np.zeros((4, 5)))
@@ -136,6 +147,13 @@ def test_sum_mean_axes_grad():
     check(lambda: T.sum_(T.sum_(a, axis=1) * w), [("a", a)])
     check(lambda: T.sum_(T.mean(a, axis=(0, 2)) ** 2.0), [("a", a)])
     check(lambda: T.mean(a), [("a", a)])
+
+
+def test_axis_ops_accept_a_numpy_integer_axis():
+    a = T.constant(np.random.default_rng(24).standard_normal((2, 3)))
+    for op in (T.sum_, T.mean, T.max_, T.softmax, T.log_softmax, T.l2_normalize):
+        for axis in (1, -2):
+            assert np.array_equal(op(a, axis=np.int64(axis)).data, op(a, axis=axis).data), (op.__name__, axis)
 
 
 def test_max_grad_lowest_index_ties():
@@ -604,6 +622,7 @@ def _loop_conv2d(x, w, g, stride, padding):
         ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1),  # stride and padding together
         ((2, 3, 6, 7), (4, 3, 2, 3), 1, 0),  # non-square kernel
         ((2, 3, 7, 8), (4, 3, 3, 2), 2, 1),  # both
+        ((2, 32, 5, 6), (4, 32, 3, 3), 1, 1),  # c*kh*kw = 288 as in the desk trunk's stage 1: a long inner sum
     ],
 )
 def test_conv2d_matches_loop_reference(xshape, wshape, stride, padding):
