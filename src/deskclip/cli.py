@@ -23,6 +23,7 @@ from .config import RunConfig, load_run_config
 from .corpus import FilterPolicy, analyze, filter_captions, read_captions
 from .data import (
     PairRecord,
+    check_labels,
     class_names as synthetic_class_names,
     generate_synthetic,
     materialize,
@@ -76,6 +77,7 @@ def _gather_run_inputs(cfg: RunConfig):
         if not cfg.data.classes_file:
             raise ConfigError("data.classes_file is required when a validation manifest is set")
         names = _read_class_names(cfg.data.classes_file)
+        check_labels(val_records, len(names), cfg.data.val_manifest)
     return train_records, val_records, names, _load_prompts(cfg.data.prompts_file)
 
 
@@ -115,12 +117,15 @@ def _print_result(result: TrainResult) -> None:
 
 
 def cmd_eval(args) -> int:
-    model, vocab, (train_cfg, _, image_cfg, text_cfg) = load_model_for_eval(
-        _require_file(args.checkpoint, "checkpoint")
-    )
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
     records = read_manifest(args.manifest)
     names = _read_class_names(args.classes)
+    check_labels(records, len(names), args.manifest)
     prompts = _load_prompts(args.prompts)
+    model, vocab, (_, _, image_cfg, text_cfg) = load_model_for_eval(
+        _require_file(args.checkpoint, "checkpoint")
+    )
     accuracy, predictions, labels = evaluate(
         model, records, names, prompts, vocab,
         text_cfg.context_length, image_cfg.image_size, args.batch_size,

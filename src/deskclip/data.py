@@ -267,14 +267,17 @@ def write_manifest(path: str | Path, records: list[PairRecord]) -> None:
         sidecar.write_text("\n".join(str(r.label) for r in records) + "\n", encoding="utf-8")
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ManifestError(f"cannot read {what} {path}: {err}") from err
+
+
 def read_manifest(path: str | Path) -> list[PairRecord]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ManifestError(f"cannot read manifest {path}: {err}") from err
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, "manifest").splitlines(), start=1):
         if not raw.strip():
             continue
         if "\t" not in raw:
@@ -290,12 +293,39 @@ def read_manifest(path: str | Path) -> list[PairRecord]:
         records.append(PairRecord(source, caption))
     sidecar = path.with_suffix(path.suffix + ".labels")
     if sidecar.exists():
-        labels = [int(line) for line in sidecar.read_text().split()]
+        labels = _read_labels(sidecar)
         if len(labels) != len(records):
             raise ManifestError(f"{sidecar}: {len(labels)} labels for {len(records)} records")
         for record, label in zip(records, labels):
             record.label = label
     return records
+
+
+def _read_labels(sidecar: Path) -> list[int]:
+    """The class ids of a .labels sidecar: one non-negative integer per non-blank line."""
+    labels = []
+    for lineno, raw in enumerate(_read_text(sidecar, "labels").splitlines(), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise ManifestError(f"{sidecar}:{lineno}: label {text!r} is not an integer")
+        if int(text) < 0:
+            raise ManifestError(f"{sidecar}:{lineno}: label {text} is negative")
+        labels.append(int(text))
+    return labels
+
+
+def check_labels(records: list[PairRecord], num_classes: int, path: str | Path) -> None:
+    """Reject records of manifest ``path`` that lack a label or whose label is not in [0, num_classes)."""
+    for i, record in enumerate(records, start=1):
+        if record.label is None:
+            raise ManifestError(f"{path}: no .labels sidecar, so its records carry no class labels")
+        if not 0 <= record.label < num_classes:
+            raise ManifestError(
+                f"{path}.labels: record {i} has label {record.label}, outside [0, {num_classes}) "
+                f"for {num_classes} classes"
+            )
 
 
 def materialize(records: list[PairRecord], out_dir: str | Path, image_size: int = 32) -> list[PairRecord]:

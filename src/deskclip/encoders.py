@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .data import END_ID, PAD_ID
 from .errors import ConfigError, ContractError, ShapeError
-from .nn import INIT_STD, LayerNorm, Linear, Module, ModuleList, TransformerBlock, trunc_normal
+from .nn import INIT_STD, LayerNorm, Linear, Module, ModuleList, TransformerBlock, pooled_tower, trunc_normal
 from .tensor import Tensor
 
 TEMPERATURE_INIT = 0.07
@@ -130,7 +130,9 @@ class EmbeddingSet:
     recording state in force when the set was made (so tokens of a
     ``no_grad`` pass record no tape wherever they are read), and its
     Tensor is kept from then on. A caller that reads only ``pooled`` never
-    pays for the per-token outputs.
+    pays for the per-token outputs: the transformer towers hand over the
+    every-row builder of ``pooled_tower``, so such a caller runs the
+    attention and MLP of their last block for the pooled row alone.
     """
 
     def __init__(
@@ -164,12 +166,12 @@ class VitEncoder(Module):
     Per-token output covers the patch positions only; the class token is
     pooled separately and never appears in the token set.
 
-    The last block is split by query rows. Its layernorm and fused qkv
-    run once over every row; the class row alone then goes through the
-    attention, the MLP, ``ln_final`` and ``proj`` to give ``pooled``. The
-    patch rows take the same path only when ``tokens`` is read, so a pass
-    that needs ``pooled`` alone (an augmented view, an eval batch) runs
-    the rest of the last block for one row in 65.
+    ``pooled_tower`` pools the class row: past the last block's fused
+    qkv, the class row alone goes through the attention, the MLP,
+    ``ln_final`` and ``proj`` to give ``pooled``. The other rows take the
+    same path only when ``tokens`` is read, so a pass that needs
+    ``pooled`` alone (an augmented view, an eval batch) runs the rest of
+    the last block for one row in 65.
     """
 
     def __init__(self, cfg: VitConfig, rng: np.random.Generator):
@@ -202,17 +204,13 @@ class VitEncoder(Module):
         x = self.patch_proj(self._patchify(images))
         cls = T.broadcast_to(self.class_token, (n, 1, cfg.width))
         x = T.concat([cls, x], axis=1) + self.pos_embedding
-        *trunk, last = self.blocks
-        for block in trunk:
-            x = block(x)
-        fused = last.fuse(x)
-
-        def embed(rows: slice) -> Tensor:
-            return T.l2_normalize(self.proj(self.ln_final(last.finish(x, fused, rows=rows))))
-
-        pooled = T.reshape(embed(slice(0, 1)), (n, cfg.embed_dim))
+        pooled, every_row = pooled_tower(self.blocks, x, np.zeros(n, dtype=np.int64))
+        pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
         mask = np.ones((n, cfg.num_patches), dtype=bool)
-        return EmbeddingSet(pooled, lambda: embed(slice(1, None)), mask, overlapping_receptive_fields=False)
+        return EmbeddingSet(
+            pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()[:, 1:]))), mask,
+            overlapping_receptive_fields=False,
+        )
 
 
 class ConvEncoder(Module):
@@ -264,6 +262,10 @@ class TextEncoder(Module):
     exactly zero and every consumer masks padding slots out, so those
     columns change no output and no gradient. Hidden states, ``tokens``
     and ``mask`` are therefore (N, L, ...) with L <= context_length.
+
+    ``pooled_tower`` pools the end-of-text row, as the ViT pools its class
+    row: past the last block's fused qkv, the other rows run on only when
+    ``tokens`` is read. ``forward_hidden`` runs every block over all rows.
     """
 
     def __init__(self, cfg: TextConfig, rng: np.random.Generator):
@@ -292,16 +294,11 @@ class TextEncoder(Module):
         real = np.flatnonzero((ids != self.cfg.pad_id).any(axis=0))
         return ids[:, : real[-1] + 1] if real.size else ids
 
-    def _hidden(self, ids: np.ndarray) -> Tensor:
-        """The trunk over ids that ``_trimmed_ids`` returned."""
-        n, L = ids.shape
-        pad = ids == self.cfg.pad_id
+    def _embedded(self, ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """The trunk's input for ids that ``_trimmed_ids`` returned, and its attention bias."""
         # rows may attend anywhere except padding columns
-        bias = np.where(pad[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
-        x = T.embedding_lookup(self.token_embedding, ids) + self.pos_embedding[:, :L]
-        for block in self.blocks:
-            x = block(x, bias)
-        return self.ln_final(x)
+        bias = np.where((ids == self.cfg.pad_id)[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
+        return T.embedding_lookup(self.token_embedding, ids) + self.pos_embedding[:, : ids.shape[1]], bias
 
     def forward_hidden(self, ids: np.ndarray) -> Tensor:
         """Final-layernorm hidden states (N, L, width), before projection.
@@ -309,7 +306,10 @@ class TextEncoder(Module):
         L is the batch's longest sequence, so a position (row, col) of a
         non-padding token indexes the same slot as in ``ids``.
         """
-        return self._hidden(self._trimmed_ids(ids))
+        x, bias = self._embedded(self._trimmed_ids(ids))
+        for block in self.blocks:
+            x = block(x, bias)
+        return self.ln_final(x)
 
     def __call__(self, ids: np.ndarray) -> EmbeddingSet:
         ids = self._trimmed_ids(ids)
@@ -317,15 +317,16 @@ class TextEncoder(Module):
         eot = np.argmax(ids == self.cfg.end_id, axis=1)
         if not (ids[np.arange(n), eot] == self.cfg.end_id).all():
             raise ContractError("a sequence has no end-of-text token")
-        hidden = self._hidden(ids)
-        pooled = T.l2_normalize(self.proj(T.select_positions(hidden, eot)))
+        x, bias = self._embedded(ids)
+        pooled, every_row = pooled_tower(self.blocks, x, eot, bias)
+        pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
         mask = ids != self.cfg.pad_id
 
         def tokens() -> Tensor:
             # padding slots get a constant stand-in so normalization cannot hit a
             # zero norm there; the mask excludes them from every consumer
             keep = T.constant(mask[:, :, None].astype(np.float64))
-            return T.l2_normalize(self.proj(hidden) * keep + (T.constant(1.0) - keep))
+            return T.l2_normalize(self.proj(self.ln_final(every_row())) * keep + (T.constant(1.0) - keep))
 
         return EmbeddingSet(pooled, tokens, mask, overlapping_receptive_fields=False)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -116,8 +116,8 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(width, 3 * width, rng)
         self.out = Linear(width, width, rng)
 
-    def mix(self, fused: Tensor, attn_bias: np.ndarray | None = None, rows: slice | None = None) -> Tensor:
-        """Attention output at query rows ``rows`` from the fused qkv of all rows."""
+    def mix(self, fused: Tensor, attn_bias: np.ndarray | None = None, rows: np.ndarray | None = None) -> Tensor:
+        """Attention output at every row, or at one row per sequence (``rows``), from the fused qkv of all rows."""
         return self.out(T.attention(fused, self.heads, attn_bias, rows=rows))
 
 
@@ -135,9 +135,9 @@ class TransformerBlock(Module):
     """Pre-layernorm residual block: x + attn(ln(x)), then x + mlp(ln(x)).
 
     ``fuse`` and ``finish`` are the block in two parts: the fused qkv of
-    every row, then the output at a slice of query rows. Every row past
-    the attention depends only on itself, so a caller that needs some
-    rows' outputs sooner than others can finish them apart.
+    every row, then the output at every row or at one row per sequence.
+    Every row past the attention depends only on itself, so a caller that
+    needs some rows' outputs sooner than others can finish them apart.
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
@@ -155,10 +155,29 @@ class TransformerBlock(Module):
         return self.attn.qkv(self.ln1(x))
 
     def finish(
-        self, x: Tensor, fused: Tensor, attn_bias: np.ndarray | None = None, rows: slice | None = None
+        self, x: Tensor, fused: Tensor, attn_bias: np.ndarray | None = None, rows: np.ndarray | None = None
     ) -> Tensor:
-        """The block's output at query rows ``rows`` of ``x`` (default: all)."""
+        """The block's output at every row of ``x``, or (N, width) at row
+        ``rows[i]`` of each sequence i alone when ``rows`` is given."""
         if rows is not None:
-            x = x[:, rows]
+            x = T.select_positions(x, rows)
         x = x + self.attn.mix(fused, attn_bias, rows)
         return x + self.mlp(self.ln2(x))
+
+
+def pooled_tower(
+    blocks: ModuleList, x: Tensor, rows: np.ndarray, attn_bias: np.ndarray | None = None
+) -> tuple[Tensor, Callable[[], Tensor]]:
+    """The output (N, width) of ``blocks`` over ``x`` (N, L, width) at row
+    ``rows[i]`` of each sequence i, and a builder of the output at every row.
+
+    Only the last block's fused qkv runs over all rows before the builder
+    is called. With no blocks, the rows of ``x`` and a builder of ``x``.
+    """
+    if not len(blocks):
+        return T.select_positions(x, rows), lambda: x
+    *trunk, last = blocks
+    for block in trunk:
+        x = block(x, attn_bias)
+    fused = last.fuse(x)
+    return last.finish(x, fused, attn_bias, rows), lambda: last.finish(x, fused, attn_bias)

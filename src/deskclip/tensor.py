@@ -456,14 +456,22 @@ def slice_(a, key) -> Tensor:
     return _make(out, (a,), "slice", bwd)
 
 
+def _positions(op: str, positions, n: int, size: int) -> Array:
+    """``positions`` as an (n,) integer array of indices into an axis of ``size``."""
+    idx = np.asarray(positions)
+    if idx.shape != (n,) or idx.dtype.kind not in "iu":
+        raise ShapeError(f"{op}: positions must be an ({n},) integer array, got {idx.dtype} {idx.shape}")
+    if np.any(idx < 0) or np.any(idx >= size):
+        raise IndexError(f"{op}: position out of range for axis of size {size}")
+    return idx
+
+
 def select_positions(a, positions) -> Tensor:
     """Pick one row per batch element: out[n] = a[n, positions[n]]."""
     a = coerce(a)
-    idx = np.asarray(positions, dtype=np.int64)
-    if a.ndim < 2 or idx.shape != (a.shape[0],):
-        raise ShapeError(f"select_positions: got tensor {a.shape} and positions {idx.shape}")
-    if np.any(idx < 0) or np.any(idx >= a.shape[1]):
-        raise IndexError(f"select_positions: position out of range for axis of size {a.shape[1]}")
+    if a.ndim < 2:
+        raise ShapeError(f"select_positions: got tensor {a.shape}, need (n, L, ...)")
+    idx = _positions("select_positions", positions, a.shape[0], a.shape[1])
     rows = np.arange(a.shape[0])
     out = a.data[rows, idx]
 
@@ -618,30 +626,20 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), "softmax", bwd)
 
 
-def _query_rows(rows, L: int) -> slice:
-    """``rows`` as a non-empty slice of [0, L) with step 1."""
-    if rows is None:
-        return slice(0, L)
-    if not isinstance(rows, slice) or rows.step not in (None, 1):
-        raise ShapeError(f"attention: rows must be a slice with step 1, got {rows!r}")
-    start, stop, _ = rows.indices(L)
-    if start >= stop:
-        raise ShapeError(f"attention: rows {rows!r} select no query row of {L}")
-    return slice(start, stop)
-
-
-def attention(fused, heads: int, attn_bias: Array | None = None, rows: slice | None = None) -> Tensor:
+def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention over a fused qkv projection.
 
     ``fused`` is (n, L, 3w): queries, keys and values side by side, each
-    split into ``heads`` heads of width d = w / heads. ``rows``, a slice
-    of the L positions with step 1, picks the R query rows to compute
-    (default: all of them); keys and values always come from all L rows.
-    ``attn_bias`` is a constant added to the pre-softmax scores,
-    broadcastable to (n, heads, R, L). Returns the heads' mixed values
-    merged back to (n, R, w). One tape node: q, k and v are strided views
-    of ``fused`` and the backward writes their gradients straight into
-    one buffer of its shape, whose query rows outside ``rows`` are zero.
+    split into ``heads`` heads of width d = w / heads. With ``rows`` None
+    every position is a query and the output is (n, L, w). ``rows``, an
+    (n,) integer array, instead picks one query position per sequence,
+    ``rows[i]`` of sequence i, over the keys and values of all L rows, and
+    the output is (n, w). ``attn_bias`` is a constant added to the
+    pre-softmax scores, broadcastable to (n, heads, L, L), or to
+    (n, heads, 1, L) with ``rows``. One tape node: q, k and v are strided
+    views of ``fused`` and the backward writes their gradients straight
+    into one buffer of its shape; with ``rows``, the query gradient of
+    every position not picked is zero.
     """
     fused = coerce(fused)
     if fused.ndim != 3 or fused.shape[-1] % 3:
@@ -652,10 +650,11 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: slice | N
         raise ShapeError(f"attention: width {w} not divisible by {h} heads")
     d = w // h
     scale = 1.0 / math.sqrt(d)
-    rows = _query_rows(rows, L)
-    R = rows.stop - rows.start
     q, k, v = fused.data.reshape(n, L, 3, h, d).transpose(2, 0, 3, 1, 4)  # each (n, h, L, d)
-    q = q[:, :, rows]
+    if rows is not None:
+        rows = _positions("attention", rows, n, L)
+        q = q[np.arange(n), :, rows][:, :, None]  # (n, h, 1, d)
+    R = q.shape[2]
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
     if attn_bias is not None:
@@ -680,13 +679,15 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: slice | N
         gs -= inner
         gs *= probs
         gs *= scale
-        gq[:, :, : rows.start] = 0.0
-        gq[:, :, rows.stop :] = 0.0
-        np.matmul(gs, k, out=gq[:, :, rows])
+        if rows is None:
+            np.matmul(gs, k, out=gq)
+        else:
+            gq[...] = 0.0
+            gq[np.arange(n), :, rows] = (gs @ k)[:, :, 0]
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
         _accumulate(fused, gfused.reshape(n, L, w3), owned=True)
 
-    return _make(merged.reshape(n, R, w), (fused,), "attention", bwd)
+    return _make(merged.reshape((n, L, w) if rows is None else (n, w)), (fused,), "attention", bwd)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:

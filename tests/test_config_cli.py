@@ -274,6 +274,53 @@ def test_eval_on_missing_checkpoint_exits_2(capsys, data_dir):
     assert rc == 2
 
 
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory, data_dir):
+    out = tmp_path_factory.mktemp("micro_run")
+    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
+    return out / "final.ckpt"
+
+
+def _val_with_last_label(tmp_path, data_dir, label):
+    """A copy of the 8-record validation manifest whose last label line reads ``label``."""
+    manifest = tmp_path / "val.tsv"
+    manifest.write_text((data_dir / "val.tsv").read_text())
+    labels = (data_dir / "val.tsv.labels").read_text().split()
+    (tmp_path / "val.tsv.labels").write_text("\n".join(labels[:-1] + [label]) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+@pytest.mark.parametrize("label, message", [
+    ("99", "val.tsv.labels: record 8 has label 99, outside [0, 4)"),
+    ("-1", "val.tsv.labels:8: label -1 is negative"),
+    ("1.5", "val.tsv.labels:8: label '1.5' is not an integer"),
+], ids=["past-the-classes", "negative", "non-integer"])
+def test_bad_validation_label_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, data_dir, micro_checkpoint, command, label, message
+):
+    manifest = _val_with_last_label(tmp_path, data_dir, label)
+    monkeypatch.setattr("deskclip.cli.load_model_for_eval", lambda path: pytest.fail("checkpoint loaded"))
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", str(micro_checkpoint), "--manifest", str(manifest),
+                "--classes", str(data_dir / "classes.txt"), "--report", str(out)]
+    else:
+        over = ["--over", "train.variant=clip,filip"] if command == "sweep" else []
+        argv = [command, *over, "--out", str(out)] + micro_args(data_dir, f"data.val_manifest={manifest}")
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_eval_batch_size_below_1_exits_2(capsys, data_dir, micro_checkpoint, batch_size):
+    rc = main(["eval", str(micro_checkpoint), "--manifest", str(data_dir / "val.tsv"),
+               "--classes", str(data_dir / "classes.txt"), "--batch-size", batch_size])
+    assert rc == 2
+    assert f"--batch-size must be at least 1, got {batch_size}" in capsys.readouterr().err
+
+
 def test_resume_config_mismatch_exits_3(tmp_path, capsys, data_dir):
     out = tmp_path / "run"
     assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0

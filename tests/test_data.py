@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from deskclip.data import (
     SyntheticSpec,
     Vocab,
     caption_for,
+    check_labels,
     class_name,
     class_names,
     decode_caption,
@@ -210,6 +213,38 @@ def test_manifest_rejects_label_count_mismatch(tmp_path):
     (tmp_path / "m.tsv.labels").write_text("0\n1\n")
     with pytest.raises(ManifestError, match="labels"):
         read_manifest(p)
+
+
+@pytest.mark.parametrize("label, message", [
+    ("x", "label 'x' is not an integer"), ("1.5", "label '1.5' is not an integer"),
+    ("1 0", "label '1 0' is not an integer"), ("-1", "label -1 is negative"),
+])
+def test_label_sidecar_errors_name_the_file_and_line(tmp_path, label, message):
+    p = tmp_path / "m.tsv"
+    write_manifest(p, generate_synthetic(2, 2, seed=0))
+    (tmp_path / "m.tsv.labels").write_text(f"0\n{label}\n0\n1\n")
+    with pytest.raises(ManifestError, match=re.escape(f"m.tsv.labels:2: {message}")):
+        read_manifest(p)
+
+
+@pytest.mark.parametrize("target", ["m.tsv", "m.tsv.labels"])
+def test_manifest_or_labels_that_are_not_utf8_are_manifest_errors(tmp_path, target):
+    p = tmp_path / "m.tsv"
+    write_manifest(p, generate_synthetic(2, 1, seed=0))
+    with open(tmp_path / target, "ab") as f:
+        f.write(b"\xff\n")
+    with pytest.raises(ManifestError, match=f"cannot read .*{re.escape(target)}"):
+        read_manifest(p)
+
+
+def test_check_labels_rejects_missing_and_out_of_range_labels():
+    records = generate_synthetic(2, 2, seed=0)
+    check_labels(records, 2, "m.tsv")
+    with pytest.raises(ManifestError, match=re.escape("m.tsv.labels: record 2 has label 1, outside [0, 1)")):
+        check_labels(records, 1, "m.tsv")
+    records[0].label = None
+    with pytest.raises(ManifestError, match="no .labels sidecar"):
+        check_labels(records, 2, "m.tsv")
 
 
 def test_missing_manifest_is_manifest_error(tmp_path):

@@ -172,10 +172,10 @@ def test_vit_pooled_alone_records_no_patch_row_nodes(monkeypatch):
     # the patch embedding is the only node over the patch rows alone
     patch_rows = [op for op, shape in made if shape[:2] == (n, patches)]
     assert patch_rows == ["reshape", "matmul"]
-    assert [shape for op, shape in made if op == "attention"] == [(n, 1, cfg.width)]
+    assert [shape for op, shape in made if op == "attention"] == [(n, cfg.width)]
     del made[:]
     assert out.tokens.shape == (n, patches, cfg.embed_dim)
-    assert [shape for op, shape in made if op == "attention"] == [(n, patches, cfg.width)]
+    assert [shape for op, shape in made if op == "attention"] == [(n, patches + 1, cfg.width)]
     assert out.tokens is out.tokens and len([op for op, _ in made if op == "attention"]) == 1
 
 
@@ -330,22 +330,65 @@ def test_text_full_width_batch_builds_no_slice():
 def test_text_lazy_tokens_equal_eager_ones_bit_for_bit():
     enc = TextEncoder(tiny_text(), rng())
     ids = np.concatenate([SHORT, LONGER])
-    weights = np.random.default_rng(5).standard_normal((2, 2, 6, 8))
+    weights = T.constant(np.random.default_rng(5).standard_normal((2, 6, 8)))
+    out = enc(ids)
+    hidden = enc.forward_hidden(ids)
+    keep = T.constant(out.mask[:, :, None].astype(np.float64))
+    eager_tokens = T.l2_normalize(enc.proj(hidden) * keep + (T.constant(1.0) - keep))
+    assert np.array_equal(out.tokens.data, eager_tokens.data)
+    got, want = _grads(enc, T.sum_(out.tokens * weights)), _grads(enc, T.sum_(eager_tokens * weights))
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_text_pooled_tower_matches_the_unsplit_reference(depth):
+    enc = TextEncoder(tiny_text(depth=depth), rng())
+    ids = np.concatenate([SHORT, LONGER, FULL])
+    weights = np.random.default_rng(5).standard_normal((2, 3, 8, 8))
 
     def loss(pooled, tokens):
         return T.sum_(pooled * T.constant(weights[0, :, 0])) + T.sum_(tokens * T.constant(weights[1]))
 
     out = enc(ids)
+    # every block, the last one too, over all rows; then the end-of-text rows
     hidden = enc.forward_hidden(ids)
-    eager_pooled = T.l2_normalize(enc.proj(T.select_positions(hidden, [3, 5])))
+    want_pooled = T.l2_normalize(enc.proj(T.select_positions(hidden, [3, 5, 7])))
     keep = T.constant(out.mask[:, :, None].astype(np.float64))
-    eager_tokens = T.l2_normalize(enc.proj(hidden) * keep + (T.constant(1.0) - keep))
-    assert np.array_equal(out.tokens.data, eager_tokens.data)
-    assert np.array_equal(out.pooled.data, eager_pooled.data)
-    got, want = _grads(enc, loss(out.pooled, out.tokens)), _grads(enc, loss(eager_pooled, eager_tokens))
-    assert got.keys() == want.keys()
+    want_tokens = T.l2_normalize(enc.proj(hidden) * keep + (T.constant(1.0) - keep))
+    np.testing.assert_allclose(out.pooled.data, want_pooled.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.tokens.data, want_tokens.data, rtol=0, atol=1e-12)
+    got, want = _grads(enc, loss(out.pooled, out.tokens)), _grads(enc, loss(want_pooled, want_tokens))
+    # every parameter but the masked-token head
+    assert got.keys() == want.keys() and len(got) == len(enc.parameters()) - 2
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_text_pooled_alone_records_no_all_row_nodes_in_the_last_block(monkeypatch):
+    cfg = tiny_text(depth=2)
+    made = []
+    original = T._make
+
+    def spy(data, parents, op, backward_fn):
+        made.append((op, data.shape))
+        return original(data, parents, op, backward_fn)
+
+    monkeypatch.setattr(T, "_make", spy)
+    enc = TextEncoder(cfg, rng())
+    ids = np.concatenate([SHORT, LONGER])
+    n, L, w = 2, 6, cfg.width
+    out = enc(ids)
+    T.backward(T.sum_(out.pooled))
+    # block 0 runs over all rows; past its fused qkv the last block runs the end-of-text rows alone
+    assert [shape for op, shape in made if op == "attention"] == [(n, L, w), (n, w)]
+    assert [shape for op, shape in made if op == "gelu"] == [(n, L, 4 * w), (n, 4 * w)]
+    del made[:]
+    assert out.tokens.shape == (n, L, cfg.embed_dim)
+    assert [shape for op, shape in made if op == "attention"] == [(n, L, w)]
+    assert [shape for op, shape in made if op == "gelu"] == [(n, L, 4 * w)]
+    assert out.tokens is out.tokens and len([op for op, _ in made if op == "attention"]) == 1
 
 
 def test_text_rejects_ids_of_the_wrong_width():

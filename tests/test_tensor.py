@@ -137,6 +137,14 @@ def test_select_positions_grad():
         T.select_positions(a, np.array([0, 1, 2, 5]))
 
 
+def test_select_positions_takes_integer_positions_only():
+    a = T.constant(np.arange(12.0).reshape(2, 3, 2))
+    for bad in ([0.7, 2.9], np.array([0.0, 2.0]), [True, False], slice(0, 2), [[0], [1]], [0]):
+        with pytest.raises(ShapeError):
+            T.select_positions(a, bad)
+    assert np.array_equal(T.select_positions(a, np.array([2, 0], dtype=np.uint8)).data, [[4.0, 5.0], [6.0, 7.0]])
+
+
 # reductions ---------------------------------------------------------------
 
 
@@ -479,51 +487,50 @@ def test_attention_builds_one_node_and_checks_shapes():
         T.attention(fused, 2, np.zeros((2, 1, 3, 4)))  # bias does not fit the scores
 
 
-@pytest.mark.parametrize("rows", [slice(0, 1), slice(1, None), slice(2, 4), slice(-2, None)],
-                         ids=["first", "rest", "middle", "negative"])
+@pytest.mark.parametrize("rows", [[0, 0, 0], [2, 3, 1], [4, 4, 4]], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("padded", [False, True])
 def test_attention_rows_match_the_same_rows_of_full_attention(rows, padded):
     rng = np.random.default_rng(26)
     n, L, w = 3, 5, 8
     data = rng.standard_normal((n, L, 3 * w))
-    picked = np.arange(L)[rows]
-    g = rng.standard_normal((n, L, w))
+    picked = (np.arange(n), np.array(rows))
+    g = rng.standard_normal((n, w))
     bias = _padding_bias(n, L) if padded else None
     fused, reference = T.Tensor(data, requires_grad=True), T.Tensor(data.copy(), requires_grad=True)
-    out = T.attention(fused, 2, bias, rows=rows)
+    out = T.attention(fused, 2, bias, rows=np.array(rows))
     full = T.attention(reference, 2, bias)
-    assert out.shape == (n, len(picked), w)
-    np.testing.assert_allclose(out.data, full.data[:, picked], rtol=0, atol=1e-12)
+    assert out.shape == (n, w)
+    np.testing.assert_allclose(out.data, full.data[picked], rtol=0, atol=1e-12)
     # the full pass under a gradient that is zero outside the picked rows
-    g_full = np.zeros_like(g)
-    g_full[:, picked] = g[:, picked]
-    T.backward(T.sum_(out * T.constant(g[:, picked])))
+    g_full = np.zeros((n, L, w))
+    g_full[picked] = g
+    T.backward(T.sum_(out * T.constant(g)))
     T.backward(T.sum_(full * T.constant(g_full)))
     np.testing.assert_allclose(fused.grad, reference.grad, rtol=0, atol=1e-12)
-
-
-def test_attention_rows_outside_the_slice_get_zero_query_gradient():
-    rng = np.random.default_rng(27)
-    n, L, w = 2, 5, 8
-    fused = rand(rng, n, L, 3 * w)
-    T.backward(T.sum_(T.attention(fused, 2, rows=slice(1, 3)) * T.constant(rng.standard_normal((n, 2, w)))))
+    # only the picked rows get a query gradient
     gq = fused.grad[:, :, :w]
-    assert np.all(gq[:, [0, 3, 4]] == 0.0)
-    assert np.all(np.abs(gq[:, 1:3]) > 0)
-    assert np.all(np.abs(fused.grad[:, :, w:]) > 0)  # keys and values of every row
+    others = np.ones((n, L), dtype=bool)
+    others[picked] = False
+    assert np.all(gq[others] == 0.0)
+    assert np.all(np.abs(gq[picked]).max(axis=-1) > 0)
 
 
 def test_attention_rows_grad():
     rng = np.random.default_rng(28)
     fused = rand(rng, 2, 4, 12)
-    w = T.constant(rng.standard_normal((2, 2, 4)))
-    check(lambda: T.sum_(T.attention(fused, 2, _padding_bias(2, 4), rows=slice(2, 4)) * w), [("fused", fused)])
+    w = T.constant(rng.standard_normal((2, 4)))
+    check(lambda: T.sum_(T.attention(fused, 2, _padding_bias(2, 4), rows=np.array([1, 3])) * w), [("fused", fused)])
 
 
-@pytest.mark.parametrize("rows", [slice(0, 4, 2), slice(3, 3), slice(5, None), slice(2, 1), 0, [0, 1]],
-                         ids=["strided", "empty", "past-the-end", "reversed", "int", "list"])
-def test_attention_rejects_bad_rows(rows):
-    with pytest.raises(ShapeError):
+@pytest.mark.parametrize(
+    "rows, error",
+    [(slice(0, 1), ShapeError), (np.array([], dtype=np.int64), ShapeError), ([0, 1, 2], ShapeError),
+     (0, ShapeError), (np.zeros((2, 1), dtype=np.int64), ShapeError), ([0.0, 1.0], ShapeError),
+     ([-1, 0], IndexError), ([0, 5], IndexError)],
+    ids=["slice", "empty", "too-long", "int", "2-D", "float", "negative", "past-the-end"],
+)
+def test_attention_rejects_bad_rows(rows, error):
+    with pytest.raises(error):
         T.attention(T.constant(np.zeros((2, 5, 12))), 2, rows=rows)
 
 
