@@ -247,7 +247,11 @@ def generate_synthetic(num_classes: int, per_class: int, seed: int) -> list[Pair
 def load_image(record: PairRecord, image_size: int = 32) -> np.ndarray:
     if record.source.startswith(SYNTHETIC_PREFIX):
         return render_synthetic(SyntheticSpec.parse(record.source), image_size)
-    return read_farbfeld(record.source)
+    image = read_farbfeld(record.source)
+    if image.shape[1:] != (image_size, image_size):
+        _, h, w = image.shape
+        raise ManifestError(f"{record.source}: image is {w}x{h}, expected {image_size}x{image_size}")
+    return image
 
 
 def load_images(records, image_size: int = 32) -> np.ndarray:

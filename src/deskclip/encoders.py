@@ -92,8 +92,6 @@ class TextConfig:
     depth: int = 4
     heads: int = 4
     embed_dim: int = 64
-    pad_id: int = 0
-    end_id: int = 2
 
     MAX_CONTEXT = 76
 
@@ -110,9 +108,6 @@ class TextConfig:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.vocab_size < 8:
             raise ConfigError("vocab_size too small for the reserved ids")
-        # kept as fields so the config text stays the same; the tokenizer writes only these ids
-        if (self.pad_id, self.end_id) != (PAD_ID, END_ID):
-            raise ConfigError(f"pad_id and end_id must be {PAD_ID} and {END_ID}, the ids encode_batch writes")
 
 
 class EmbeddingSet:
@@ -291,13 +286,13 @@ class TextEncoder(Module):
     def _trimmed_ids(self, ids: np.ndarray) -> np.ndarray:
         """Validated ids without the trailing columns that are padding in every row."""
         ids = self._validate_ids(ids)
-        real = np.flatnonzero((ids != self.cfg.pad_id).any(axis=0))
+        real = np.flatnonzero((ids != PAD_ID).any(axis=0))
         return ids[:, : real[-1] + 1] if real.size else ids
 
     def _embedded(self, ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """The trunk's input for ids that ``_trimmed_ids`` returned, and its attention bias."""
         # rows may attend anywhere except padding columns
-        bias = np.where((ids == self.cfg.pad_id)[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
+        bias = np.where((ids == PAD_ID)[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
         return T.embedding_lookup(self.token_embedding, ids) + self.pos_embedding[:, : ids.shape[1]], bias
 
     def forward_hidden(self, ids: np.ndarray) -> Tensor:
@@ -314,13 +309,13 @@ class TextEncoder(Module):
     def __call__(self, ids: np.ndarray) -> EmbeddingSet:
         ids = self._trimmed_ids(ids)
         n = ids.shape[0]
-        eot = np.argmax(ids == self.cfg.end_id, axis=1)
-        if not (ids[np.arange(n), eot] == self.cfg.end_id).all():
+        eot = np.argmax(ids == END_ID, axis=1)
+        if not (ids[np.arange(n), eot] == END_ID).all():
             raise ContractError("a sequence has no end-of-text token")
         x, bias = self._embedded(ids)
         pooled, every_row = pooled_tower(self.blocks, x, eot, bias)
         pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
-        mask = ids != self.cfg.pad_id
+        mask = ids != PAD_ID
 
         def tokens() -> Tensor:
             # padding slots get a constant stand-in so normalization cannot hit a

@@ -383,7 +383,14 @@ class NNQueue:
         return buf, self.fill, self.head
 
     def load_state(self, buffer: np.ndarray, fill: int, head: int) -> None:
-        self.buffer = None if buffer.shape[1] == 0 else np.asarray(buffer, dtype=np.float64).copy()
+        """Replace the stored vectors and both counters; on a mismatch nothing changes."""
+        rows, dim = buffer.shape if buffer.ndim == 2 else (-1, 0)
+        if rows != self.capacity or fill > rows or head >= rows or (fill and not dim):
+            raise ConfigError(
+                f"queue state {buffer.shape} with fill {fill} and head {head} "
+                f"does not fit a queue of capacity {self.capacity}"
+            )
+        self.buffer = None if dim == 0 else np.array(buffer, dtype=np.float64)
         self.fill = int(fill)
         self.head = int(head)
 

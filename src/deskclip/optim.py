@@ -95,5 +95,5 @@ class AdamW:
                 raise ConfigError(f"moment shape mismatch for {name!r}")
         self.t = int(t)
         for name, _ in self.named_params:
-            self.m[name] = m[name].astype(np.float64).copy()
-            self.v[name] = v[name].astype(np.float64).copy()
+            self.m[name] = np.array(m[name], dtype=np.float64)
+            self.v[name] = np.array(v[name], dtype=np.float64)

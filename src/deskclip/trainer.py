@@ -17,17 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .augment import ImageAugPolicy, TextAugPolicy, augment_image, augment_text, default_synonyms
-from .checkpoint import (
-    STATE_TAG,
-    VOCAB_TAG,
-    decode_train_state,
-    decode_vocab,
-    encode_train_state,
-    encode_vocab,
-    load_checkpoint,
-    save_checkpoint,
-    write_atomic,
-)
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import TrainConfig, parse_config_text, render_config_text
 from .data import (
     PairRecord,
@@ -184,20 +174,23 @@ def compute_step_loss(
 
 # checkpoint plumbing ---------------------------------------------------------------
 
+# A training checkpoint holds the run state as arrays beside the model's
+# parameters: the Adam moments as "optim.m.<param>" and "optim.v.<param>", the
+# neighbour queue as "queue.buffer" (capacity, dim), and COUNTERS in order as
+# "run.counters". Float64 holds each counter exactly.
+COUNTERS = ("epoch", "step_in_epoch", "global_step", "best_accuracy", "adam_t", "queue_fill", "queue_head")
 
-def _model_tensors(model: DualEncoder) -> dict[str, np.ndarray]:
-    return {name: p.data for name, p in model.named_parameters()}
 
-
-def _restore_model(model: DualEncoder, tensors: dict[str, np.ndarray]) -> None:
-    names = dict(model.named_parameters())
-    if set(names) != set(tensors):
-        missing = set(names) ^ set(tensors)
-        raise CheckpointError(f"parameter names do not match the model: {sorted(missing)[:4]}...")
-    for name, p in names.items():
-        if tensors[name].shape != p.data.shape:
-            raise CheckpointError(f"shape mismatch for {name!r}")
-        p.data = tensors[name].copy()
+def _fresh_run(train_cfg: TrainConfig, loss_cfg: LossConfig, image_cfg, text_cfg: TextConfig):
+    """A new run's (model, optimizer, queue)."""
+    model = build_model(train_cfg, image_cfg, text_cfg)
+    optimizer = AdamW(
+        trainable_parameters(model, train_cfg.variant),
+        weight_decay=train_cfg.weight_decay,
+        betas=(train_cfg.beta1, train_cfg.beta2),
+        eps=train_cfg.eps,
+    )
+    return model, optimizer, NNQueue(loss_cfg.neighbor_queue_capacity)
 
 
 def save_training_checkpoint(
@@ -214,43 +207,73 @@ def save_training_checkpoint(
 ) -> None:
     adam_t, m, v = optimizer.state()
     queue_buffer, queue_fill, queue_head = queue.state()
-    state = encode_train_state(
-        epoch,
-        step_in_epoch,
-        global_step,
-        best_accuracy,
-        adam_t,
-        m,
-        v,
-        queue_buffer,
-        queue_fill,
-        queue_head,
-        queue.capacity,
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    arrays.update({f"optim.m.{name}": moment for name, moment in m.items()})
+    arrays.update({f"optim.v.{name}": moment for name, moment in v.items()})
+    arrays["queue.buffer"] = queue_buffer
+    arrays["run.counters"] = np.array(
+        [epoch, step_in_epoch, global_step, best_accuracy, adam_t, queue_fill, queue_head], dtype=np.float64
     )
-    blocks = {VOCAB_TAG: encode_vocab(vocab.token_to_id), STATE_TAG: state}
-    save_checkpoint(path, config_text, _model_tensors(model), blocks)
+    save_checkpoint(path, config_text, arrays, vocab.token_to_id)
 
 
-def _checkpoint_vocab(blocks: dict[bytes, bytes], path) -> Vocab:
-    if VOCAB_TAG not in blocks:
-        raise CheckpointError(f"{path}: missing vocabulary block")
+def _pop_prefixed(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    return {name[len(prefix) :]: arrays.pop(name) for name in list(arrays) if name.startswith(prefix)}
+
+
+def load_training_checkpoint(path: str | Path, expected_config: str | None = None):
+    """(model, vocab, configs, optimizer, queue, counters) restored from a checkpoint.
+
+    The run-state arrays restore the optimizer, the queue and the COUNTERS;
+    the arrays left over must be exactly the model's parameters. Everything
+    is checked before anything is returned, so a bad file is never half
+    loaded. With ``expected_config``, the embedded config text must equal it.
+    """
+    config_text, arrays, token_to_id = load_checkpoint(path)
     try:
-        return Vocab(decode_vocab(blocks[VOCAB_TAG]))
+        configs = parse_config_text(config_text)
     except ConfigError as err:
-        raise CheckpointError(f"{path}: vocabulary block does not build a vocabulary: {err}") from err
+        raise CheckpointError(f"{path}: embedded config does not parse: {err}") from err
+    if expected_config is not None and config_text != expected_config:
+        raise CheckpointError(f"{path}: checkpoint config does not match this run's config")
+    try:
+        vocab = Vocab(token_to_id)
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: vocabulary does not build a vocabulary: {err}") from err
+    if max(token_to_id.values()) >= configs[3].vocab_size:
+        raise CheckpointError(f"{path}: vocabulary ids reach past text.vocab_size={configs[3].vocab_size}")
+    values = arrays.pop("run.counters", np.zeros(0))
+    if values.shape != (len(COUNTERS),):
+        raise CheckpointError(f"{path}: run.counters must hold {len(COUNTERS)} values, {', '.join(COUNTERS)}")
+    counters = dict(zip(COUNTERS, values.tolist()))
+    for name, value in counters.items():
+        if name != "best_accuracy":
+            if not (value >= 0 and float(value).is_integer()):
+                raise CheckpointError(f"{path}: counter {name}={value} is not a non-negative integer")
+            counters[name] = int(value)
+    model, optimizer, queue = _fresh_run(*configs)
+    try:
+        optimizer.load_state(
+            counters["adam_t"], _pop_prefixed(arrays, "optim.m."), _pop_prefixed(arrays, "optim.v.")
+        )
+        queue.load_state(arrays.pop("queue.buffer", np.zeros(0)), counters["queue_fill"], counters["queue_head"])
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: {err}") from err
+    params = dict(model.named_parameters())
+    if set(params) != set(arrays):
+        unmatched = sorted(set(params) ^ set(arrays))[:4]
+        raise CheckpointError(f"{path}: parameter names do not match the model: {unmatched}")
+    for name, p in params.items():
+        if arrays[name].shape != p.data.shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name!r}")
+        p.data = arrays[name]
+    return model, vocab, configs, optimizer, queue, counters
 
 
 def load_model_for_eval(path: str | Path):
     """(model, vocab, configs) from a checkpoint, ready for inference."""
-    config_text, tensors, blocks = load_checkpoint(path)
-    try:
-        train_cfg, loss_cfg, image_cfg, text_cfg = parse_config_text(config_text)
-    except ConfigError as err:
-        raise CheckpointError(f"{path}: embedded config does not parse: {err}") from err
-    model = build_model(train_cfg, image_cfg, text_cfg)
-    _restore_model(model, tensors)
-    vocab = _checkpoint_vocab(blocks, path)
-    return model, vocab, (train_cfg, loss_cfg, image_cfg, text_cfg)
+    model, vocab, configs, _, _, _ = load_training_checkpoint(path)
+    return model, vocab, configs
 
 
 # the loop -------------------------------------------------------------------------
@@ -319,49 +342,22 @@ def train(
     config_text = render_config_text(train_cfg, loss_cfg, image_cfg, text_cfg)
     (run_dir / "config.resolved").write_text(config_text + "\n", encoding="utf-8")
 
-    vocab = Vocab.build((r.caption for r in train_records), text_cfg.vocab_size)
-    model = build_model(train_cfg, image_cfg, text_cfg)
-    optimizer = AdamW(
-        trainable_parameters(model, train_cfg.variant),
-        weight_decay=train_cfg.weight_decay,
-        betas=(train_cfg.beta1, train_cfg.beta2),
-        eps=train_cfg.eps,
-    )
-    queue = NNQueue(loss_cfg.neighbor_queue_capacity)
-    img_policy = ImageAugPolicy()
-    txt_policy = TextAugPolicy(synonyms=default_synonyms())
-
-    start_epoch = 0
-    start_step = 0
-    global_step = 0
-    best_accuracy = -1.0
-
     metrics_path = run_dir / "metrics.log"
     final_path = run_dir / "final.ckpt"
     best_path = run_dir / "best.ckpt"
 
-    if resume_from is not None:
-        ck_config, tensors, blocks = load_checkpoint(resume_from)
-        if ck_config != config_text:
-            raise CheckpointError(
-                f"{resume_from}: checkpoint config does not match this run's config"
-            )
-        if STATE_TAG not in blocks or VOCAB_TAG not in blocks:
-            raise CheckpointError(f"{resume_from}: missing train-state or vocabulary block")
-        _restore_model(model, tensors)
-        vocab = _checkpoint_vocab(blocks, resume_from)
-        state = decode_train_state(blocks[STATE_TAG])
-        try:
-            optimizer.load_state(state["adam_t"], state["moments_m"], state["moments_v"])
-        except ConfigError as err:
-            raise CheckpointError(f"{resume_from}: {err}") from err
-        queue = NNQueue(state["queue_capacity"])
-        queue.load_state(state["queue_buffer"], state["queue_fill"], state["queue_head"])
-        start_epoch = state["epoch"]
-        start_step = state["step_in_epoch"]
-        global_step = state["global_step"]
-        best_accuracy = state["best_accuracy"]
+    if resume_from is None:
+        vocab = Vocab.build((r.caption for r in train_records), text_cfg.vocab_size)
+        model, optimizer, queue = _fresh_run(train_cfg, loss_cfg, image_cfg, text_cfg)
+        start_epoch = start_step = global_step = 0
+        best_accuracy = -1.0
+    else:
+        model, vocab, _, optimizer, queue, counters = load_training_checkpoint(resume_from, config_text)
+        start_epoch, start_step = counters["epoch"], counters["step_in_epoch"]
+        global_step, best_accuracy = counters["global_step"], counters["best_accuracy"]
         _cut_log(metrics_path, global_step, start_epoch)
+    img_policy = ImageAugPolicy()
+    txt_policy = TextAugPolicy(synonyms=default_synonyms())
 
     log = open(metrics_path, "a" if resume_from else "w", encoding="utf-8")
 

@@ -1,20 +1,16 @@
 import importlib
 import math
+import re
+import shutil
 import struct
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 from deskclip import tensor as T
-from deskclip.checkpoint import (
-    STATE_TAG,
-    VOCAB_TAG,
-    decode_train_state,
-    encode_train_state,
-    load_checkpoint,
-    save_checkpoint,
-)
+from deskclip.checkpoint import load_checkpoint, save_checkpoint
 from deskclip.cli import main
 from deskclip.config import (
     apply_overrides,
@@ -25,6 +21,7 @@ from deskclip.config import (
 )
 from deskclip.encoders import ConvConfig, EmbeddingSet, VitConfig
 from deskclip.errors import ConfigError
+from deskclip.trainer import COUNTERS
 from deskclip.verify import check_grad_encoders
 
 from tests.conftest import DESK_RECIPE, ROOT
@@ -193,13 +190,12 @@ def test_nonpositive_size_exits_2(capsys, override):
 @pytest.mark.parametrize("override", ["text.pad_id=7", "text.end_id=5", "text.pad_id=2 text.end_id=0"],
                          ids=["pad-id", "end-id", "swapped"])
 def test_text_ids_other_than_the_tokenizers_exit_2(capsys, override):
-    # encode_batch always pads with PAD_ID and ends with END_ID; the encoder must mask the same ids
+    # the tokenizer alone decides the padding and end-of-text ids; they are not config keys
     argv = ["train", "--validate-only"]
     for item in override.split():
         argv += ["--set", item]
     assert main(argv) == 2
-    assert "pad_id and end_id must be 0 and 2" in capsys.readouterr().err
-    assert main(["train", "--validate-only", "--set", "text.pad_id=0", "--set", "text.end_id=2"]) == 0
+    assert "unknown key(s) in [text]" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(capsys):
@@ -332,110 +328,189 @@ def test_resume_config_mismatch_exits_3(tmp_path, capsys, data_dir):
     assert "config" in capsys.readouterr().err
 
 
+def _copy(micro_checkpoint, tmp_path):
+    ckpt = tmp_path / "final.ckpt"
+    shutil.copyfile(micro_checkpoint, ckpt)
+    return ckpt
+
+
+def _resume(tmp_path, data_dir, ckpt):
+    return main(["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)] + micro_args(data_dir))
+
+
+def _edit_state(edit):
+    """Rewrite a checkpoint with ``edit`` applied to its named arrays (the checksum stays valid)."""
+    def corrupt(ckpt):
+        config, arrays, vocab = load_checkpoint(ckpt)
+        edit(arrays)
+        save_checkpoint(ckpt, config, arrays, vocab)
+    return corrupt
+
+
+def _set_counters(**values):
+    def edit(arrays):
+        for name, value in values.items():
+            arrays["run.counters"][COUNTERS.index(name)] = value
+    return _edit_state(edit)
+
+
 @pytest.mark.parametrize("fill_head", [
     lambda capacity: (capacity + 1, 0),
     lambda capacity: (0, capacity),
     lambda capacity: (1, 1),
 ], ids=["fill-past-capacity", "head-past-end", "fill-without-vectors"])
-def test_resume_rejects_corrupt_queue_state_exits_3(tmp_path, capsys, data_dir, fill_head):
-    out = tmp_path / "run"
-    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
-    ckpt = out / "final.ckpt"
-    config, tensors, blocks = load_checkpoint(ckpt)
-    state = blocks[STATE_TAG]
-    capacity, dim = decode_train_state(state)["queue_buffer"].shape
+def test_resume_rejects_corrupt_queue_state_exits_3(tmp_path, capsys, data_dir, micro_checkpoint, fill_head):
+    ckpt = _copy(micro_checkpoint, tmp_path)
+    capacity, dim = load_checkpoint(ckpt)[1]["queue.buffer"].shape
     assert dim == 0, "a clip run never fills the neighbor queue"
-    # the STAT block ends with u32 capacity, fill, head, dim, then the queue buffer
-    at = len(state) - 12
-    blocks[STATE_TAG] = state[:at] + struct.pack("<II", *fill_head(capacity)) + state[at + 8:]
-    save_checkpoint(ckpt, config, tensors, blocks)
+    fill, head = fill_head(capacity)
+    _set_counters(queue_fill=fill, queue_head=head)(ckpt)
     capsys.readouterr()
-    rc = main(["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]
-              + micro_args(data_dir))
-    assert rc == 3
+    assert _resume(tmp_path, data_dir, ckpt) == 3
     assert "capacity" in capsys.readouterr().err
 
 
-def _rename_first_m(state):
-    first = next(iter(state["moments_m"]))
-    state["moments_m"]["no.such.parameter"] = state["moments_m"].pop(first)
+def _rename_first_m(arrays):
+    first = next(name for name in arrays if name.startswith("optim.m."))
+    arrays["optim.m.no.such.parameter"] = arrays.pop(first)
 
 
-def _reshape_first_v(state):
-    first = next(iter(state["moments_v"]))
-    state["moments_v"][first] = np.zeros(state["moments_v"][first].size + 1)
+def _reshape_first_v(arrays):
+    first = next(name for name in arrays if name.startswith("optim.v."))
+    arrays[first] = np.zeros(arrays[first].size + 1)
 
 
 @pytest.mark.parametrize("edit", [_rename_first_m, _reshape_first_v],
                          ids=["moments-m-renamed", "moments-v-wrong-shape"])
-def test_resume_rejects_moments_that_do_not_fit_the_model_exits_3(tmp_path, capsys, data_dir, edit):
-    out = tmp_path / "run"
-    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
-    ckpt = out / "final.ckpt"
-    config, tensors, blocks = load_checkpoint(ckpt)
-    state = decode_train_state(blocks[STATE_TAG])
-    edit(state)
-    blocks[STATE_TAG] = encode_train_state(**state)
-    save_checkpoint(ckpt, config, tensors, blocks)
+def test_resume_rejects_moments_that_do_not_fit_the_model_exits_3(
+    tmp_path, capsys, data_dir, micro_checkpoint, edit
+):
+    ckpt = _copy(micro_checkpoint, tmp_path)
+    _edit_state(edit)(ckpt)
     capsys.readouterr()
-    rc = main(["train", "--out", str(tmp_path / "resumed"), "--resume", str(ckpt)]
-              + micro_args(data_dir))
+    assert _resume(tmp_path, data_dir, ckpt) == 3
     err = capsys.readouterr().err
-    assert rc == 3
     assert "does not match the parameter set" in err or "moment shape mismatch" in err
 
 
-def _corrupt_byte(offset):
+def _head_past_end(arrays):
+    arrays["run.counters"][COUNTERS.index("queue_head")] = len(arrays["queue.buffer"])
+
+
+def _edit_body(edit):
+    """Apply ``edit`` to the bytes before the checksum, then re-seal them, so the
+    corruption reaches the checks past the checksum."""
     def corrupt(ckpt):
-        raw = bytearray(ckpt.read_bytes())
-        raw[offset(raw)] = 0xFF  # never valid in UTF-8
-        ckpt.write_bytes(bytes(raw))
+        body = edit(bytearray(ckpt.read_bytes()[:-4]))
+        ckpt.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
     return corrupt
+
+
+def _vocab_length_at(raw):
+    # magic, version, config length, config text, then the vocabulary's length
+    return 16 + struct.unpack_from("<I", raw, 12)[0]
+
+
+def _set_byte(offset):
+    def edit(raw):
+        raw[offset(raw)] = 0xFF  # never valid in UTF-8
+        return raw
+    return _edit_body(edit)
+
+
+def _append_to_vocab(extra):
+    def edit(raw):
+        at = _vocab_length_at(raw)
+        length = struct.unpack_from("<I", raw, at)[0]
+        struct.pack_into("<I", raw, at, length + len(extra))
+        raw[at + 4 + length : at + 4 + length] = extra
+        return raw
+    return _edit_body(edit)
 
 
 def _corrupt_config(edit):
     def corrupt(ckpt):
-        config, tensors, blocks = load_checkpoint(ckpt)
-        save_checkpoint(ckpt, edit(config), tensors, blocks)
+        config, arrays, vocab = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, edit(config), arrays, vocab)
     return corrupt
 
 
-def _corrupt_vocab(edit):
+def _vocab_id_past_the_embedding(ckpt):
+    config, arrays, vocab = load_checkpoint(ckpt)
+    vocab["circle"] = 999  # the micro run's text.vocab_size is 64
+    save_checkpoint(ckpt, config, arrays, vocab)
+
+
+def _flip_byte_at(fraction):
     def corrupt(ckpt):
-        config, tensors, blocks = load_checkpoint(ckpt)
-        blocks[VOCAB_TAG] = edit(blocks[VOCAB_TAG])
-        save_checkpoint(ckpt, config, tensors, blocks)
+        raw = bytearray(ckpt.read_bytes())
+        raw[int(len(raw) * fraction)] ^= 0xFF
+        ckpt.write_bytes(bytes(raw))
     return corrupt
 
 
-# the config text starts at byte 16 (magic, version, length); the first tensor
-# name 8 bytes after it (tensor count, name length)
+def _as_version_1(ckpt):
+    raw = bytearray(ckpt.read_bytes())
+    struct.pack_into("<I", raw, 8, 1)
+    ckpt.write_bytes(bytes(raw))
+
+
+def _truncate(ckpt):
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[: len(raw) // 2])
+
+
+def _first_array_name_at(raw):
+    # vocabulary length and text, the array count, then the first name's length
+    at = _vocab_length_at(raw)
+    return at + 4 + struct.unpack_from("<I", raw, at)[0] + 8
+
+
 CORRUPTIONS = {
-    "config-not-utf8": (_corrupt_byte(lambda raw: 16), "config text is not UTF-8"),
-    "tensor-name-not-utf8": (
-        _corrupt_byte(lambda raw: 16 + struct.unpack_from("<I", raw, 12)[0] + 8), "tensor name is not UTF-8"
-    ),
-    "vocab-not-utf8": (_corrupt_vocab(lambda vocab: b"\xff" + vocab), "vocabulary is not UTF-8"),
-    "vocab-line-without-tab": (_corrupt_vocab(lambda vocab: vocab + b"\nnotab"), "vocabulary line"),
+    "config-not-utf8": (_set_byte(lambda raw: 16), "config text is not UTF-8"),
+    "tensor-name-not-utf8": (_set_byte(_first_array_name_at), "array name is not UTF-8"),
+    "vocab-not-utf8": (_set_byte(lambda raw: _vocab_length_at(raw) + 4), "vocabulary is not UTF-8"),
+    "vocab-line-without-tab": (_append_to_vocab(b"\nnotab"), "vocabulary line"),
+    "vocab-id-past-vocab-size": (_vocab_id_past_the_embedding, "vocabulary ids reach past text.vocab_size=64"),
     "config-unknown-key": (_corrupt_config(lambda config: config + "\ntrain.bogus=1"), "embedded config"),
     "config-unparsable-value": (
         _corrupt_config(lambda config: config.replace("train.epochs=1", "train.epochs=one")), "embedded config"
     ),
+    "byte-flipped-at-5%": (_flip_byte_at(0.05), "checksum"),
+    "byte-flipped-at-10%": (_flip_byte_at(0.10), "checksum"),
+    "byte-flipped-at-20%": (_flip_byte_at(0.20), "checksum"),
+    "truncated": (_truncate, "checksum"),
+    "trailing-bytes": (_edit_body(lambda raw: raw + b"\x00" * 8), "8 trailing bytes"),
+    "version-1": (_as_version_1, "unsupported version 1"),
+    "counter-negative": (_set_counters(global_step=-4), "global_step=-4.0 is not a non-negative integer"),
+    "queue-head-past-end": (_edit_state(_head_past_end), "capacity"),
+    "moments-m-renamed": (_edit_state(_rename_first_m), "does not match the parameter set"),
+    "model-parameter-missing": (_edit_state(lambda arrays: arrays.pop("log_temperature")), "parameter names"),
 }
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
-def test_eval_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, corruption):
+def test_eval_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, micro_checkpoint, corruption):
     corrupt, message = CORRUPTIONS[corruption]
-    out = tmp_path / "run"
-    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
-    corrupt(out / "final.ckpt")
+    ckpt = _copy(micro_checkpoint, tmp_path)
+    corrupt(ckpt)
     capsys.readouterr()
-    rc = main(["eval", str(out / "final.ckpt"),
+    rc = main(["eval", str(ckpt),
                "--manifest", str(data_dir / "val.tsv"),
                "--classes", str(data_dir / "classes.txt")])
     assert rc == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_resume_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, micro_checkpoint, corruption):
+    corrupt, message = CORRUPTIONS[corruption]
+    ckpt = _copy(micro_checkpoint, tmp_path)
+    corrupt(ckpt)
+    capsys.readouterr()
+    assert _resume(tmp_path, data_dir, ckpt) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "resumed" / "metrics.log").exists()
 
 
 def test_stats_plain_and_filtered(tmp_path, capsys):
@@ -472,6 +547,20 @@ def test_synth_guards_class_coverage(tmp_path, capsys):
     rc = main(["synth", str(tmp_path / "d"), "--classes", "8", "--train", "4"])
     assert rc == 2
     assert "cover every class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_image_files_of_another_size_exit_2(tmp_path, capsys, micro_checkpoint, command):
+    data = tmp_path / "d32"
+    assert main(["synth", str(data), "--classes", "4", "--train", "8", "--val", "4", "--materialize"]) == 0
+    if command == "eval":
+        argv = ["eval", str(micro_checkpoint), "--manifest", str(data / "val.tsv"),
+                "--classes", str(data / "classes.txt")]
+    else:
+        argv = ["train", "--out", str(tmp_path / "run")] + micro_args(data)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.search(r"img_000000\.ff: image is 32x32, expected 16x16", capsys.readouterr().err)
 
 
 def test_verify_list_names_checks_without_running(capsys):

@@ -127,6 +127,15 @@ def test_write_farbfeld_validates_shape(tmp_path):
         write_farbfeld(tmp_path / "y.ff", np.zeros((4, 4)))
 
 
+def test_load_image_rejects_a_file_of_another_size(tmp_path):
+    p = tmp_path / "small.ff"
+    write_farbfeld(p, np.zeros((3, 16, 12)))
+    with pytest.raises(ManifestError, match=re.escape(f"{p}: image is 12x16, expected 32x32")):
+        load_image(PairRecord(str(p), "x"), image_size=32)
+    write_farbfeld(p, np.zeros((3, 16, 16)))
+    assert load_image(PairRecord(str(p), "x"), image_size=16).shape == (3, 16, 16)
+
+
 # synthetic dataset ----------------------------------------------------------
 
 

@@ -477,6 +477,21 @@ def test_queue_state_roundtrip():
     assert np.array_equal(other.nearest(np.eye(4)[:1]), queue.nearest(np.eye(4)[:1]))
 
 
+@pytest.mark.parametrize("buffer, fill, head", [
+    (np.zeros((5, 2)), 0, 0),  # another capacity
+    (np.zeros(4), 0, 0),       # not (capacity, dim)
+    (np.zeros((4, 2)), 5, 0),
+    (np.zeros((4, 2)), 1, 4),
+    (np.zeros((4, 0)), 1, 1),  # a fill with no vectors
+], ids=["capacity", "rank", "fill", "head", "no-vectors"])
+def test_queue_load_state_rejects_a_state_that_does_not_fit(buffer, fill, head):
+    queue = NNQueue(4)
+    queue.enqueue(np.ones((3, 2)))
+    with pytest.raises(ConfigError, match="capacity 4"):
+        queue.load_state(buffer, fill, head)
+    assert (queue.fill, queue.head) == (3, 3) and np.array_equal(queue.buffer[:3], np.ones((3, 2)))
+
+
 def test_queue_input_validation():
     queue = NNQueue(4)
     with pytest.raises(ContractError):

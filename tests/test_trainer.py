@@ -1,32 +1,30 @@
 import dataclasses
 import filecmp
-from pathlib import Path
+import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from deskclip.checkpoint import (
-    STATE_TAG,
-    VOCAB_TAG,
-    decode_train_state,
-    decode_vocab,
-    encode_train_state,
-    encode_vocab,
-    load_checkpoint,
-    save_checkpoint,
-)
 from deskclip.augment import ImageAugPolicy, TextAugPolicy, default_synonyms
+from deskclip.checkpoint import load_checkpoint, save_checkpoint
+from deskclip.config import render_config_text
 from deskclip.data import Vocab, generate_synthetic
 from deskclip.encoders import ConvConfig, TextConfig, VitConfig
 from deskclip.errors import CheckpointError, ConfigError, ContractError
 from deskclip.losses import VARIANTS, LossConfig, NNQueue
+from deskclip.optim import AdamW
 from deskclip.trainer import (
+    COUNTERS,
     MLM_HEAD_PREFIX,
     TrainConfig,
     assemble_views,
     build_model,
     compute_step_loss,
     load_model_for_eval,
+    load_training_checkpoint,
+    save_training_checkpoint,
     train,
     trainable_parameters,
 )
@@ -50,20 +48,29 @@ def records():
 # ---------------------------------------------------------------- checkpoint codec
 
 
+VOCAB = {"<pad>": 0, "naive": 5, "café": 6, "☃": 7}
+
+
+def _resealed(body: bytes) -> bytes:
+    """``body`` with a fresh CRC-32 trailer, so a corruption reaches the checks past the checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "m.ckpt"
-    tensors = {
+    arrays = {
         "w": np.arange(6, dtype=np.float64).reshape(2, 3),
         "scalar": np.asarray(0.07),
+        "empty": np.zeros((4, 0)),
     }
-    blocks = {b"MISC": b"\x00\x01payload"}
-    save_checkpoint(path, "a.b=1\nc.d=two", tensors, blocks)
-    config, loaded, got_blocks = load_checkpoint(path)
+    save_checkpoint(path, "a.b=1\nc.d=two", arrays, VOCAB)
+    config, loaded, vocab = load_checkpoint(path)
     assert config == "a.b=1\nc.d=two"
-    assert np.array_equal(loaded["w"], tensors["w"])
-    assert loaded["scalar"].shape == ()
-    assert float(loaded["scalar"]) == 0.07
-    assert got_blocks[b"MISC"] == blocks[b"MISC"]
+    assert list(loaded) == list(arrays)
+    assert np.array_equal(loaded["w"], arrays["w"])
+    assert loaded["scalar"].shape == () and float(loaded["scalar"]) == 0.07
+    assert loaded["empty"].shape == (4, 0)
+    assert vocab == VOCAB
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -73,76 +80,145 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_version_1_before_its_checksum(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"DESKCLIP" + struct.pack("<II", 1, 3) + b"k=v" + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="unsupported version 1"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_detects_truncation(tmp_path):
     path = tmp_path / "whole.ckpt"
-    save_checkpoint(path, "k=v", {"w": np.ones((4, 4))}, {b"MISC": b"xyz"})
+    save_checkpoint(path, "k=v", {"w": np.ones((4, 4))}, VOCAB)
     whole = path.read_bytes()
     cut = tmp_path / "cut.ckpt"
-    # slice at several depths: header, tensor payload, block payload
-    for end in (4, 20, len(whole) // 2, len(whole) - 1):
+    # slice at several depths: header, text, array payload, checksum
+    for end in (4, 14, 20, len(whole) // 2, len(whole) - 1):
         cut.write_bytes(whole[:end])
         with pytest.raises(CheckpointError):
             load_checkpoint(cut)
+    # a cut body under a valid checksum is caught by the parse itself
+    cut.write_bytes(_resealed(whole[: len(whole) // 2]))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(cut)
 
 
 def test_checkpoint_rejects_trailing_garbage(tmp_path):
     path = tmp_path / "x.ckpt"
-    save_checkpoint(path, "k=v", {"w": np.ones(2)})
-    path.write_bytes(path.read_bytes() + b"extra")
-    with pytest.raises(CheckpointError):
+    save_checkpoint(path, "k=v", {"w": np.ones(2)}, VOCAB)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b"extra")
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+    path.write_bytes(_resealed(whole[:-4] + b"extra"))
+    with pytest.raises(CheckpointError, match="5 trailing bytes"):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_bad_block_tag(tmp_path):
-    with pytest.raises(CheckpointError, match="tag"):
-        save_checkpoint(tmp_path / "x.ckpt", "k=v", {}, {b"TOOLONG": b""})
+@pytest.mark.parametrize("fraction", [0.05, 0.10, 0.20, 1.0])
+def test_checkpoint_detects_a_flipped_bit(tmp_path, fraction):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, "k=v", {"w": np.linspace(0.0, 1.0, 64)}, VOCAB)
+    raw = bytearray(path.read_bytes())
+    raw[min(int(len(raw) * fraction), len(raw) - 1)] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_write_that_fails_part_way_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, "k=v", {"w": np.ones(3)})
+    save_checkpoint(path, "k=v", {"w": np.ones(3)}, VOCAB)
     before = path.read_bytes()
-    real_write = Path.write_bytes
+    real_fsync = os.fsync
 
-    def half_then_fail(self, data):
-        real_write(self, data[: len(data) // 2])
+    def half_then_fail(fd):
+        # the write stops half way, before the .tmp file reaches the disk
+        os.ftruncate(fd, os.fstat(fd).st_size // 2)
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    monkeypatch.setattr(os, "fsync", half_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, "k=v", {"w": np.zeros((50, 50))})
-    monkeypatch.undo()
+        save_checkpoint(path, "k=v", {"w": np.zeros((50, 50))}, VOCAB)
+    monkeypatch.setattr(os, "fsync", real_fsync)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
-    save_checkpoint(path, "k=v", {"w": np.zeros((50, 50))})
+    save_checkpoint(path, "k=v", {"w": np.zeros((50, 50))}, VOCAB)
     assert np.array_equal(load_checkpoint(path)[1]["w"], np.zeros((50, 50)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
-def test_vocab_codec_roundtrip():
-    vocab = {"<pad>": 0, "naive": 5, "café": 6, "☃": 7}
-    assert decode_vocab(encode_vocab(vocab)) == vocab
+def test_vocab_codec_roundtrip(tmp_path):
+    path = tmp_path / "v.ckpt"
+    save_checkpoint(path, "", {}, VOCAB)
+    assert load_checkpoint(path) == ("", {}, VOCAB)
 
 
-def test_train_state_codec_roundtrip():
-    m = {"a": np.random.default_rng(0).normal(size=(3, 2)), "b": np.zeros(())}
-    v = {k: np.abs(arr) for k, arr in m.items()}
-    buf = np.random.default_rng(1).normal(size=(8, 4))
-    payload = encode_train_state(2, 5, 29, 0.625, 29, m, v, buf, 6, 3, 8)
-    state = decode_train_state(payload)
-    assert (state["epoch"], state["step_in_epoch"], state["global_step"]) == (2, 5, 29)
-    assert state["best_accuracy"] == 0.625
-    assert state["adam_t"] == 29
-    assert np.array_equal(state["moments_m"]["a"], m["a"])
-    assert np.array_equal(state["moments_v"]["b"], v["b"])
-    assert np.array_equal(state["queue_buffer"], buf)
-    assert (state["queue_fill"], state["queue_head"], state["queue_capacity"]) == (6, 3, 8)
+def _micro_state(capacity=8):
+    """A model, optimizer and queue part way through a run, all state non-trivial."""
+    train_cfg = micro_train_cfg()
+    loss_cfg = LossConfig(variant="clip", neighbor_queue_capacity=capacity)
+    model = build_model(train_cfg, MICRO_IMAGE, MICRO_TEXT)
+    optimizer = AdamW(trainable_parameters(model, "clip"))
+    rng = np.random.default_rng(0)
+    for name, p in optimizer.named_params:
+        optimizer.m[name] = rng.normal(size=p.data.shape)
+        optimizer.v[name] = np.abs(rng.normal(size=p.data.shape))
+    optimizer.t = 29
+    queue = NNQueue(capacity)
+    queue.enqueue(rng.normal(size=(5, 4)))
+    queue.enqueue(rng.normal(size=(6, 4)))  # wraps: full, head at slot 3
+    config_text = render_config_text(train_cfg, loss_cfg, MICRO_IMAGE, MICRO_TEXT)
+    return model, config_text, optimizer, queue
 
 
-def test_train_state_rejects_trailing_bytes():
-    payload = encode_train_state(0, 0, 0, 0.0, 0, {}, {}, np.zeros((2, 2)), 0, 0, 2)
-    with pytest.raises(CheckpointError, match="trailing"):
-        decode_train_state(payload + b"x")
+def test_train_state_codec_roundtrip(tmp_path, records):
+    model, config_text, optimizer, queue = _micro_state()
+    vocab = Vocab.build((r.caption for r in records), MICRO_TEXT.vocab_size)
+    path = tmp_path / "run.ckpt"
+    save_training_checkpoint(path, model, config_text, vocab, optimizer, queue, 2, 5, 29, 0.625)
+    got_model, got_vocab, _, got_opt, got_queue, counters = load_training_checkpoint(path, config_text)
+    assert counters == dict(zip(COUNTERS, [2, 5, 29, 0.625, 29, 8, 3]))
+    assert got_vocab == vocab
+    for (name, p), (_, q) in zip(model.named_parameters(), got_model.named_parameters()):
+        assert np.array_equal(p.data, q.data), name
+    assert got_opt.t == 29
+    for name in optimizer.m:
+        assert np.array_equal(got_opt.m[name], optimizer.m[name]), name
+        assert np.array_equal(got_opt.v[name], optimizer.v[name]), name
+    assert (got_queue.capacity, got_queue.fill, got_queue.head) == (8, 8, 3)
+    assert np.array_equal(got_queue.buffer, queue.buffer)
+    # the run state sits beside the parameters under its own names
+    _, arrays, _ = load_checkpoint(path)
+    assert arrays["queue.buffer"].shape == (8, 4)
+    assert len([n for n in arrays if n.startswith("optim.m.")]) == len(optimizer.m)
+
+
+def _with_counters(tmp_path, counters):
+    """A training checkpoint whose run.counters array is ``counters``."""
+    model, config_text, optimizer, queue = _micro_state()
+    path = tmp_path / "run.ckpt"
+    save_training_checkpoint(path, model, config_text, Vocab.build([], 8), optimizer, queue, 2, 5, 29, 0.625)
+    _, arrays, vocab = load_checkpoint(path)
+    arrays["run.counters"] = np.array(counters, dtype=np.float64)
+    save_checkpoint(path, config_text, arrays, vocab)
+    return path
+
+
+def test_train_state_rejects_trailing_bytes(tmp_path):
+    # the counters are one array of fixed length: a value past its end is rejected
+    with pytest.raises(CheckpointError, match="must hold 7 values"):
+        load_training_checkpoint(_with_counters(tmp_path, [2, 5, 29, 0.625, 29, 8, 3, 0]))
+
+
+@pytest.mark.parametrize("counters, message", [
+    ([2, 5, -1, 0.625, 29, 8, 3], "global_step=-1.0 is not a non-negative integer"),
+    ([2, 5.5, 29, 0.625, 29, 8, 3], "step_in_epoch=5.5 is not"),
+    ([2, 5, 29, 0.625, float("nan"), 8, 3], "adam_t=nan is not"),
+], ids=["negative", "fraction", "nan"])
+def test_run_counters_must_be_non_negative_integers(tmp_path, counters, message):
+    with pytest.raises(CheckpointError, match=message):
+        load_training_checkpoint(_with_counters(tmp_path, counters))
 
 
 # ---------------------------------------------------------------- model assembly
@@ -239,9 +315,10 @@ def test_zero_epochs_writes_initial_checkpoint(tmp_path, records):
     assert result.steps_run == 0
     assert not result.aborted
     assert result.final_path.exists()
-    config, tensors, blocks = load_checkpoint(result.final_path)
-    assert "log_temperature" in tensors
-    assert VOCAB_TAG in blocks and STATE_TAG in blocks
+    config, arrays, vocab = load_checkpoint(result.final_path)
+    assert "log_temperature" in arrays and "circle" in vocab
+    assert arrays["queue.buffer"].shape == (8, 0)
+    assert arrays["run.counters"].tolist() == [0, 0, 0, -1.0, 0, 0, 0]
 
 
 def test_fresh_run_in_a_reused_directory_names_no_best_checkpoint(tmp_path, records):
@@ -316,8 +393,8 @@ def test_abort_snapshots_the_failing_step_and_resume_reenters_it(tmp_path, recor
     monkeypatch.setattr(trainer_mod, "compute_step_loss", failing)
     broken = run_micro(tmp_path, records, "broken", epochs=2, variant="declip")
     assert broken.aborted and broken.steps_run == fail_at
-    state = decode_train_state(load_checkpoint(broken.final_path)[2][STATE_TAG])
-    assert (state["epoch"], state["step_in_epoch"], state["global_step"]) == (1, 1, fail_at)
+    counters = load_checkpoint(broken.final_path)[1]["run.counters"]
+    assert counters[:3].tolist() == [1, 1, fail_at]
 
     monkeypatch.setattr(trainer_mod, "compute_step_loss", real)
     resumed = run_micro(tmp_path, records, "broken", epochs=2, variant="declip",
