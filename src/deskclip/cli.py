@@ -23,6 +23,7 @@ from .config import RunConfig, load_run_config
 from .corpus import FilterPolicy, analyze, filter_captions, read_captions
 from .data import (
     PairRecord,
+    check_images,
     check_labels,
     class_names as synthetic_class_names,
     generate_synthetic,
@@ -78,6 +79,7 @@ def _gather_run_inputs(cfg: RunConfig):
             raise ConfigError("data.classes_file is required when a validation manifest is set")
         names = _read_class_names(cfg.data.classes_file)
         check_labels(val_records, len(names), cfg.data.val_manifest)
+    check_images(train_records + val_records, cfg.image.image_size)
     return train_records, val_records, names, _load_prompts(cfg.data.prompts_file)
 
 
@@ -263,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="labeled image/caption manifest")
     p.add_argument("--classes", required=True, help="file with one class name per line")
     p.add_argument("--prompts", default="", help="prompt template file (default: built-in desk set)")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=64,
+                   help="most images per image-encoder call; the images go in near-equal blocks "
+                        "of at most this many, and at most 16384 pixels per channel (default 64)")
     p.add_argument("--report", help="also write the report to this file")
     p.add_argument("--expect-at-least", type=float,
                    help="exit 1 if top-1 accuracy falls below this value")

@@ -9,6 +9,7 @@ farbfeld-style raw format when materialized to disk.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -135,14 +136,20 @@ def write_farbfeld(path: str | Path, image: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
+def _farbfeld_size(path: str | Path, header: bytes, length: int) -> tuple[int, int]:
+    """(width, height) of a farbfeld file from its 16-byte header and its length in bytes."""
+    if length < 16 or header[:8] != FARBFELD_MAGIC:
+        raise ManifestError(f"{path}: not a farbfeld image")
+    w, h = struct.unpack(">II", header[8:16])
+    expected = 16 + h * w * 8
+    if length != expected:
+        raise ManifestError(f"{path}: expected {expected} bytes, found {length}")
+    return w, h
+
+
 def read_farbfeld(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != FARBFELD_MAGIC:
-        raise ManifestError(f"{path}: not a farbfeld image")
-    w, h = struct.unpack(">II", raw[8:16])
-    expected = 16 + h * w * 8
-    if len(raw) != expected:
-        raise ManifestError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    w, h = _farbfeld_size(path, raw[:16], len(raw))
     pixels = np.frombuffer(raw, dtype=">u2", offset=16).reshape(h, w, 4)
     return (pixels[:, :, :3].transpose(2, 0, 1).astype(np.float64) / 65535.0)
 
@@ -244,14 +251,33 @@ def generate_synthetic(num_classes: int, per_class: int, seed: int) -> list[Pair
     return records
 
 
+def _require_side(source: str, w: int, h: int, image_size: int) -> None:
+    if (w, h) != (image_size, image_size):
+        raise ManifestError(f"{source}: image is {w}x{h}, expected {image_size}x{image_size}")
+
+
 def load_image(record: PairRecord, image_size: int = 32) -> np.ndarray:
     if record.source.startswith(SYNTHETIC_PREFIX):
         return render_synthetic(SyntheticSpec.parse(record.source), image_size)
     image = read_farbfeld(record.source)
-    if image.shape[1:] != (image_size, image_size):
-        _, h, w = image.shape
-        raise ManifestError(f"{record.source}: image is {w}x{h}, expected {image_size}x{image_size}")
+    _require_side(record.source, image.shape[2], image.shape[1], image_size)
     return image
+
+
+def check_images(records: list[PairRecord], image_size: int) -> None:
+    """Reject, before any work, an image file that ``load_image`` would reject.
+
+    Reads only each farbfeld file's 16-byte header and its length; inline
+    synthetic specs were checked when the manifest was read.
+    """
+    for record in records:
+        if record.source.startswith(SYNTHETIC_PREFIX):
+            continue
+        with open(record.source, "rb") as fh:
+            header = fh.read(16)
+            length = os.fstat(fh.fileno()).st_size
+        w, h = _farbfeld_size(record.source, header, length)
+        _require_side(record.source, w, h, image_size)
 
 
 def load_images(records, image_size: int = 32) -> np.ndarray:

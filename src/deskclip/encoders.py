@@ -209,8 +209,12 @@ class VitEncoder(Module):
 
 
 class ConvEncoder(Module):
-    """Small conv trunk; each stage is conv + gelu + 2x2 average pool.
+    """Small conv trunk; each stage is a "same" conv + gelu + 2x2 average pool.
 
+    The trunk runs channel-major: the (N, C, H, W) images are transposed to
+    (C, N, H, W) once on the way in, every stage keeps that layout (``conv2d``
+    takes and returns it, ``gelu`` and ``avgpool2`` do not depend on it), and
+    the final grid is transposed to (N, cells, C) once on the way out.
     Tokens are the final grid cells, pooled is the global average. The
     receptive fields of neighbouring cells overlap, and the set flags that.
     """
@@ -233,12 +237,11 @@ class ConvEncoder(Module):
         expected = (cfg.channels, cfg.image_size, cfg.image_size)
         if images.ndim != 4 or images.shape[1:] != expected:
             raise ShapeError(f"ConvEncoder expects (N, {expected[0]}, {expected[1]}, {expected[2]}), got {images.shape}")
-        x = images
-        pad = cfg.kernel_size // 2
+        x = T.transpose(images, (1, 0, 2, 3))  # (c, n, h, w)
         for w in self.filters:
-            x = T.avgpool2(T.gelu(T.conv2d(x, w, padding=pad)))
-        n, c, gh, gw = x.shape
-        cells = T.transpose(T.reshape(x, (n, c, gh * gw)), (0, 2, 1))  # (n, cells, c)
+            x = T.avgpool2(T.gelu(T.conv2d(x, w)))
+        c, n, gh, gw = x.shape
+        cells = T.transpose(T.reshape(x, (c, n, gh * gw)), (1, 2, 0))  # (n, cells, c)
         pooled = T.l2_normalize(self.proj(T.mean(cells, axis=1)))
         mask = np.ones((n, gh * gw), dtype=bool)
         return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(cells)), mask, overlapping_receptive_fields=True)

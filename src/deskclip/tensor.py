@@ -807,64 +807,95 @@ def cross_entropy(logits, targets) -> Tensor:
 # convolution ------------------------------------------------------------
 
 
-def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of NCHW input with FCkk filters, as one GEMM over im2col columns.
+def conv2d(x, w) -> Tensor:
+    """Stride-1 "same" cross-correlation of channel-major input, as one GEMM over im2col columns.
 
-    The columns are laid out channel-major, ``(c, kh, kw, n, oh, ow)`` viewed as
-    ``(c*kh*kw, n*oh*ow)`` (Caffe's layout), so each of the kh*kw taps fills its block by
-    copying whole strided output rows of the padded input. Each output of ``wf @ cols``
-    still sums over ``(c, kh, kw)`` in the weight's own order, and each entry of the weight
-    gradient ``g @ cols.T`` over ``(n, oh, ow)`` in batch order: the layout decides which
-    elements are copied together, not the order of any sum.
+    ``x`` is (c, n, h, w) and ``w`` is (f, c, kh, kw) with kh and kw odd. The input is
+    zero-padded by (kh // 2, kw // 2), and the output (f, n, h, w) is ``wf @ cols`` as the
+    GEMM returns it: channel-major, as the next layer takes it. The columns are
+    ``(c, kh, kw, n, h, w)`` viewed as ``(c*kh*kw, n*h*w)`` (Caffe's layout). Tap (i, j)
+    reads the input (i - kh//2) rows down and (j - kw//2) columns right, which in the
+    flat input is one offset: each tap is one contiguous copy out of a flat copy of ``x``
+    with zero margins, after which the output rows and columns whose input lies past
+    the image are zeroed. Each output of ``wf @ cols`` still sums over ``(c, kh, kw)`` in
+    the weight's own order, and each entry of the weight gradient ``g @ cols.T`` over
+    ``(n, h, w)`` in batch order.
     """
     x, w = coerce(x), coerce(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and weight, got {x.shape} and {w.shape}")
-    n, c, h, width_in = x.shape
+    c, n, h, width = x.shape
     f, wc, kh, kw = w.shape
     if wc != c:
         raise ShapeError(f"conv2d channel mismatch: input {c}, weight {wc}")
-    s, p = int(stride), int(padding)
-    hp, wp = h + 2 * p, width_in + 2 * p
-    if kh > hp or kw > wp:
-        raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    oh = (hp - kh) // s + 1
-    ow = (wp - kw) // s + 1
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv2d takes odd kernels only, got {kh}x{kw}")
+    ph, pw = kh // 2, kw // 2
+    size = x.size
+    margin = ph * width + pw
+    # per tap (i, j): its flat offset, and the output rows and columns that read padding
+    taps = [
+        (margin + (i - ph) * width + (j - pw), _past_edge(i - ph, h), _past_edge(j - pw, width))
+        for i in range(kh)
+        for j in range(kw)
+    ]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    xt = xp.transpose(1, 0, 2, 3)  # (c, n, hp, wp) view
-    cols = np.empty((c, kh, kw, n, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xt[:, :, i : i + s * oh : s, j : j + s * ow : s]
-    cols = cols.reshape(c * kh * kw, n * oh * ow)
+    xf = np.zeros(size + 2 * margin)
+    xf[margin : margin + size] = x.data.reshape(-1)
+    cols = np.empty((c, kh * kw, n, h, width))
+    for t, (off, rows, columns) in enumerate(taps):
+        cols[:, t] = xf[off : off + size].reshape(x.shape)
+        _zero_border(cols[:, t], rows, columns)
+    cols = cols.reshape(c * kh * kw, n * h * width)
     wf = w.data.reshape(f, c * kh * kw)
-    out = np.ascontiguousarray((wf @ cols).reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    out = (wf @ cols).reshape(f, n, h, width)
 
     def bwd(g: Array) -> None:
-        g2 = g.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+        g2 = g.reshape(f, n * h * width)
         # weight gradient: one GEMM with the batch and output positions as the inner sum
-        gw = g2 @ cols.T
-        _accumulate(w, gw.reshape(w.shape), owned=True)
+        _accumulate(w, (g2 @ cols.T).reshape(w.shape), owned=True)
         if not x.requires_grad:  # e.g. the image batch itself
             return
-        # col2im: each (i, j) tap of the column gradient is one block added at a strided offset
-        gcols = (wf.T @ g2).reshape(c, kh, kw, n, oh, ow)
-        gxp = np.zeros((n, c, hp, wp))
-        gxt = gxp.transpose(1, 0, 2, 3)  # (c, n, hp, wp) view
-        for i in range(kh):
-            for j in range(kw):
-                gxt[:, :, i : i + s * oh : s, j : j + s * ow : s] += gcols[:, i, j]
-        _accumulate(x, gxp[:, :, p : hp - p, p : wp - p] if p else gxp, owned=True)
+        # col2im: each tap of the column gradient, its border zeroed, is added at the tap's
+        # flat offset in (i, j) order; the zeroed entries add an exact +0.0 to the margins
+        # and to the neighbouring rows they land on
+        gcols = (wf.T @ g2).reshape(c, kh * kw, n, h, width)
+        gxf = np.zeros(size + 2 * margin)
+        for t, (off, rows, columns) in enumerate(taps):
+            _zero_border(gcols[:, t], rows, columns)
+            block = gxf[off : off + size].reshape(x.shape)
+            block += gcols[:, t]
+        _accumulate(x, gxf[margin : margin + size].reshape(x.shape), owned=True)
 
     return _make(out, (x, w), "conv2d", bwd)
 
 
+def _past_edge(shift: int, length: int) -> slice | None:
+    """The positions along an axis of ``length`` that read padding when shifted by ``shift``."""
+    if shift > 0:
+        return slice(max(length - shift, 0), length)
+    if shift < 0:
+        return slice(0, min(-shift, length))
+    return None
+
+
+def _zero_border(tap: Array, rows: slice | None, columns: slice | None) -> None:
+    """Zero the given rows and columns of a (c, n, h, w) tap in place."""
+    if rows is not None:
+        tap[:, :, rows] = 0.0
+    if columns is not None:
+        tap[:, :, :, columns] = 0.0
+
+
 def avgpool2(x) -> Tensor:
-    """2x2 average pool with stride 2 over the spatial axes of NCHW input."""
+    """2x2 average pool with stride 2 over the last two (spatial) axes of a 4-D input.
+
+    The first two axes are not read, so NCHW and the conv trunk's channel-major CNHW
+    pool alike.
+    """
     x = coerce(x)
     if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
-        raise ShapeError(f"avgpool2 expects NCHW input with even height and width, got {x.shape}")
+        raise ShapeError(f"avgpool2 expects 4-D input with even height and width, got {x.shape}")
     v = x.data
     # the summation order of v.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), so the bits match
     out = ((v[:, :, 0::2, 0::2] + v[:, :, 0::2, 1::2]) + (v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2])) / 4

@@ -22,6 +22,7 @@ from .config import TrainConfig, parse_config_text, render_config_text
 from .data import (
     PairRecord,
     Vocab,
+    check_images,
     encode_batch,
     iter_batches,
     load_images,
@@ -327,7 +328,6 @@ def train(
             f"variant mismatch: train={train_cfg.variant!r} loss={loss_cfg.variant!r}"
         )
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     prompts = prompts or desk_prompts()
     image_size = image_cfg.image_size
 
@@ -340,7 +340,7 @@ def train(
     warmup_steps = math.ceil(train_cfg.warmup_epochs * steps_per_epoch)
 
     config_text = render_config_text(train_cfg, loss_cfg, image_cfg, text_cfg)
-    (run_dir / "config.resolved").write_text(config_text + "\n", encoding="utf-8")
+    check_images(train_records + val_records, image_size)
 
     metrics_path = run_dir / "metrics.log"
     final_path = run_dir / "final.ckpt"
@@ -355,6 +355,10 @@ def train(
         model, vocab, _, optimizer, queue, counters = load_training_checkpoint(resume_from, config_text)
         start_epoch, start_step = counters["epoch"], counters["step_in_epoch"]
         global_step, best_accuracy = counters["global_step"], counters["best_accuracy"]
+    # the inputs and the run state are checked, so the run directory is written from here on
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.resolved").write_text(config_text + "\n", encoding="utf-8")
+    if resume_from is not None:
         _cut_log(metrics_path, global_step, start_epoch)
     img_policy = ImageAugPolicy()
     txt_policy = TextAugPolicy(synonyms=default_synonyms())

@@ -72,21 +72,37 @@ def build_classifier(
     return np.stack(rows)
 
 
+# pixels per image block: 16 images at 32x32, so that a conv stage's activations and
+# im2col columns stay within the caches and below glibc's mmap threshold
+BLOCK_PIXELS = 16384
+
+
 def classify(images: np.ndarray, classifier: np.ndarray, model, batch_size: int = 64) -> np.ndarray:
-    """Argmax cosine score per image; ties resolve to the lowest class id."""
+    """Argmax cosine score per image; ties resolve to the lowest class id.
+
+    The image encoder runs over the fewest blocks of near-equal size (sizes differ by
+    at most one) that hold at most min(batch_size, BLOCK_PIXELS // (h*w)) images each,
+    so ``batch_size`` caps the images per encoder call. Near-equal blocks keep every
+    call on the same BLAS path: a one-image block would round differently.
+    """
     if classifier.ndim != 2:
         raise ContractError(f"classifier must be (K, D), got {classifier.shape}")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
+    count = images.shape[0]
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    cap = min(batch_size, max(1, BLOCK_PIXELS // (images.shape[-2] * images.shape[-1])))
     preds = []
-    for start in range(0, images.shape[0], batch_size):
-        chunk = T.Tensor(images[start : start + batch_size])
+    for block in np.array_split(images, -(-count // cap)):
         with T.no_grad():
-            pooled = model.encode_image(chunk).pooled.data
+            pooled = model.encode_image(T.Tensor(block)).pooled.data
         if pooled.shape[1] != classifier.shape[1]:
             raise ContractError(
                 f"embedding dim {pooled.shape[1]} does not match classifier dim {classifier.shape[1]}"
             )
         preds.append(np.argmax(pooled @ classifier.T, axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+    return np.concatenate(preds)
 
 
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:

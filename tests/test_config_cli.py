@@ -328,6 +328,28 @@ def test_resume_config_mismatch_exits_3(tmp_path, capsys, data_dir):
     assert "config" in capsys.readouterr().err
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("failure", ["images-of-another-size", "resume-config-mismatch"])
+def test_a_rerun_that_fails_leaves_the_run_directory_as_it_was(tmp_path, capsys, data_dir, failure):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out)] + micro_args(data_dir)) == 0
+    before = _files(out)
+    assert {"config.resolved", "metrics.log", "final.ckpt"} <= set(before)
+    if failure == "images-of-another-size":
+        data = tmp_path / "d32"
+        assert main(["synth", str(data), "--classes", "4", "--train", "8", "--val", "4", "--materialize"]) == 0
+        argv, code = ["train", "--out", str(out)] + micro_args(data, "train.seed=42"), 2
+    else:
+        argv = ["train", "--out", str(out), "--resume", str(out / "final.ckpt")]
+        argv, code = argv + micro_args(data_dir, "train.seed=42"), 3
+    capsys.readouterr()
+    assert main(argv) == code
+    assert _files(out) == before
+
+
 def _copy(micro_checkpoint, tmp_path):
     ckpt = tmp_path / "final.ckpt"
     shutil.copyfile(micro_checkpoint, ckpt)
@@ -644,6 +666,17 @@ def test_sweep_rejects_before_any_run_exits_2(tmp_path, capsys, monkeypatch, dat
     rc = main(["sweep", "--over", over, "--out", str(out)] + micro_args(data_dir))
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_images_of_a_later_runs_size_before_any_run_exits_2(tmp_path, capsys):
+    data = tmp_path / "d16"
+    assert main(["synth", str(data), "--classes", "4", "--train", "8", "--val", "4",
+                 "--image-size", "16", "--materialize"]) == 0
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(["sweep", "--over", "image.image_size=16,32", "--out", str(out)] + micro_args(data)) == 2
+    assert re.search(r"img_000000\.ff: image is 16x16, expected 32x32", capsys.readouterr().err)
     assert not out.exists()
 
 

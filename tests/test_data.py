@@ -14,6 +14,7 @@ from deskclip.data import (
     SyntheticSpec,
     Vocab,
     caption_for,
+    check_images,
     check_labels,
     class_name,
     class_names,
@@ -134,6 +135,25 @@ def test_load_image_rejects_a_file_of_another_size(tmp_path):
         load_image(PairRecord(str(p), "x"), image_size=32)
     write_farbfeld(p, np.zeros((3, 16, 16)))
     assert load_image(PairRecord(str(p), "x"), image_size=16).shape == (3, 16, 16)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: raw, "image is 12x16, expected 16x16"),
+    (lambda raw: raw[:-8], "expected 2064 bytes, found 2056"),
+    (lambda raw: b"notfarbf" + raw[8:], "not a farbfeld image"),
+    (lambda raw: raw[:10], "not a farbfeld image"),
+], ids=["another-size", "truncated", "bad-magic", "shorter-than-the-header"])
+def test_check_images_rejects_from_the_header_what_load_image_rejects(tmp_path, damage, message):
+    good, bad = tmp_path / "good.ff", tmp_path / "bad.ff"
+    write_farbfeld(good, np.zeros((3, 16, 16)))
+    write_farbfeld(bad, np.zeros((3, 16, 12)) if message.startswith("image is") else np.zeros((3, 16, 16)))
+    bad.write_bytes(damage(bad.read_bytes()))
+    records = [PairRecord(str(good), "x"), *generate_synthetic(2, 1, seed=0), PairRecord(str(bad), "y")]
+    check_images(records[:-1], 16)
+    with pytest.raises(ManifestError, match=re.escape(f"{bad}: {message}")):
+        check_images(records, 16)
+    with pytest.raises(ManifestError, match=re.escape(f"{bad}: {message}")):
+        load_image(records[-1], 16)
 
 
 # synthetic dataset ----------------------------------------------------------

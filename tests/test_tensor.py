@@ -565,14 +565,20 @@ def test_cross_entropy_grad():
 # conv2d ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("padding", [0, 1], ids=["unpadded", "padded"])
-def test_conv2d_weight_gradient_is_unchanged_for_a_constant_input(padding):
+def _channel_major(a):
+    """(n, c, h, w) as (c, n, h, w), contiguous."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
+# a 1x1 kernel is the "same" convolution that reads no padding
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3)], ids=["unpadded", "padded"])
+def test_conv2d_weight_gradient_is_unchanged_for_a_constant_input(kernel):
     rng = np.random.default_rng(17)
-    x_data, w_data = rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((4, 3, 3, 3))
+    x_data, w_data = rng.standard_normal((3, 2, 6, 6)), rng.standard_normal((4, 3, *kernel))
     grads = []
     for requires in (True, False):
         x, w = T.Tensor(x_data, requires_grad=requires), T.Tensor(w_data, requires_grad=True)
-        out = T.conv2d(x, w, padding=padding)
+        out = T.conv2d(x, w)
         T.backward(T.sum_(out * T.constant(np.cos(np.arange(out.size)).reshape(out.shape))))
         grads.append(w.grad)
     assert x.grad is None
@@ -580,69 +586,121 @@ def test_conv2d_weight_gradient_is_unchanged_for_a_constant_input(padding):
 
 
 def test_conv2d_known_value():
-    # 1x1 input channel, 2x2 ones kernel on a 3x3 ramp: windows sum
+    # one channel, one image, a 3x3 ramp with zero "same" padding
     x = T.constant(np.arange(9, dtype=float).reshape(1, 1, 3, 3))
-    w = T.constant(np.ones((1, 1, 2, 2)))
-    out = T.conv2d(x, w).data
-    assert np.array_equal(out[0, 0], [[8.0, 12.0], [20.0, 24.0]])
+    # a 3x3 ones kernel sums each window
+    out = T.conv2d(x, T.constant(np.ones((1, 1, 3, 3)))).data
+    assert np.array_equal(out[0, 0], [[8.0, 15.0, 12.0], [21.0, 36.0, 27.0], [20.0, 33.0, 24.0]])
+    # a 1x3 kernel weighs the left, centre and right neighbours by 1, 10 and 100
+    out = T.conv2d(x, T.constant(np.array([1.0, 10.0, 100.0]).reshape(1, 1, 1, 3))).data
+    assert np.array_equal(out[0, 0], [[100.0, 210.0, 21.0], [430.0, 543.0, 54.0], [760.0, 876.0, 87.0]])
 
 
 def test_conv2d_grad():
     rng = np.random.default_rng(18)
-    x = rand(rng, 2, 3, 6, 6)
-    w = rand(rng, 4, 3, 3, 3)
-    wt = T.constant(rng.standard_normal((2, 4, 4, 4)))
-    check(lambda: T.sum_(T.conv2d(x, w) * wt), [("x", x), ("w", w)], tol=5e-6)
-    # strided
-    wt2 = T.constant(rng.standard_normal((2, 4, 2, 2)))
-    check(lambda: T.sum_(T.conv2d(x, w, stride=2) * wt2), [("x", x), ("w", w)], tol=5e-6)
-    # padded
-    wt3 = T.constant(rng.standard_normal((2, 4, 6, 6)))
-    check(lambda: T.sum_(T.conv2d(x, w, padding=1) * wt3), [("x", x), ("w", w)], tol=5e-6)
+    x = rand(rng, 3, 2, 5, 6)
+    for kernel in ((3, 3), (3, 5), (5, 1)):
+        w = rand(rng, 4, 3, *kernel)
+        wt = T.constant(rng.standard_normal((4, 2, 5, 6)))
+        check(lambda: T.sum_(T.conv2d(x, w) * wt), [("x", x), ("w", w)], tol=5e-6)
 
 
-def _loop_conv2d(x, w, g, stride, padding):
-    """Output, input gradient and weight gradient of conv2d, one window at a time."""
-    n, c, h, width = x.shape
+def test_conv2d_rejects_what_it_does_not_compute():
+    x = T.constant(np.zeros((3, 2, 5, 5)))
+    with pytest.raises(ShapeError, match="odd kernels"):
+        T.conv2d(x, T.constant(np.zeros((4, 3, 2, 3))))
+    with pytest.raises(ShapeError, match="channel mismatch"):
+        T.conv2d(x, T.constant(np.zeros((4, 2, 3, 3))))
+    with pytest.raises(ShapeError, match="4-D"):
+        T.conv2d(T.constant(np.zeros((3, 5, 5))), T.constant(np.zeros((4, 3, 3, 3))))
+
+
+def _loop_conv2d(x, w, g):
+    """Output, input gradient and weight gradient of a channel-major "same" conv2d, one window at a time."""
+    c, n, h, width = x.shape
     f, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (width + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, f, oh, ow))
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out = np.zeros((f, n, h, width))
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
     for b in range(n):
         for k in range(f):
-            for i in range(oh):
-                for j in range(ow):
-                    rows = slice(i * stride, i * stride + kh)
-                    cols = slice(j * stride, j * stride + kw)
-                    out[b, k, i, j] = (xp[b, :, rows, cols] * w[k]).sum()
-                    gxp[b, :, rows, cols] += g[b, k, i, j] * w[k]
-                    gw[k] += g[b, k, i, j] * xp[b, :, rows, cols]
-    return out, gxp[:, :, padding : padding + h, padding : padding + width], gw
+            for i in range(h):
+                for j in range(width):
+                    window = xp[:, b, i : i + kh, j : j + kw]
+                    out[k, b, i, j] = (window * w[k]).sum()
+                    gxp[:, b, i : i + kh, j : j + kw] += g[k, b, i, j] * w[k]
+                    gw[k] += g[k, b, i, j] * window
+    return out, gxp[:, :, ph : ph + h, pw : pw + width], gw
 
 
 @pytest.mark.parametrize(
-    "xshape, wshape, stride, padding",
+    "xshape, wshape",
     [
-        ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1),  # stride and padding together
-        ((2, 3, 6, 7), (4, 3, 2, 3), 1, 0),  # non-square kernel
-        ((2, 3, 7, 8), (4, 3, 3, 2), 2, 1),  # both
-        ((2, 32, 5, 6), (4, 32, 3, 3), 1, 1),  # c*kh*kw = 288 as in the desk trunk's stage 1: a long inner sum
+        ((3, 2, 7, 6), (4, 3, 3, 5)),
+        ((3, 2, 5, 7), (4, 3, 1, 3)),
+        ((3, 2, 5, 3), (4, 3, 5, 1)),
+        ((2, 2, 3, 2), (3, 2, 5, 5)),  # the kernel overhangs the image on every side
+        ((32, 2, 5, 6), (4, 32, 3, 3)),  # c*kh*kw = 288 as in the desk trunk's stage 1: a long inner sum
     ],
+    ids=["3x5-on-7x6", "1x3-on-5x7", "5x1-on-5x3", "5x5-on-3x2", "3x3-c32"],
 )
-def test_conv2d_matches_loop_reference(xshape, wshape, stride, padding):
+def test_conv2d_matches_loop_reference(xshape, wshape):
     rng = np.random.default_rng(19)
     x = rand(rng, *xshape)
     w = rand(rng, *wshape)
-    out = T.conv2d(x, w, stride=stride, padding=padding)
+    out = T.conv2d(x, w)
     g = rng.standard_normal(out.shape)
     T.backward(T.sum_(out * T.constant(g)))
-    want_out, want_gx, want_gw = _loop_conv2d(x.data, w.data, g, stride, padding)
+    want_out, want_gx, want_gw = _loop_conv2d(x.data, w.data, g)
     np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(x.grad, want_gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-12)
+
+
+def _nchw_im2col_conv2d(x, w, g):
+    """Output, input gradient and weight gradient of an NCHW "same" conv2d: zero-padded input,
+    strided tap copies into channel-major columns, outputs transposed back to NCHW, col2im into
+    a padded (n, c, h + 2p, w + 2p) buffer. The channel-major conv2d must match it bit for bit.
+    """
+    n, c, h, width = x.shape
+    f, _, k, _ = w.shape
+    p = k // 2
+    xt = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, h, width))
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xt[:, :, i : i + h, j : j + width]
+    cols = cols.reshape(c * k * k, n * h * width)
+    wf = w.reshape(f, c * k * k)
+    out = np.ascontiguousarray((wf @ cols).reshape(f, n, h, width).transpose(1, 0, 2, 3))
+    g2 = g.transpose(1, 0, 2, 3).reshape(f, n * h * width)
+    gw = (g2 @ cols.T).reshape(w.shape)
+    gcols = (wf.T @ g2).reshape(c, k, k, n, h, width)
+    gxp = np.zeros((n, c, h + 2 * p, width + 2 * p))
+    gxt = gxp.transpose(1, 0, 2, 3)
+    for i in range(k):
+        for j in range(k):
+            gxt[:, :, i : i + h, j : j + width] += gcols[:, i, j]
+    return out, gxp[:, :, p : p + h, p : p + width], gw
+
+
+@pytest.mark.parametrize(
+    "c, f, side", [(3, 32, 32), (32, 64, 16), (64, 96, 8)], ids=["stage0", "stage1", "stage2"]
+)
+def test_conv2d_is_bitwise_the_nchw_im2col_at_the_desk_stage_shapes(c, f, side):
+    rng = np.random.default_rng(23)
+    x_data = rng.standard_normal((64, c, side, side))
+    w = T.Tensor(rng.standard_normal((f, c, 3, 3)), requires_grad=True)
+    g = rng.standard_normal((64, f, side, side))
+    x = T.Tensor(_channel_major(x_data), requires_grad=True)
+    out = T.conv2d(x, w)
+    T.backward(T.sum_(out * T.constant(_channel_major(g))))
+    want_out, want_gx, want_gw = _nchw_im2col_conv2d(x_data, w.data, g)
+    assert np.array_equal(out.data, _channel_major(want_out))
+    assert np.array_equal(x.grad, _channel_major(want_gx))
+    assert np.array_equal(w.grad, want_gw)
 
 
 def test_avgpool2_is_bitwise_the_reshaped_mean():

@@ -3,7 +3,7 @@ import pytest
 
 from deskclip import tensor as T
 from deskclip.data import Vocab, class_names, encode_batch, generate_synthetic, load_images
-from deskclip.encoders import TextConfig, VitConfig
+from deskclip.encoders import ConvConfig, TextConfig, VitConfig
 from deskclip.errors import ConfigError, ContractError
 from deskclip.trainer import TrainConfig, build_model
 from deskclip.zeroshot import (
@@ -18,6 +18,7 @@ from deskclip.zeroshot import (
 )
 
 MICRO_IMAGE = VitConfig(image_size=16, patch_size=8, width=16, depth=1, heads=2, embed_dim=16)
+MICRO_CONV = ConvConfig(image_size=16, stage_channels=(4, 8), embed_dim=16)
 MICRO_TEXT = TextConfig(vocab_size=64, context_length=12, width=16, depth=1, heads=2, embed_dim=16)
 
 
@@ -142,6 +143,55 @@ def test_classify_validates_shapes():
         classify(np.zeros((1, 2, 1, 1)), np.zeros(3), model)
     with pytest.raises(ContractError):
         classify(np.zeros((1, 4, 1, 1)), np.zeros((2, 3)), model)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_classify_rejects_a_batch_size_below_1(batch_size):
+    with pytest.raises(ContractError, match=f"batch_size must be at least 1, got {batch_size}"):
+        classify(np.zeros((3, 2, 1, 1)), np.eye(2), StubModel([]), batch_size)
+
+
+def _block_spy(monkeypatch, model):
+    """The image batches ``model.encode_image`` is called with, and each call's pooled rows."""
+    calls = []
+    encode_image = type(model).encode_image
+
+    def spy(self, images):
+        out = encode_image(self, images)
+        calls.append((images.shape[0], out.pooled.data))
+        return out
+
+    monkeypatch.setattr(type(model), "encode_image", spy)
+    return calls
+
+
+@pytest.mark.parametrize("batch_size, cap", [(64, 16), (16, 16), (10, 10), (7, 7), (1, 1)])
+def test_classify_blocks_are_near_equal_and_within_the_cap(monkeypatch, batch_size, cap):
+    # 32x32 images: BLOCK_PIXELS holds 16 of them, so batch_size caps a block only below that
+    images = np.zeros((200, 3, 32, 32))
+    model = StubModel([])
+    calls = _block_spy(monkeypatch, model)
+    classify(images, np.eye(2, 3 * 32 * 32), model, batch_size)
+    sizes = [size for size, _ in calls]
+    assert sum(sizes) == 200 and len(sizes) == -(-200 // cap)
+    assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("encoder", ["conv", "vit"])
+def test_classify_blocks_equal_one_full_batch_forward(monkeypatch, micro_vocab, encoder):
+    image_cfg = MICRO_CONV if encoder == "conv" else MICRO_IMAGE
+    model = build_model(TrainConfig(variant="clip", image_encoder=encoder, seed=2), image_cfg, MICRO_TEXT)
+    images = load_images(generate_synthetic(num_classes=8, per_class=6, seed=7), 16)
+    classifier = build_classifier(class_names(8), desk_prompts(), model, micro_vocab, MICRO_TEXT.context_length)
+    with T.no_grad():
+        full = model.encode_image(T.Tensor(images)).pooled.data
+    calls = _block_spy(monkeypatch, model)
+    for batch_size in (64, 40, 16, 3):
+        calls.clear()
+        predictions = classify(images, classifier, model, batch_size)
+        assert np.array_equal(predictions, np.argmax(full @ classifier.T, axis=1)), batch_size
+        assert len(calls) == -(-48 // batch_size)
+        assert np.array_equal(np.concatenate([pooled for _, pooled in calls]), full), batch_size
 
 
 def test_top1_accuracy_basic():
