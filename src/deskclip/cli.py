@@ -50,35 +50,29 @@ def _require_file(path: str, what: str) -> str:
 
 
 def _load_prompts(path: str) -> PromptSet:
-    if not path:
-        return desk_prompts()
-    if not Path(path).is_file():
-        raise ConfigError(f"prompt file not found: {path}")
-    return PromptSet.load(path)
+    return PromptSet.load(_require_file(path, "prompt file")) if path else desk_prompts()
 
 
-def _read_class_names(path: str) -> list[str]:
-    if not Path(path).is_file():
-        raise ConfigError(f"classes file not found: {path}")
-    names = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    names = [n for n in names if n]
+def _read_labelled_split(manifest: str, classes: str) -> tuple[list[PairRecord], list[str]]:
+    """A manifest's records and the class names its labels index, both checked."""
+    records = read_manifest(manifest)
+    text = Path(_require_file(classes, "classes file")).read_text(encoding="utf-8")
+    names = [n for n in (line.strip() for line in text.splitlines()) if n]
     if not names:
-        raise ConfigError(f"classes file is empty: {path}")
-    return names
+        raise ConfigError(f"classes file is empty: {classes}")
+    check_labels(records, len(names), manifest)
+    return records, names
 
 
 def _gather_run_inputs(cfg: RunConfig):
     if not cfg.data.train_manifest:
         raise ConfigError("data.train_manifest is required")
     train_records = read_manifest(cfg.data.train_manifest)
-    val_records: list[PairRecord] = []
-    names: list[str] = []
+    val_records, names = [], []
     if cfg.data.val_manifest:
-        val_records = read_manifest(cfg.data.val_manifest)
         if not cfg.data.classes_file:
             raise ConfigError("data.classes_file is required when a validation manifest is set")
-        names = _read_class_names(cfg.data.classes_file)
-        check_labels(val_records, len(names), cfg.data.val_manifest)
+        val_records, names = _read_labelled_split(cfg.data.val_manifest, cfg.data.classes_file)
     check_images(train_records + val_records, cfg.image.image_size)
     return train_records, val_records, names, _load_prompts(cfg.data.prompts_file)
 
@@ -121,9 +115,7 @@ def _print_result(result: TrainResult) -> None:
 def cmd_eval(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
-    records = read_manifest(args.manifest)
-    names = _read_class_names(args.classes)
-    check_labels(records, len(names), args.manifest)
+    records, names = _read_labelled_split(args.manifest, args.classes)
     prompts = _load_prompts(args.prompts)
     model, vocab, (_, _, image_cfg, text_cfg) = load_model_for_eval(
         _require_file(args.checkpoint, "checkpoint")

@@ -107,9 +107,11 @@ def build_run_config(raw_sections: dict[str, dict[str, str]]) -> RunConfig:
     train_map = dict(raw_sections.get("train", {}))
     loss_map = dict(raw_sections.get("loss", {}))
     train = _build_dataclass(TrainConfig, train_map, "train")
-    # the variant is stated once, under [train]; [loss] may override explicitly
+    # the variant is stated once, under [train]; a [loss] variant may only repeat it
     loss_map.setdefault("variant", train.variant)
     loss = _build_dataclass(LossConfig, loss_map, "loss")
+    if loss.variant != train.variant:
+        raise ConfigError(f"variant mismatch: train={train.variant!r} loss={loss.variant!r}")
     image = _build_dataclass(_image_class(train.image_encoder), raw_sections.get("image", {}), "image")
     text = _build_dataclass(TextConfig, raw_sections.get("text", {}), "text")
     data = _build_dataclass(DataConfig, raw_sections.get("data", {}), "data")

@@ -116,9 +116,8 @@ class EmbeddingSet:
     ``mask[n, t]`` marks which slots of ``tokens`` are real. The token axis
     is the same for every row but not fixed across batches: the text
     encoder makes it as wide as the batch's longest sequence, not its
-    context length. ``overlapping_receptive_fields`` is True when
-    neighbouring tokens saw overlapping input regions (convolutional
-    trunks), which matters for interpreting token-wise similarity maps.
+    context length. A masked slot still holds a row, computed like the real
+    ones; consumers must keep it out of every reduction.
 
     ``tokens`` may be given as a Tensor or as a zero-argument builder of
     one. A builder runs the first time ``tokens`` is read, under the tape
@@ -135,11 +134,9 @@ class EmbeddingSet:
         pooled: Tensor,                            # (N, D)
         tokens: Tensor | Callable[[], Tensor],     # (N, T, D)
         mask: np.ndarray,                          # (N, T) bool
-        overlapping_receptive_fields: bool = False,
     ):
         self.pooled = pooled
         self.mask = mask
-        self.overlapping_receptive_fields = overlapping_receptive_fields
         if isinstance(tokens, Tensor):
             self._tokens, self._builder = tokens, None
         else:
@@ -202,10 +199,7 @@ class VitEncoder(Module):
         pooled, every_row = pooled_tower(self.blocks, x, np.zeros(n, dtype=np.int64))
         pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
         mask = np.ones((n, cfg.num_patches), dtype=bool)
-        return EmbeddingSet(
-            pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()[:, 1:]))), mask,
-            overlapping_receptive_fields=False,
-        )
+        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()[:, 1:]))), mask)
 
 
 class ConvEncoder(Module):
@@ -216,7 +210,9 @@ class ConvEncoder(Module):
     takes and returns it, ``gelu`` and ``avgpool2`` do not depend on it), and
     the final grid is transposed to (N, cells, C) once on the way out.
     Tokens are the final grid cells, pooled is the global average. The
-    receptive fields of neighbouring cells overlap, and the set flags that.
+    receptive fields of neighbouring cells overlap, so their token-wise
+    matches are correlated; ``trainer.compute_step_loss`` warns when a
+    variant aligns them.
     """
 
     def __init__(self, cfg: ConvConfig, rng: np.random.Generator):
@@ -244,7 +240,7 @@ class ConvEncoder(Module):
         cells = T.transpose(T.reshape(x, (c, n, gh * gw)), (1, 2, 0))  # (n, cells, c)
         pooled = T.l2_normalize(self.proj(T.mean(cells, axis=1)))
         mask = np.ones((n, gh * gw), dtype=bool)
-        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(cells)), mask, overlapping_receptive_fields=True)
+        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(cells)), mask)
 
 
 class TextEncoder(Module):
@@ -252,7 +248,8 @@ class TextEncoder(Module):
 
     Attention is bidirectional (not causal) so the same trunk can score
     masked-token reconstruction; padding positions are masked out of every
-    attention row. Per-token output covers non-padding positions.
+    attention row. Per-token output has a row at every position; ``mask``
+    hides the padding rows, which are ordinary trunk rows.
 
     Ids come in as (N, context_length), but the trunk runs only over the
     batch's longest sequence: trailing columns that are padding in every
@@ -318,15 +315,7 @@ class TextEncoder(Module):
         x, bias = self._embedded(ids)
         pooled, every_row = pooled_tower(self.blocks, x, eot, bias)
         pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
-        mask = ids != PAD_ID
-
-        def tokens() -> Tensor:
-            # padding slots get a constant stand-in so normalization cannot hit a
-            # zero norm there; the mask excludes them from every consumer
-            keep = T.constant(mask[:, :, None].astype(np.float64))
-            return T.l2_normalize(self.proj(self.ln_final(every_row())) * keep + (T.constant(1.0) - keep))
-
-        return EmbeddingSet(pooled, tokens, mask, overlapping_receptive_fields=False)
+        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()))), ids != PAD_ID)
 
     def mlm_logits(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
         """Vocabulary logits at (row, col) positions: (P, vocab_size)."""

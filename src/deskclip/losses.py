@@ -21,8 +21,6 @@ the composite can always be re-derived from its parts.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -421,20 +419,17 @@ def neighbor_supervision_loss(
 # token-wise alignment --------------------------------------------------------------
 
 
-def select_topk_tokens(tokens: np.ndarray, scores: np.ndarray, fraction: float) -> np.ndarray:
-    """Indices of the ceil(fraction * n) highest-scoring tokens, in ascending order.
+def _penalty(keep: np.ndarray) -> np.ndarray | None:
+    """MASK_PENALTY where ``keep`` is False and 0 elsewhere; None when nothing is masked."""
+    return None if keep.all() else np.where(keep, 0.0, MASK_PENALTY)
 
-    At least one token survives; score ties keep the lower index.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ContractError(f"fraction must lie in (0, 1], got {fraction}")
-    scores = np.asarray(scores, dtype=np.float64)
-    n = len(tokens)
-    if scores.shape != (n,):
-        raise ShapeError(f"scores shape {scores.shape} does not match {n} tokens")
-    k = max(1, math.ceil(fraction * n))
-    ranked = np.argsort(-scores, kind="stable")[:k]
-    return np.sort(ranked)
+
+def _top_fraction(scores: np.ndarray, mask: np.ndarray, fraction: float) -> np.ndarray:
+    """Per row, the max(1, ceil(fraction * unmasked)) best-scoring unmasked slots; ties keep the lower index."""
+    order = np.argsort(np.where(mask, -scores, np.inf), axis=1, kind="stable")  # masked slots last
+    rank = np.argsort(order, axis=1)
+    quota = np.maximum(1, np.ceil(fraction * mask.sum(axis=1)))
+    return (rank < quota[:, None]) & mask
 
 
 def _reduce_token_masks(
@@ -447,21 +442,13 @@ def _reduce_token_masks(
 
     A token's score is its best similarity against every unmasked token of
     the other modality anywhere in the batch, mirroring the selection used
-    to cut communication cost at scale.
+    to cut communication cost at scale; ``_top_fraction`` keeps the best of
+    every sample's unmasked tokens for the whole batch at once.
     """
-    n, n1, _, n2 = sims4.shape
-    txt_pen = np.where(txt_mask, 0.0, MASK_PENALTY)[None, None]
-    img_pen = np.where(img_mask, 0.0, MASK_PENALTY)[:, :, None, None]
-    img_scores = (sims4 + txt_pen).max(axis=(2, 3))  # (n, n1)
-    txt_scores = (sims4 + img_pen).max(axis=(0, 1))  # (n, n2)
-    new_img = np.zeros_like(img_mask)
-    new_txt = np.zeros_like(txt_mask)
-    for i in range(n):
-        for mask, scores, out in ((img_mask, img_scores, new_img), (txt_mask, txt_scores, new_txt)):
-            valid = np.flatnonzero(mask[i])
-            kept = select_topk_tokens(valid, scores[i, valid], fraction)
-            out[i, valid[kept]] = True
-    return new_img, new_txt
+    txt_pen, img_pen = _penalty(txt_mask), _penalty(img_mask)
+    img_scores = (sims4 if txt_pen is None else sims4 + txt_pen[None, None]).max(axis=(2, 3))        # (n, n1)
+    txt_scores = (sims4 if img_pen is None else sims4 + img_pen[:, :, None, None]).max(axis=(0, 1))  # (n, n2)
+    return _top_fraction(img_scores, img_mask, fraction), _top_fraction(txt_scores, txt_mask, fraction)
 
 
 def tokenwise_alignment_loss(
@@ -473,15 +460,11 @@ def tokenwise_alignment_loss(
     """Batch contrastive loss on token-wise maximum similarity scores.
 
     Both directions build an N x N score matrix from per-token matches and
-    apply the usual matching cross-entropy; the two are averaged. Warns
-    when the image tokens come from overlapping receptive fields.
+    apply the usual matching cross-entropy; the two are averaged. Masked
+    tokens take part in neither the maxima nor the means.
     """
-    if img.overlapping_receptive_fields:
-        warnings.warn(
-            "token-wise alignment over overlapping receptive fields: neighbouring "
-            "image tokens share input pixels, so per-token matches are correlated",
-            stacklevel=2,
-        )
+    if not 0.0 < token_fraction <= 1.0:
+        raise ContractError(f"token_fraction must lie in (0, 1], got {token_fraction}")
     n = img.tokens.shape[0]
     if txt.tokens.shape[0] != n:
         raise ContractError(f"batch mismatch: {n} images vs {txt.tokens.shape[0]} texts")
@@ -498,20 +481,18 @@ def tokenwise_alignment_loss(
     if token_fraction < 1.0:
         img_mask, txt_mask = _reduce_token_masks(sims4.data, img_mask, txt_mask, token_fraction)
 
-    txt_pen = T.constant(np.where(txt_mask, 0.0, MASK_PENALTY)[None, None])    # (1,1,N,n2)
-    # with every image token kept (ViT, or conv at token fraction 1) the penalty is all
-    # zeros, and adding it would only copy sims4
-    img_pen = None
-    if not img_mask.all():
-        img_pen = T.constant(np.where(img_mask, 0.0, MASK_PENALTY)[:, :, None, None])  # (N,n1,1,1)
+    # an all-kept side adds no penalty: adding zeros would only copy sims4
+    txt_pen, img_pen = _penalty(txt_mask), _penalty(img_mask)
     img_keep = T.constant(img_mask.astype(np.float64)[:, :, None])             # (N,n1,1)
     txt_keep = T.constant(txt_mask.astype(np.float64)[None])                   # (1,N,n2)
     img_counts = T.constant(img_mask.sum(axis=1).astype(np.float64)[:, None])  # (N,1)
     txt_counts = T.constant(txt_mask.sum(axis=1).astype(np.float64)[None])     # (1,N)
 
-    best_txt = T.max_(sims4 + txt_pen, axis=3)                      # (N, n1, N)
+    masked = sims4 if txt_pen is None else sims4 + T.constant(txt_pen[None, None])
+    best_txt = T.max_(masked, axis=3)                               # (N, n1, N)
     image_side = T.sum_(best_txt * img_keep, axis=1) / img_counts   # (N, N): image i vs text j
-    best_img = T.max_(sims4 if img_pen is None else sims4 + img_pen, axis=1)  # (N, N, n2)
+    masked = sims4 if img_pen is None else sims4 + T.constant(img_pen[:, :, None, None])
+    best_img = T.max_(masked, axis=1)                               # (N, N, n2)
     text_side = T.sum_(best_img * txt_keep, axis=2) / txt_counts    # (N, N): image i vs text j
 
     targets = np.arange(n)

@@ -10,6 +10,7 @@ checkpoint resume continues the interrupted trajectory bitwise.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,6 +168,9 @@ def compute_step_loss(
             img_set.pooled, txt_set.pooled, queue, temperature
         )
     if "token_align" in weights:
+        if isinstance(model.image, ConvEncoder):
+            warnings.warn("token-wise alignment over overlapping receptive fields: neighbouring image "
+                          "tokens share input pixels, so per-token matches are correlated", stacklevel=2)
         terms["token_align"] = tokenwise_alignment_loss(
             img_set, txt_set, temperature, loss_cfg.filip_token_fraction
         )
@@ -315,8 +319,8 @@ def train(
 ) -> TrainResult:
     """Run the configured variant; see TrainResult for what comes back.
 
-    ``stop_after_steps`` ends the invocation early after that many
-    optimizer steps (counters land in the checkpoint, so a later call with
+    ``stop_after_steps`` (at least 1) ends the invocation early after that
+    many optimizer steps (counters land in the checkpoint, so a later call with
     ``resume_from`` picks up exactly where this one stopped). It is not
     part of the run's config: interrupted and uninterrupted runs share one
     config identity.
@@ -327,6 +331,8 @@ def train(
         raise ConfigError(
             f"variant mismatch: train={train_cfg.variant!r} loss={loss_cfg.variant!r}"
         )
+    if stop_after_steps is not None and stop_after_steps < 1:
+        raise ConfigError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
     run_dir = Path(run_dir)
     prompts = prompts or desk_prompts()
     image_size = image_cfg.image_size

@@ -93,8 +93,10 @@ def test_conv_encoder_switches_image_section():
 def test_variant_propagates_from_train_to_loss():
     cfg = load_run_config(overrides=["train.variant=slip"])
     assert cfg.loss.variant == "slip"
-    explicit = load_run_config(overrides=["train.variant=slip", "loss.variant=clip"])
-    assert explicit.loss.variant == "clip"  # explicit statement wins
+    explicit = load_run_config(overrides=["train.variant=slip", "loss.variant=slip"])
+    assert explicit.loss.variant == "slip"  # [loss] may repeat the variant
+    with pytest.raises(ConfigError, match="variant mismatch: train='slip' loss='clip'"):
+        load_run_config(overrides=["train.variant=slip", "loss.variant=clip"])
 
 
 def test_later_override_wins():
@@ -164,6 +166,23 @@ def test_validate_only(capsys, data_dir):
     rc = main(["train", "--validate-only"] + micro_args(data_dir))
     assert rc == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_validate_only_rejects_a_loss_variant_other_than_the_train_one_exits_2(capsys, data_dir):
+    rc = main(["train", "--validate-only"] + micro_args(data_dir, "loss.variant=slip"))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "config ok" not in captured.out
+    assert "variant mismatch: train='clip' loss='slip'" in captured.err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_stop_after_steps_below_1_exits_2_before_any_write(tmp_path, capsys, data_dir, steps):
+    out = tmp_path / "run"
+    rc = main(["train", "--out", str(out), "--stop-after-steps", steps] + micro_args(data_dir))
+    assert rc == 2
+    assert f"stop_after_steps must be at least 1, got {steps}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_variant_exits_2_listing_valid(capsys):
@@ -658,8 +677,9 @@ def test_sweep_over_variants_trains_each_as_train_would(tmp_path, capsys, data_d
     ("data.prompts_file=desk.txt,sub/desk.txt", "not a directory name"),
     ("data.prompts_file=..", "not a directory name"),
     ("data.classes_file=classes.txt,missing.txt", "classes file not found"),
+    ("loss.variant=clip,slip", "variant mismatch: train='clip' loss='slip'"),
 ], ids=["unknown-key", "bad-value", "empty-list", "no-equals-sign", "duplicate", "path-separator",
-        "parent-directory", "missing-input-of-a-later-run"])
+        "parent-directory", "missing-input-of-a-later-run", "loss-variant-of-a-later-run"])
 def test_sweep_rejects_before_any_run_exits_2(tmp_path, capsys, monkeypatch, data_dir, over, message):
     monkeypatch.chdir(data_dir)  # relative classes files resolve against the data directory
     out = tmp_path / "sweep"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from deskclip import tensor as T
-from deskclip.encoders import EmbeddingSet, TextEncoder
+from deskclip.encoders import ConvConfig, ConvEncoder, EmbeddingSet, TextEncoder
 from deskclip.errors import ConfigError, ContractError, ShapeError
 from deskclip.losses import (
     LossConfig,
     NNQueue,
+    _reduce_token_masks,
     clip_loss,
     combine_terms,
     info_nce,
@@ -21,7 +23,6 @@ from deskclip.losses import (
     neighbor_supervision_loss,
     nt_xent_loss,
     paired_nce,
-    select_topk_tokens,
     tokenwise_alignment_loss,
 )
 from deskclip.tensor import Tensor
@@ -36,7 +37,7 @@ def embset(pooled, tokens, mask=None):
     tokens = np.asarray(tokens)
     if mask is None:
         mask = np.ones(tokens.shape[:2], dtype=bool)
-    return EmbeddingSet(Tensor(pooled), Tensor(tokens), mask, overlapping_receptive_fields=False)
+    return EmbeddingSet(Tensor(pooled), Tensor(tokens), mask)
 
 
 # analytic fixtures -----------------------------------------------------------
@@ -207,14 +208,19 @@ def test_alignment_loss_penalizes_image_tokens_only_when_masked():
     txt_mask = np.ones((3, 5), dtype=bool)
     txt_mask[1, 3:] = False
     full = np.ones((3, 4), dtype=bool)
-    img = EmbeddingSet(Tensor(unit(rng, 3, 6)), Tensor(img_tokens, requires_grad=True), full, False)
+    img = EmbeddingSet(Tensor(unit(rng, 3, 6)), Tensor(img_tokens, requires_grad=True), full)
     txt = embset(unit(rng, 3, 6), txt_tokens, txt_mask)
     loss = tokenwise_alignment_loss(img, txt, 0.4)
     assert _four_d_adds(loss) == 1  # the text penalty; an all-zero image penalty is not added
     assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, txt_mask, 0.4)) <= 1e-10
+    # nor an all-zero text penalty, when every caption is as wide as the longest
+    full_txt = np.ones((3, 5), dtype=bool)
+    loss = tokenwise_alignment_loss(img, embset(txt.pooled.data, txt_tokens), 0.4)
+    assert _four_d_adds(loss) == 0
+    assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, full_txt, 0.4)) <= 1e-10
     img_mask = full.copy()
     img_mask[2, 1] = False
-    img = EmbeddingSet(img.pooled, img.tokens, img_mask, False)
+    img = EmbeddingSet(img.pooled, img.tokens, img_mask)
     loss = tokenwise_alignment_loss(img, txt, 0.4)
     assert _four_d_adds(loss) == 2
     assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, 0.4)) <= 1e-10
@@ -236,34 +242,81 @@ def test_single_token_alignment_equals_clip():
     assert abs(aligned - paired) <= 1e-12
 
 
-def test_filip_warns_on_overlapping_fields():
+def test_alignment_loss_itself_does_not_warn_on_conv_tokens():
+    # the overlapping-receptive-field warning belongs to the step function, which knows the trunk
+    enc = ConvEncoder(ConvConfig(image_size=8, stage_channels=(2,), embed_dim=4), np.random.default_rng(15))
+    img = enc(Tensor(np.random.default_rng(16).uniform(0, 1, (2, 3, 8, 8))))
+    txt = embset(img.pooled.data, img.pooled.data[:, None, :])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(tokenwise_alignment_loss(img, txt, 0.5, token_fraction=0.5).item())
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.25, 1.5, float("nan")])
+def test_alignment_loss_rejects_a_token_fraction_outside_the_unit_interval(fraction):
     rng = np.random.default_rng(15)
-    pooled = unit(rng, 2, 4)
-    tokens = Tensor(unit(rng, 2, 3, 4))
-    img = EmbeddingSet(Tensor(pooled), tokens, np.ones((2, 3), dtype=bool),
-                       overlapping_receptive_fields=True)
-    txt = embset(pooled, pooled[:, None, :])
-    with pytest.warns(UserWarning):
-        tokenwise_alignment_loss(img, txt, 0.5)
+    img = embset(unit(rng, 2, 4), unit(rng, 2, 3, 4))
+    with pytest.raises(ContractError, match="token_fraction"):
+        tokenwise_alignment_loss(img, img, 0.5, token_fraction=fraction)
 
 
-def test_select_topk_quarter_of_four_keeps_one():
-    tokens = np.arange(8.0).reshape(4, 2)
-    kept = select_topk_tokens(tokens, np.array([0.1, 0.9, 0.3, 0.2]), 0.25)
-    assert kept.tolist() == [1]
-    assert np.array_equal(tokens[kept], tokens[1:2])
+def loop_token_masks(sims4, img_mask, txt_mask, fraction):
+    """The per-sample top-k selection, one sample and one modality at a time."""
+    img_scores = np.where(txt_mask[None, None], sims4, -np.inf).max(axis=(2, 3))
+    txt_scores = np.where(img_mask[:, :, None, None], sims4, -np.inf).max(axis=(0, 1))
+    new_img, new_txt = np.zeros_like(img_mask), np.zeros_like(txt_mask)
+    for mask, scores, out in ((img_mask, img_scores, new_img), (txt_mask, txt_scores, new_txt)):
+        for i in range(len(mask)):
+            valid = np.flatnonzero(mask[i])
+            k = max(1, math.ceil(fraction * len(valid)))
+            ranked = np.argsort(-scores[i, valid], kind="stable")[:k]
+            out[i, valid[ranked]] = True
+    return new_img, new_txt
 
 
-def test_select_topk_tie_prefers_lower_index():
-    tokens = np.arange(6.0).reshape(3, 2)
-    kept = select_topk_tokens(tokens, np.array([0.5, 0.5, 0.5]), 0.3)
-    assert kept.tolist() == [0]
+def _one_sample_masks(img_scores, fraction, img_mask=None):
+    """(img, txt) masks kept for one image whose tokens score ``img_scores`` against a one-token text."""
+    sims4 = np.asarray(img_scores, dtype=np.float64)[None, :, None, None]
+    img_mask = np.ones(sims4.shape[:2], dtype=bool) if img_mask is None else np.asarray(img_mask)
+    return _reduce_token_masks(sims4, img_mask, np.ones((1, 1), dtype=bool), fraction)
 
 
-def test_select_topk_preserves_order():
-    tokens = np.arange(10.0).reshape(5, 2)
-    kept = select_topk_tokens(tokens, np.array([5.0, 1.0, 4.0, 3.0, 2.0]), 0.6)
-    assert kept.tolist() == sorted(kept.tolist()) == [0, 2, 3]
+def test_token_selection_quarter_of_four_keeps_one():
+    kept, txt = _one_sample_masks([0.1, 0.9, 0.3, 0.2], 0.25)
+    assert kept.tolist() == [[False, True, False, False]]
+    assert txt.tolist() == [[True]]  # a lone token always survives
+    kept, _ = _one_sample_masks([0.1, 0.9, 0.3, 0.2], 0.01)
+    assert kept.sum() == 1
+
+
+def test_token_selection_tie_prefers_lower_index():
+    kept, _ = _one_sample_masks([0.5, 0.5, 0.5], 0.3)
+    assert kept.tolist() == [[True, False, False]]
+    kept, _ = _one_sample_masks([0.2, 0.5, 0.5, 0.5], 0.5)
+    assert kept.tolist() == [[False, True, True, False]]
+
+
+def test_token_selection_keeps_the_best_scores_wherever_they_are_and_never_a_masked_slot():
+    kept, _ = _one_sample_masks([5.0, 1.0, 4.0, 3.0, 2.0], 0.6)
+    assert np.flatnonzero(kept[0]).tolist() == [0, 2, 3]
+    # a masked slot is never kept, however well it scores, and the quota counts real slots only
+    kept, _ = _one_sample_masks([9.0, 1.0, 4.0, 3.0, 2.0], 0.5, [[False, True, True, True, True]])
+    assert np.flatnonzero(kept[0]).tolist() == [2, 3]
+
+
+def test_token_selection_equals_the_per_sample_loop():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        n, n1, n2 = (int(v) for v in rng.integers(1, 6, size=3))
+        # a coarse grid of scores makes ties common
+        sims4 = rng.integers(-3, 4, size=(n, n1, n, n2)) / 4.0
+        img_mask = np.arange(n1) < rng.integers(1, n1 + 1, size=(n, 1))
+        txt_mask = np.arange(n2) < rng.integers(1, n2 + 1, size=(n, 1))
+        fraction = float(rng.choice([0.01, 0.2, 1 / 3, 0.5, 0.75, 1.0]))
+        got = _reduce_token_masks(sims4, img_mask, txt_mask, fraction)
+        want = loop_token_masks(sims4, img_mask, txt_mask, fraction)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].any(axis=1).all() and got[1].any(axis=1).all()
 
 
 def test_alignment_loss_fraction_keeps_graph_consistent():

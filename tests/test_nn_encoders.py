@@ -107,7 +107,6 @@ def test_vit_embeddings_are_unit_norm():
     assert out.tokens.shape == (2, 4, 8)  # 2x2 patch grid, class token excluded
     norms = np.linalg.norm(out.tokens.data, axis=2)
     assert np.allclose(norms, 1.0, atol=1e-9)
-    assert not out.overlapping_receptive_fields
     assert out.mask.all()
 
 
@@ -223,7 +222,7 @@ def test_conv_encoder_shapes_and_flag():
     assert out.pooled.shape == (2, 8)
     final_grid = cfg.image_size // 2 ** len(cfg.stage_channels)
     assert out.tokens.shape == (2, final_grid**2, 8)
-    assert out.overlapping_receptive_fields
+    assert out.mask.shape == (2, final_grid**2) and out.mask.all()  # every cell is a real token
 
 
 def test_conv_lazy_tokens_equal_eager_ones_bit_for_bit():
@@ -333,8 +332,7 @@ def test_text_lazy_tokens_equal_eager_ones_bit_for_bit():
     weights = T.constant(np.random.default_rng(5).standard_normal((2, 6, 8)))
     out = enc(ids)
     hidden = enc.forward_hidden(ids)
-    keep = T.constant(out.mask[:, :, None].astype(np.float64))
-    eager_tokens = T.l2_normalize(enc.proj(hidden) * keep + (T.constant(1.0) - keep))
+    eager_tokens = T.l2_normalize(enc.proj(hidden))  # padding rows included; the mask hides them
     assert np.array_equal(out.tokens.data, eager_tokens.data)
     got, want = _grads(enc, T.sum_(out.tokens * weights)), _grads(enc, T.sum_(eager_tokens * weights))
     assert got.keys() == want.keys()
@@ -355,8 +353,7 @@ def test_text_pooled_tower_matches_the_unsplit_reference(depth):
     # every block, the last one too, over all rows; then the end-of-text rows
     hidden = enc.forward_hidden(ids)
     want_pooled = T.l2_normalize(enc.proj(T.select_positions(hidden, [3, 5, 7])))
-    keep = T.constant(out.mask[:, :, None].astype(np.float64))
-    want_tokens = T.l2_normalize(enc.proj(hidden) * keep + (T.constant(1.0) - keep))
+    want_tokens = T.l2_normalize(enc.proj(hidden))
     np.testing.assert_allclose(out.pooled.data, want_pooled.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(out.tokens.data, want_tokens.data, rtol=0, atol=1e-12)
     got, want = _grads(enc, loss(out.pooled, out.tokens)), _grads(enc, loss(want_pooled, want_tokens))

@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from deskclip import tensor as T
 from deskclip.errors import ContractError, DegenerateInputError, ShapeError
-from deskclip.gradcheck import gradient_report, numeric_gradient, relative_error
+from deskclip.gradcheck import five_point_gradient, gradient_report, numeric_gradient, relative_error
 
 TOL = 1e-6
 
@@ -828,6 +828,19 @@ def test_numeric_gradient_matches_closed_form():
     x = T.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     num = numeric_gradient(lambda: T.sum_(x**2.0), x)
     assert np.allclose(num, [2.0, 4.0, 6.0], atol=1e-8)
+
+
+def test_gradient_report_keeps_the_closer_of_two_finite_differences():
+    # small slopes on a large value: a central difference at 1e-5 is mostly round-off there
+    x = T.Tensor(np.array([0.3, -1.7, 2.2]), requires_grad=True)
+    w = T.constant(np.array([3.6e-4, -2.0e-4, 5.0e-4]))
+    offset = T.constant(300.0)
+    assert relative_error(w.data, numeric_gradient(lambda: T.sum_(x * w) + offset, x)) > TOL
+    check(lambda: T.sum_(x * w) + offset, [("x", x)])
+    # a max 1e-4 from its kink: the 5-point stencil's wider step crosses it, the central one does not
+    y = T.Tensor(np.array([1.0, 1.0 - 1e-4]), requires_grad=True)
+    assert relative_error(np.array([1.0, 0.0]), five_point_gradient(lambda: T.max_(y, axis=0), y)) > 0.1
+    check(lambda: T.max_(y, axis=0), [("y", y)])
 
 
 # no_grad ----------------------------------------------------------------------

@@ -430,6 +430,14 @@ def test_train_rejects_variant_mismatch(tmp_path, records):
               LossConfig(variant="slip"), MICRO_IMAGE, MICRO_TEXT)
 
 
+@pytest.mark.parametrize("stop_after_steps", [0, -3])
+def test_train_rejects_stop_after_steps_below_1_before_any_write(tmp_path, records, stop_after_steps):
+    with pytest.raises(ConfigError, match=f"stop_after_steps must be at least 1, got {stop_after_steps}"):
+        train(tmp_path / "r", records, [], [], micro_train_cfg(), LossConfig(variant="clip"),
+              MICRO_IMAGE, MICRO_TEXT, stop_after_steps=stop_after_steps)
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_rejects_oversized_batch(tmp_path, records):
     with pytest.raises(ConfigError, match="batch_size"):
         train(tmp_path / "r", records, [], [], micro_train_cfg(batch_size=512),
