@@ -4,9 +4,10 @@
 Trains one fixed micro recipe in the given checkout (default: the one
 holding this script) and prints the sha256 of metrics.log, final.ckpt and
 best.ckpt for each run: all five variants on the ViT encoder, plus filip
-and defilip on the conv encoder. Synthetic data, seed 0, 4 steps per
-epoch over 2 epochs, so every run also writes best.ckpt and the
-nearest-neighbor queue wraps.
+and defilip on the conv encoder, plus filip and defilip on both encoders
+at loss.filip_token_fraction=0.5, so token selection is hashed too.
+Synthetic data, seed 0, 4 steps per epoch over 2 epochs, so every run
+also writes best.ckpt and the nearest-neighbor queue wraps.
 
 Run it on two checkouts and diff the outputs; a pure refactor prints the
 same hashes:
@@ -37,8 +38,11 @@ IMAGE = {
     "conv": ["train.image_encoder=conv", "image.image_size=16",
              "image.stage_channels=8,16", "image.embed_dim=16"],
 }
-RUNS = [("vit", v) for v in ("clip", "slip", "filip", "declip", "defilip")]
-RUNS += [("conv", "filip"), ("conv", "defilip")]
+HALF = "loss.filip_token_fraction=0.5"
+# (encoder, variant, extra overrides)
+RUNS = [("vit", v, ()) for v in ("clip", "slip", "filip", "declip", "defilip")]
+RUNS += [("conv", "filip", ()), ("conv", "defilip", ())]
+RUNS += [(e, v, (HALF,)) for e in ("vit", "conv") for v in ("filip", "defilip")]
 ARTIFACTS = ("metrics.log", "final.ckpt", "best.ckpt")
 
 
@@ -60,9 +64,10 @@ def main() -> int:
             return rc
         inputs = [f"data.train_manifest={data}/train.tsv", f"data.val_manifest={data}/val.tsv",
                   f"data.classes_file={data}/classes.txt"]
-        for encoder, variant in RUNS:
-            out = Path(tmp) / f"{encoder}-{variant}"
-            sets = [f"train.variant={variant}"] + RECIPE + IMAGE[encoder] + inputs
+        for encoder, variant, extra in RUNS:
+            label = f"{encoder}/{variant}" + "".join(f" {item}" for item in extra)
+            out = Path(tmp) / label.replace("/", "-").replace(" ", "-")
+            sets = [f"train.variant={variant}"] + RECIPE + IMAGE[encoder] + list(extra) + inputs
             argv = ["train", "--out", str(out)]
             for item in sets:
                 argv += ["--set", item]
@@ -70,11 +75,11 @@ def main() -> int:
                 warnings.simplefilter("ignore")
                 rc = cli_main(argv)
             if rc != 0:
-                print(f"{encoder}/{variant}: train exited {rc}", file=sys.stderr)
+                print(f"{label}: train exited {rc}", file=sys.stderr)
                 return rc
             for name in ARTIFACTS:
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-                print(f"{encoder}/{variant} {name} {digest}")
+                print(f"{label} {name} {digest}")
     return 0
 
 

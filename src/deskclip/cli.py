@@ -163,8 +163,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # every argument is checked before the output directory is made
+    if args.classes < 2:
+        raise ConfigError("need at least 2 classes")
+    if args.image_size < 1:
+        raise ConfigError(f"--image-size must be at least 1, got {args.image_size}")
     if args.train < args.classes or args.val < args.classes:
         raise ConfigError("--train and --val must each cover every class at least once")
+    names = synthetic_class_names(args.classes)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_records = generate_synthetic(args.classes, args.train // args.classes, args.seed)
@@ -174,7 +180,6 @@ def cmd_synth(args) -> int:
         val_records = materialize(val_records, out / "images" / "val", args.image_size)
     write_manifest(out / "train.tsv", train_records)
     write_manifest(out / "val.tsv", val_records)
-    names = synthetic_class_names(args.classes)
     (out / "classes.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
     print(f"wrote {len(train_records)} train / {len(val_records)} val records under {out}")
     return EXIT_OK

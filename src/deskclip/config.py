@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -47,6 +48,10 @@ class TrainConfig:
             raise ConfigError("image_encoder must be 'vit' or 'conv'")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("betas must lie in [0, 1)")
+        if self.weight_decay < 0 or self.eps <= 0:
+            raise ConfigError("weight_decay must be >= 0 and eps > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -72,13 +77,16 @@ def _parse_value(raw: str, type_name: str, key: str):
     try:
         if type_name == "int":
             return int(raw)
-        if type_name == "float":
-            return float(raw)
         if type_name == "tuple[int, ...]":
             return tuple(int(p) for p in raw.split(",") if p.strip())
-        return raw
+        if type_name != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {type_name}") from None
+    if not math.isfinite(value):  # one rule for every float key, nan and inf alike
+        raise ConfigError(f"{key}: {raw!r} is not a finite number")
+    return value
 
 
 def _build_dataclass(cls, mapping: dict[str, str], section: str):

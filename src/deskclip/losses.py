@@ -419,11 +419,6 @@ def neighbor_supervision_loss(
 # token-wise alignment --------------------------------------------------------------
 
 
-def _penalty(keep: np.ndarray) -> np.ndarray | None:
-    """MASK_PENALTY where ``keep`` is False and 0 elsewhere; None when nothing is masked."""
-    return None if keep.all() else np.where(keep, 0.0, MASK_PENALTY)
-
-
 def _top_fraction(scores: np.ndarray, mask: np.ndarray, fraction: float) -> np.ndarray:
     """Per row, the max(1, ceil(fraction * unmasked)) best-scoring unmasked slots; ties keep the lower index."""
     order = np.argsort(np.where(mask, -scores, np.inf), axis=1, kind="stable")  # masked slots last
@@ -445,9 +440,8 @@ def _reduce_token_masks(
     to cut communication cost at scale; ``_top_fraction`` keeps the best of
     every sample's unmasked tokens for the whole batch at once.
     """
-    txt_pen, img_pen = _penalty(txt_mask), _penalty(img_mask)
-    img_scores = (sims4 if txt_pen is None else sims4 + txt_pen[None, None]).max(axis=(2, 3))        # (n, n1)
-    txt_scores = (sims4 if img_pen is None else sims4 + img_pen[:, :, None, None]).max(axis=(0, 1))  # (n, n2)
+    img_scores = sims4.max(axis=(2, 3), where=txt_mask[None, None], initial=-np.inf)        # (n, n1)
+    txt_scores = sims4.max(axis=(0, 1), where=img_mask[:, :, None, None], initial=-np.inf)  # (n, n2)
     return _top_fraction(img_scores, img_mask, fraction), _top_fraction(txt_scores, txt_mask, fraction)
 
 
@@ -459,9 +453,10 @@ def tokenwise_alignment_loss(
 ) -> Tensor:
     """Batch contrastive loss on token-wise maximum similarity scores.
 
-    Both directions build an N x N score matrix from per-token matches and
-    apply the usual matching cross-entropy; the two are averaged. Masked
-    tokens take part in neither the maxima nor the means.
+    Image i scores text j by the mean, over i's kept tokens, of each one's best match
+    among j's kept tokens; text j scores image i the other way round. The masks, cut to
+    each sample's best ``token_fraction``, are the kept sets of every max and mean. Both
+    N x N score matrices go through the matching cross-entropy, and the two are averaged.
     """
     if not 0.0 < token_fraction <= 1.0:
         raise ContractError(f"token_fraction must lie in (0, 1], got {token_fraction}")
@@ -481,19 +476,10 @@ def tokenwise_alignment_loss(
     if token_fraction < 1.0:
         img_mask, txt_mask = _reduce_token_masks(sims4.data, img_mask, txt_mask, token_fraction)
 
-    # an all-kept side adds no penalty: adding zeros would only copy sims4
-    txt_pen, img_pen = _penalty(txt_mask), _penalty(img_mask)
-    img_keep = T.constant(img_mask.astype(np.float64)[:, :, None])             # (N,n1,1)
-    txt_keep = T.constant(txt_mask.astype(np.float64)[None])                   # (1,N,n2)
-    img_counts = T.constant(img_mask.sum(axis=1).astype(np.float64)[:, None])  # (N,1)
-    txt_counts = T.constant(txt_mask.sum(axis=1).astype(np.float64)[None])     # (1,N)
-
-    masked = sims4 if txt_pen is None else sims4 + T.constant(txt_pen[None, None])
-    best_txt = T.max_(masked, axis=3)                               # (N, n1, N)
-    image_side = T.sum_(best_txt * img_keep, axis=1) / img_counts   # (N, N): image i vs text j
-    masked = sims4 if img_pen is None else sims4 + T.constant(img_pen[:, :, None, None])
-    best_img = T.max_(masked, axis=1)                               # (N, N, n2)
-    text_side = T.sum_(best_img * txt_keep, axis=2) / txt_counts    # (N, N): image i vs text j
+    best_txt = T.max_(sims4, axis=3, keep=txt_mask[None, None])            # (N, n1, N)
+    image_side = T.mean(best_txt, axis=1, keep=img_mask[:, :, None])        # (N, N): image i vs text j
+    best_img = T.max_(sims4, axis=1, keep=img_mask[:, :, None, None])       # (N, N, n2)
+    text_side = T.mean(best_img, axis=2, keep=txt_mask[None])               # (N, N): image i vs text j
 
     targets = np.arange(n)
     i2t = T.cross_entropy(image_side / temperature, targets)

@@ -185,12 +185,18 @@ def _accumulate(target: Tensor, grad: Array, owned: bool = False) -> None:
     if target.grad is None:
         # never an alias of a buffer someone else holds; adding +0.0 keeps the bits of
         # zeros + grad (a -0.0 becomes +0.0) and broadcasts the same way
-        if owned:
-            target.grad = np.add(grad, 0.0, out=grad)
-        else:
-            target.grad = np.add(grad, 0.0, out=np.empty_like(target.data))
+        target.grad = np.add(grad, 0.0, out=grad if owned else np.empty_like(target.data))
     else:
         target.grad += grad
+
+
+def _accumulate_at(target: Tensor, index, grad: Array) -> None:
+    """``target.grad[index] += grad`` in place, from zeros for the first gradient; ``index`` repeats no entry."""
+    if not target.requires_grad:
+        return
+    if target.grad is None:
+        target.grad = np.zeros_like(target.data)
+    target.grad[index] += grad
 
 
 _recording = True
@@ -446,14 +452,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def slice_(a, key) -> Tensor:
     """Basic (non-fancy) indexing with slices and integers."""
     a = coerce(a)
-    out = a.data[key]
-
-    def bwd(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        full[key] = g
-        _accumulate(a, full, owned=True)
-
-    return _make(out, (a,), "slice", bwd)
+    return _make(a.data[key], (a,), "slice", lambda g: _accumulate_at(a, key, g))
 
 
 def _positions(op: str, positions, n: int, size: int) -> Array:
@@ -473,14 +472,7 @@ def select_positions(a, positions) -> Tensor:
         raise ShapeError(f"select_positions: got tensor {a.shape}, need (n, L, ...)")
     idx = _positions("select_positions", positions, a.shape[0], a.shape[1])
     rows = np.arange(a.shape[0])
-    out = a.data[rows, idx]
-
-    def bwd(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        full[rows, idx] = g
-        _accumulate(a, full, owned=True)
-
-    return _make(out, (a,), "select_positions", bwd)
+    return _make(a.data[rows, idx], (a,), "select_positions", lambda g: _accumulate_at(a, (rows, idx), g))
 
 
 # reductions -------------------------------------------------------------
@@ -504,6 +496,24 @@ def _reduced_axes(op: str, axis, shape: tuple[int, ...]) -> tuple[int, ...]:
     return axes
 
 
+def _kept(op: str, keep, shape: tuple[int, ...], axes: tuple[int, ...]) -> Array | None:
+    """The bool ``keep`` with leading axes to ``len(shape)``, or None if it keeps all; each ``axes`` slice keeps one."""
+    if keep is None:
+        return None
+    keep = np.asarray(keep)
+    if keep.dtype != np.bool_:
+        raise ContractError(f"{op}: keep must be a bool array, got {keep.dtype}")
+    try:
+        np.broadcast_to(keep, shape)
+    except ValueError:
+        raise ShapeError(f"{op}: keep {keep.shape} does not broadcast to {shape}") from None
+    # checked unbroadcast: repeated entries change neither answer, and a pass over ``shape`` costs ms
+    keep = keep.reshape((1,) * (len(shape) - keep.ndim) + keep.shape)
+    if not keep.any(axis=axes).all():
+        raise ContractError(f"{op}: a reduced slice keeps no entry")
+    return None if keep.all() else keep
+
+
 def sum_(a, axis=None) -> Tensor:
     a = coerce(a)
     axes = _reduced_axes("sum", axis, a.shape)
@@ -515,17 +525,22 @@ def sum_(a, axis=None) -> Tensor:
     return _make(out, (a,), "sum", bwd)
 
 
-def mean(a, axis=None) -> Tensor:
+def mean(a, axis=None, keep=None) -> Tensor:
+    """Mean over ``axis`` of the entries the bool ``keep`` (broadcast to ``a``) marks, or of all.
+
+    A dropped entry gets exactly zero gradient; a slice that keeps nothing raises ContractError.
+    """
     a = coerce(a)
     axes = _reduced_axes("mean", axis, a.shape)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    out = a.data.mean(axis=axes)
+    keep = _kept("mean", keep, a.shape, axes)
+    count = math.prod(a.shape[ax] for ax in axes) if keep is None else np.broadcast_to(keep, a.shape).sum(axis=axes)
+    # sum / count is what ndarray.mean computes, to the bit
+    out = (a.data if keep is None else np.where(keep, a.data, 0.0)).sum(axis=axes) / count
 
     def bwd(g: Array) -> None:
-        full = np.broadcast_to(np.expand_dims(g, axes), a.shape).copy()  # an array even when a is 0-d
-        full /= count
+        full = np.broadcast_to(np.expand_dims(g / count, axes), a.shape).copy()  # an array even when a is 0-d
+        if keep is not None:
+            full *= keep
         _accumulate(a, full, owned=True)
 
     return _make(out, (a,), "mean", bwd)
@@ -536,20 +551,19 @@ def _argmax_forward(x: Array, axis: int) -> Array:
     return np.argmax(x, axis=axis)
 
 
-def max_(a, axis: int) -> Tensor:
-    """Max along one axis; ties route gradient to the lowest index."""
+def max_(a, axis: int, keep=None) -> Tensor:
+    """Max along one axis of the entries the bool ``keep`` (broadcast to ``a``) marks, or of all.
+
+    Ties go to the lowest kept index. A dropped entry is never picked, so its gradient is
+    exactly zero; a slice that keeps nothing raises ContractError.
+    """
     a = coerce(a)
     axis = _axis("max", axis, a.shape)
-    idx = _argmax_forward(a.data, axis=axis)
-    idx_exp = np.expand_dims(idx, axis)
-    out = np.squeeze(np.take_along_axis(a.data, idx_exp, axis=axis), axis=axis)
-
-    def bwd(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx_exp, np.expand_dims(g, axis), axis=axis)
-        _accumulate(a, full, owned=True)
-
-    return _make(out, (a,), "max", bwd)
+    keep = _kept("max", keep, a.shape, (axis,))
+    idx = _argmax_forward(a.data if keep is None else np.where(keep, a.data, -np.inf), axis=axis)
+    grid = np.indices(idx.shape, sparse=True)  # an open grid over the other axes
+    index = grid[:axis] + (idx,) + grid[axis:]
+    return _make(a.data[index], (a,), "max", lambda g: _accumulate_at(a, index, g))
 
 
 # linear algebra ---------------------------------------------------------

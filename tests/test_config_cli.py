@@ -217,6 +217,29 @@ def test_text_ids_other_than_the_tokenizers_exit_2(capsys, override):
     assert "unknown key(s) in [text]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "train.warmup_epochs=nan", "train.seed=-1", "train.weight_decay=-5", "train.eps=-1",
+    "train.variant=slip loss.ssl_weight=nan", "train.variant=slip loss.ssl_temperature=nan",
+    "train.variant=defilip loss.token_align_weight=inf",
+])
+def test_non_finite_or_out_of_range_values_exit_2(capsys, override):
+    argv = ["train", "--validate-only"]
+    for item in override.split():
+        argv += ["--set", item]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config ok" not in captured.out
+    assert "not a finite number" in captured.err or "must be" in captured.err
+
+
+def test_a_non_finite_value_exits_2_before_the_run_directory_is_made(tmp_path, capsys, data_dir):
+    out = tmp_path / "run"
+    rc = main(["train", "--out", str(out)] + micro_args(data_dir, "train.variant=slip", "loss.ssl_weight=nan"))
+    assert rc == 2
+    assert "loss.ssl_weight: 'nan' is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(capsys):
     rc = main(["train", "--validate-only", "--set", "train.learning_rate=1"])
     assert rc == 2
@@ -588,6 +611,19 @@ def test_synth_guards_class_coverage(tmp_path, capsys):
     rc = main(["synth", str(tmp_path / "d"), "--classes", "8", "--train", "4"])
     assert rc == 2
     assert "cover every class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--classes", "0"], "need at least 2 classes"),
+    (["--classes", "1"], "need at least 2 classes"),
+    (["--materialize", "--image-size", "0"], "--image-size must be at least 1, got 0"),
+    (["--image-size", "-3"], "--image-size must be at least 1, got -3"),
+])
+def test_synth_rejects_bad_sizes_exits_2_before_making_the_directory(tmp_path, capsys, args, message):
+    out = tmp_path / "d"
+    assert main(["synth", str(out), "--train", "8", "--val", "8"] + args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

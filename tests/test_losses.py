@@ -198,11 +198,13 @@ def test_alignment_loss_matches_loop_oracle():
 
 
 
-def _four_d_adds(loss):
-    return sum(node.op == "add" and node.ndim == 4 for node in T.build_graph(loss).nodes)
+def _token_sized_elementwise_nodes(loss):
+    return sum(node.op in ("add", "mul", "div") and node.ndim >= 3 for node in T.build_graph(loss).nodes)
 
 
-def test_alignment_loss_penalizes_image_tokens_only_when_masked():
+def test_alignment_loss_records_no_token_sized_elementwise_node():
+    # masked tokens are kept out by the kept sets of max_ and mean, never by an added
+    # penalty, a multiplied keep array or a divided count
     rng = np.random.default_rng(17)
     img_tokens, txt_tokens = unit(rng, 3, 4, 6), unit(rng, 3, 5, 6)
     txt_mask = np.ones((3, 5), dtype=bool)
@@ -211,18 +213,18 @@ def test_alignment_loss_penalizes_image_tokens_only_when_masked():
     img = EmbeddingSet(Tensor(unit(rng, 3, 6)), Tensor(img_tokens, requires_grad=True), full)
     txt = embset(unit(rng, 3, 6), txt_tokens, txt_mask)
     loss = tokenwise_alignment_loss(img, txt, 0.4)
-    assert _four_d_adds(loss) == 1  # the text penalty; an all-zero image penalty is not added
+    assert _token_sized_elementwise_nodes(loss) == 0
     assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, txt_mask, 0.4)) <= 1e-10
-    # nor an all-zero text penalty, when every caption is as wide as the longest
+    # every caption as wide as the longest one
     full_txt = np.ones((3, 5), dtype=bool)
     loss = tokenwise_alignment_loss(img, embset(txt.pooled.data, txt_tokens), 0.4)
-    assert _four_d_adds(loss) == 0
+    assert _token_sized_elementwise_nodes(loss) == 0
     assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, full_txt, 0.4)) <= 1e-10
     img_mask = full.copy()
     img_mask[2, 1] = False
     img = EmbeddingSet(img.pooled, img.tokens, img_mask)
     loss = tokenwise_alignment_loss(img, txt, 0.4)
-    assert _four_d_adds(loss) == 2
+    assert _token_sized_elementwise_nodes(loss) == 0
     assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, 0.4)) <= 1e-10
 
 

@@ -178,6 +178,106 @@ def test_max_grad_numeric():
     check(lambda: T.sum_(T.max_(a, axis=1) ** 2.0), [("a", a)])
 
 
+def test_max_with_keep_never_picks_a_dropped_entry():
+    vals = T.Tensor([[9.0, 1.0, 3.0, 2.0], [0.5, 8.0, 0.25, 7.0]], requires_grad=True)
+    keep = np.array([[False, True, True, True], [True, False, True, False]])
+    out = T.max_(vals, axis=1, keep=keep)
+    assert np.array_equal(out.data, [3.0, 0.5])
+    T.backward(T.sum_(out))
+    assert np.array_equal(vals.grad, [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+
+
+def test_max_with_keep_breaks_ties_at_the_lowest_kept_index():
+    vals = T.Tensor([[5.0, 5.0, 5.0, 1.0]], requires_grad=True)
+    T.backward(T.sum_(T.max_(vals, axis=1, keep=np.array([False, True, True, True]))))
+    assert np.array_equal(vals.grad, [[0.0, 1.0, 0.0, 0.0]])
+
+
+def test_max_with_keep_gives_dropped_entries_exactly_zero_gradient():
+    rng = np.random.default_rng(27)
+    a = rand(rng, 3, 4, 5)
+    keep = rng.random((1, 4, 5)) < 0.5
+    keep[:, 0] = True  # every slice along axis 1 keeps one entry
+    T.backward(T.sum_(T.max_(a, axis=1, keep=keep) * T.constant(rng.standard_normal((3, 5)))))
+    dropped = np.broadcast_to(~keep, a.shape)
+    assert np.all(a.grad[dropped] == 0.0) and not np.signbit(a.grad[dropped]).any()
+    want = np.where(keep, a.data, -np.inf).max(axis=1)
+    assert np.array_equal(T.max_(a, axis=1, keep=keep).data, want)
+
+
+def test_max_with_keep_grad_numeric():
+    rng = np.random.default_rng(28)
+    a = rand(rng, 3, 7)
+    keep = np.arange(7) < np.array([[2], [7], [4]])
+    check(lambda: T.sum_(T.max_(a, axis=1, keep=keep) ** 2.0), [("a", a)])
+
+
+def test_max_and_mean_with_keep_reject_a_slice_that_keeps_nothing():
+    a = T.constant(np.arange(6.0).reshape(2, 3))
+    keep = np.array([[True, False, False], [False, False, False]])
+    for op in (T.max_, T.mean):
+        with pytest.raises(ContractError, match="keeps no entry"):
+            op(a, axis=1, keep=keep)
+        with pytest.raises(ContractError, match="bool"):
+            op(a, axis=1, keep=np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            op(a, axis=1, keep=np.ones((3, 2), dtype=bool))
+    # a slice only needs one kept entry along the reduced axis
+    assert np.array_equal(T.max_(a, axis=0, keep=np.array([[True, False, True], [False, True, False]])).data,
+                          [0.0, 4.0, 2.0])
+
+
+def test_mean_with_keep_equals_a_loop_over_the_kept_entries():
+    rng = np.random.default_rng(29)
+    a = rand(rng, 4, 5, 3)
+    keep = rng.random((4, 5, 1)) < 0.6
+    keep[:, 2] = True
+    out = T.mean(a, axis=1, keep=keep)
+    want = np.array([[np.mean([a.data[i, k, j] for k in range(5) if keep[i, k, 0]]) for j in range(3)]
+                     for i in range(4)])
+    assert np.allclose(out.data, want, rtol=0, atol=1e-15)
+    T.backward(T.sum_(out * T.constant(rng.standard_normal((4, 3)))))
+    dropped = np.broadcast_to(~keep, a.shape)
+    assert np.all(a.grad[dropped] == 0.0) and np.all(a.grad[~dropped] != 0.0)
+    a.grad = None
+    check(lambda: T.sum_(T.mean(a, axis=(0, 1), keep=keep) ** 2.0), [("a", a)])
+    # keeping everything is the plain mean, to the bit
+    assert np.array_equal(T.mean(a, axis=1, keep=np.ones(5, dtype=bool)[:, None]).data, a.data.mean(axis=1))
+
+
+def test_index_scatter_gradients_add_in_place_with_the_bits_of_zero_fill(monkeypatch):
+    # x is read by two overlapping slices and one elementwise op; replaying each
+    # contribution as a zero-filled full-size buffer added in the same order gives
+    # the same bits as adding the slices in place
+    rng = np.random.default_rng(30)
+    x = rand(rng, 6, 4)
+    calls = []
+    scatter, accumulate = T._accumulate_at, T._accumulate
+
+    def spy_scatter(target, index, grad):
+        if target is x:
+            calls.append((index, np.array(grad)))
+        scatter(target, index, grad)
+
+    def spy_accumulate(target, grad, owned=False):
+        if target is x:
+            calls.append(((), np.array(grad)))
+        accumulate(target, grad, owned)
+
+    monkeypatch.setattr(T, "_accumulate_at", spy_scatter)
+    monkeypatch.setattr(T, "_accumulate", spy_accumulate)
+    w = [T.constant(rng.standard_normal(shape)) for shape in ((4, 4), (3, 4), (6, 4))]
+    loss = T.sum_(x[0:4] * w[0]) + T.sum_(x[2:5] * w[1]) + T.sum_(T.exp(x) * w[2])
+    T.backward(loss)
+    assert [index != () for index, _ in calls].count(True) == 2 and len(calls) == 3
+    want = None
+    for index, grad in calls:
+        full = np.zeros_like(x.data)
+        full[index] = grad
+        want = full + 0.0 if want is None else want + full
+    assert np.array_equal(x.grad, want) and not np.signbit(x.grad[x.grad == 0.0]).any()
+
+
 # matmul -------------------------------------------------------------------
 
 
