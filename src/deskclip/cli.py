@@ -29,6 +29,7 @@ from .data import (
     generate_synthetic,
     materialize,
     read_manifest,
+    read_text,
     write_manifest,
 )
 from .errors import CheckpointError, ConfigError, ManifestError, TrainingAborted
@@ -56,7 +57,7 @@ def _load_prompts(path: str) -> PromptSet:
 def _read_labelled_split(manifest: str, classes: str) -> tuple[list[PairRecord], list[str]]:
     """A manifest's records and the class names its labels index, both checked."""
     records = read_manifest(manifest)
-    text = Path(_require_file(classes, "classes file")).read_text(encoding="utf-8")
+    text = read_text(_require_file(classes, "classes file"), "classes file")
     names = [n for n in (line.strip() for line in text.splitlines()) if n]
     if not names:
         raise ConfigError(f"classes file is empty: {classes}")

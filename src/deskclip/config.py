@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .encoders import ConvConfig, TextConfig, VitConfig
-from .errors import ConfigError
+from .data import read_text
+from .errors import ConfigError, require_finite
 from .losses import LossConfig
 
 SECTIONS = ("train", "loss", "image", "text", "data")
@@ -38,6 +38,7 @@ class TrainConfig:
     image_encoder: str = "vit"  # vit | conv
 
     def __post_init__(self):
+        require_finite(self, "train")
         if not 0 < self.base_lr <= self.peak_lr:
             raise ConfigError("need peak_lr >= base_lr > 0")
         if self.epochs < 0 or self.batch_size < 1:
@@ -79,14 +80,9 @@ def _parse_value(raw: str, type_name: str, key: str):
             return int(raw)
         if type_name == "tuple[int, ...]":
             return tuple(int(p) for p in raw.split(",") if p.strip())
-        if type_name != "float":
-            return raw
-        value = float(raw)
+        return float(raw) if type_name == "float" else raw
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {type_name}") from None
-    if not math.isfinite(value):  # one rule for every float key, nan and inf alike
-        raise ConfigError(f"{key}: {raw!r} is not a finite number")
-    return value
 
 
 def _build_dataclass(cls, mapping: dict[str, str], section: str):
@@ -128,11 +124,10 @@ def build_run_config(raw_sections: dict[str, dict[str, str]]) -> RunConfig:
 
 def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        parser.read_string(read_text(path, "config file"), source=str(path))
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     return {section: dict(parser[section]) for section in parser.sections()}

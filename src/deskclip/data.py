@@ -297,9 +297,11 @@ def write_manifest(path: str | Path, records: list[PairRecord]) -> None:
         sidecar.write_text("\n".join(str(r.label) for r in records) + "\n", encoding="utf-8")
 
 
-def _read_text(path: Path, what: str) -> str:
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of a user file; a file that cannot be read or decoded is a
+    ManifestError that names it, so the CLI exits 2."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise ManifestError(f"cannot read {what} {path}: {err}") from err
 
@@ -307,7 +309,7 @@ def _read_text(path: Path, what: str) -> str:
 def read_manifest(path: str | Path) -> list[PairRecord]:
     path = Path(path)
     records = []
-    for lineno, raw in enumerate(_read_text(path, "manifest").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, "manifest").splitlines(), start=1):
         if not raw.strip():
             continue
         if "\t" not in raw:
@@ -334,7 +336,7 @@ def read_manifest(path: str | Path) -> list[PairRecord]:
 def _read_labels(sidecar: Path) -> list[int]:
     """The class ids of a .labels sidecar: one non-negative integer per non-blank line."""
     labels = []
-    for lineno, raw in enumerate(_read_text(sidecar, "labels").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(sidecar, "labels").splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue

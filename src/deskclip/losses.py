@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .data import MASK_ID, NUM_RESERVED
 from .encoders import EmbeddingSet, TextEncoder
-from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError
+from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError, require_finite
 from .tensor import Tensor
 
 MASK_PENALTY = -1e9
@@ -79,6 +79,7 @@ class LossConfig:
     neighbor_queue_capacity: int = 1024
 
     def __post_init__(self):
+        require_finite(self, "loss")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {', '.join(VARIANTS)}")
         for name in ("ssl_weight", "multiview_weight", "neighbor_weight",

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import Vocab, encode_batch, tokenize_words
+from .data import Vocab, encode_batch, read_text, tokenize_words
 from .errors import ConfigError, ContractError, DegenerateInputError
 
 PROMPT_DIR = Path(__file__).parent / "prompts"
@@ -35,7 +35,7 @@ class PromptSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptSet":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, "prompt file").splitlines()
         return cls(tuple(line.strip() for line in lines if line.strip()))
 
 

@@ -13,7 +13,7 @@ import pytest  # noqa: E402
 from deskclip.encoders import TextConfig, TextEncoder  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-# the desk recipe: what the end-to-end gate and the scripts train with
+# the desk recipe: what the end-to-end gate and the golden desk trajectories train with
 DESK_RECIPE = ROOT / "configs" / "desk.ini"
 
 # Acceptance-criteria outcomes, appended by tests/test_acceptance.py and

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import re
@@ -13,6 +14,7 @@ from deskclip import tensor as T
 from deskclip.checkpoint import load_checkpoint, save_checkpoint
 from deskclip.cli import main
 from deskclip.config import (
+    TrainConfig,
     apply_overrides,
     build_run_config,
     load_run_config,
@@ -21,6 +23,7 @@ from deskclip.config import (
 )
 from deskclip.encoders import ConvConfig, EmbeddingSet, VitConfig
 from deskclip.errors import ConfigError
+from deskclip.losses import LossConfig
 from deskclip.trainer import COUNTERS
 from deskclip.verify import check_grad_encoders
 
@@ -218,7 +221,7 @@ def test_text_ids_other_than_the_tokenizers_exit_2(capsys, override):
 
 
 @pytest.mark.parametrize("override", [
-    "train.warmup_epochs=nan", "train.seed=-1", "train.weight_decay=-5", "train.eps=-1",
+    "train.warmup_epochs=nan", "train.seed=-1", "train.weight_decay=-5", "train.eps=-1", "train.eps=nan",
     "train.variant=slip loss.ssl_weight=nan", "train.variant=slip loss.ssl_temperature=nan",
     "train.variant=defilip loss.token_align_weight=inf",
 ])
@@ -230,6 +233,17 @@ def test_non_finite_or_out_of_range_values_exit_2(capsys, override):
     captured = capsys.readouterr()
     assert "config ok" not in captured.out
     assert "not a finite number" in captured.err or "must be" in captured.err
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in (TrainConfig, LossConfig) for f in dataclasses.fields(cls)
+                if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_a_config_built_in_python_rejects_a_non_finite_float(cls, name, value):
+    with pytest.raises(ConfigError, match=f"{name}: '{value}' is not a finite number"):
+        cls(**{name: value})
 
 
 def test_a_non_finite_value_exits_2_before_the_run_directory_is_made(tmp_path, capsys, data_dir):
@@ -303,6 +317,29 @@ def test_eval_missing_prompt_file_exits_2(tmp_path, capsys, data_dir):
                "--prompts", "/nonexistent/prompts.txt"])
     assert rc == 2
     assert "prompt file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config", "config-directory", "classes", "eval-classes", "prompts"])
+def test_an_unreadable_user_file_exits_2_naming_it_before_the_run_directory_is_made(
+        tmp_path, capsys, data_dir, case):
+    bad, out = tmp_path / "bad", tmp_path / "run"
+    if case == "config-directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"[train]\na {label}\n\xff\n")  # not UTF-8
+    train = ["train", "--out", str(out)] + micro_args(data_dir)
+    argv = {
+        "config": train + ["--config", str(bad)],
+        "config-directory": train + ["--config", str(bad)],
+        "classes": train + ["--set", f"data.classes_file={bad}"],
+        "prompts": train + ["--set", f"data.prompts_file={bad}"],
+        "eval-classes": ["eval", str(tmp_path / "final.ckpt"), "--manifest", str(data_dir / "val.tsv"),
+                         "--classes", str(bad)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and str(bad) in err
+    assert not out.exists()
 
 
 def test_eval_on_missing_checkpoint_exits_2(capsys, data_dir):
