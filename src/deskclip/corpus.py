@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .data import tokenize_words
+from .data import read_text, tokenize_words
 from .errors import ConfigError, ManifestError
 
 
@@ -151,16 +151,11 @@ def read_captions(path: str | Path, plain: bool | None = None) -> list[str]:
     """Captions from a manifest (source<TAB>caption) or a plain file.
 
     With ``plain`` unset the format is sniffed: any tab present means
-    manifest. Raises with the record index on undecodable content.
+    manifest. A file that cannot be read or decoded is a ManifestError
+    that names it; a manifest line without a tab names its line number.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ManifestError(f"cannot read {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise ManifestError(f"{path}: not UTF-8 text: {err}") from err
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in read_text(path, "caption file").splitlines() if line.strip()]
     if plain is None:
         plain = not any("\t" in line for line in lines)
     if plain:

@@ -302,8 +302,10 @@ def read_text(path: str | Path, what: str) -> str:
     ManifestError that names it, so the CLI exits 2."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
         raise ManifestError(f"cannot read {what} {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"cannot read {what} {path}: not UTF-8 text: {err}") from err
 
 
 def read_manifest(path: str | Path) -> list[PairRecord]:

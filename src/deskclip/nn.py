@@ -74,11 +74,12 @@ class ModuleList:
 
 
 class Linear(Module):
-    """Affine map x @ weight + bias, weight stored (in_dim, out_dim).
+    """Affine map x @ weight + bias (+ residual), weight stored (in_dim, out_dim).
 
-    One ``matmul`` tape node per call, with the bias folded in: the tape
-    keeps no pre-bias product. ``x`` may carry any leading axes; they
-    share the weight, so the product runs as one 2-D GEMM over its rows.
+    One ``matmul`` tape node per call, with the bias and a ``residual`` of the
+    output's shape folded in: the tape keeps no pre-bias product and no
+    separate residual sum. ``x`` may carry any leading axes; they share the
+    weight, so the product runs as one 2-D GEMM over its rows.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
@@ -86,8 +87,8 @@ class Linear(Module):
         self.weight = Tensor(trunc_normal(rng, (in_dim, out_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return T.matmul(x, self.weight, self.bias, residual)
 
 
 class LayerNorm(Module):
@@ -103,7 +104,8 @@ class LayerNorm(Module):
 class MultiHeadSelfAttention(Module):
     """Standard scaled dot-product self-attention with a fused qkv projection.
 
-    The layer's output is ``mix(qkv(x), attn_bias)``. ``attn_bias`` is added
+    The layer's output is ``mix(qkv(x), attn_bias)``; ``mix`` adds a
+    ``residual`` to it in the output projection. ``attn_bias`` is added
     to the pre-softmax scores, shape broadcastable to (batch, heads, seq,
     seq); large negative entries mask positions out.
     """
@@ -116,9 +118,16 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(width, 3 * width, rng)
         self.out = Linear(width, width, rng)
 
-    def mix(self, fused: Tensor, attn_bias: np.ndarray | None = None, rows: np.ndarray | None = None) -> Tensor:
-        """Attention output at every row, or at one row per sequence (``rows``), from the fused qkv of all rows."""
-        return self.out(T.attention(fused, self.heads, attn_bias, rows=rows))
+    def mix(
+        self,
+        fused: Tensor,
+        attn_bias: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
+        residual: Tensor | None = None,
+    ) -> Tensor:
+        """Attention output at every row, or at one row per sequence (``rows``), from the fused qkv of all rows,
+        plus ``residual`` when given."""
+        return self.out(T.attention(fused, self.heads, attn_bias, rows=rows), residual)
 
 
 class MLPBlock(Module):
@@ -127,12 +136,16 @@ class MLPBlock(Module):
         self.fc1 = Linear(width, MLP_HIDDEN_MULT * width, rng)
         self.fc2 = Linear(MLP_HIDDEN_MULT * width, width, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return self.fc2(T.gelu(self.fc1(x)), residual)
 
 
 class TransformerBlock(Module):
     """Pre-layernorm residual block: x + attn(ln(x)), then x + mlp(ln(x)).
+
+    Each residual sum is folded into the branch's last matmul (the attention
+    output projection, then the MLP's second layer), so the tape holds no
+    ``add`` node and no pre-residual buffer for either.
 
     ``fuse`` and ``finish`` are the block in two parts: the fused qkv of
     every row, then the output at every row or at one row per sequence.
@@ -161,8 +174,8 @@ class TransformerBlock(Module):
         ``rows[i]`` of each sequence i alone when ``rows`` is given."""
         if rows is not None:
             x = T.select_positions(x, rows)
-        x = x + self.attn.mix(fused, attn_bias, rows)
-        return x + self.mlp(self.ln2(x))
+        x = self.attn.mix(fused, attn_bias, rows, residual=x)
+        return self.mlp(self.ln2(x), residual=x)
 
 
 def pooled_tower(

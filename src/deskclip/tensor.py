@@ -155,7 +155,11 @@ def backward(loss: Tensor) -> None:
     Interior gradients (and the closures holding forward activations) are
     released as soon as they are consumed, so peak memory stays near the
     size of the forward tape and only leaves carry ``grad`` afterwards.
-    The graph cannot be replayed.
+    The graph cannot be replayed. The tape keeps only what backward cannot
+    rebuild: a closure that needs a copy or a sum of arrays the tape
+    already holds (layernorm's normalized input, conv2d's im2col columns)
+    rebuilds it here with the forward's own operations, so the gradients
+    are the same bits as if it had been kept.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -569,13 +573,16 @@ def max_(a, axis: int, keep=None) -> Tensor:
 # linear algebra ---------------------------------------------------------
 
 
-def matmul(a, b, bias=None) -> Tensor:
-    """a @ b, plus ``bias`` broadcast over the product's rows when given.
+def matmul(a, b, bias=None, residual=None) -> Tensor:
+    """a @ b, plus ``bias`` broadcast over the product's rows, plus ``residual``, when given.
 
-    One tape node with parents (a, b, bias): the bias is added in place on
-    the product, so no pre-bias buffer is kept. When ``b`` is a 2-D weight
-    shared by every leading index of ``a``, the forward product and both
-    gradients run as one 2-D GEMM over ``a``'s rows.
+    One tape node with parents (a, b, bias, residual): the bias and then the
+    residual are added in place on the product, so no pre-bias or pre-residual
+    buffer is kept, and ``x + (a @ b + bias)`` needs no ``add`` node of its
+    own (the sum is the same bits in either order). ``residual`` must have the
+    product's shape; its gradient is the incoming one. When ``b`` is a 2-D
+    weight shared by every leading index of ``a``, the forward product and
+    both gradients run as one 2-D GEMM over ``a``'s rows.
     """
     a, b = coerce(a), coerce(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -598,6 +605,12 @@ def matmul(a, b, bias=None) -> Tensor:
         except ValueError:
             raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to the product {out.shape}") from None
         parents += (bias,)
+    if residual is not None:
+        residual = coerce(residual)
+        if residual.shape != out.shape:
+            raise ShapeError(f"matmul: residual {residual.shape} differs from the product {out.shape}")
+        out += residual.data
+        parents += (residual,)
 
     def bwd(g: Array) -> None:
         if a.requires_grad:
@@ -615,6 +628,8 @@ def matmul(a, b, bias=None) -> Tensor:
             _accumulate(b, gb, owned=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.shape))
+        if residual is not None:
+            _accumulate(residual, g)
 
     return _make(out, parents, "matmul", bwd)
 
@@ -623,9 +638,11 @@ def matmul(a, b, bias=None) -> Tensor:
 
 
 def _softmax_forward(x: Array, axis: int) -> Array:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    # one buffer, never ``x``: exp(x - max) / sum, the same IEEE operations in place
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -737,7 +754,11 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
 
 
 def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Normalize over the last axis, then apply an elementwise affine."""
+    """Normalize over the last axis, then apply an elementwise affine.
+
+    The tape keeps the (..., 1) mean and inverse deviation alone: backward
+    rebuilds the normalized input from ``a``, which the tape holds anyway.
+    """
     a, gain, bias = coerce(a), coerce(gain), coerce(bias)
     dim = a.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
@@ -745,14 +766,17 @@ def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
             f"layernorm: gain/bias must have shape ({dim},), got {gain.shape} and {bias.shape}"
         )
     mu = a.data.mean(axis=-1, keepdims=True)
-    xhat = a.data - mu  # centred once, for the variance and then, scaled in place, for xhat
-    var = (xhat**2).mean(axis=-1, keepdims=True)
+    out = a.data - mu  # centred once, for the variance, then scaled and shifted in place
+    var = (out**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out = xhat * gain.data + bias.data
+    out *= inv
+    out *= gain.data
+    out += bias.data
 
     def bwd(g: Array) -> None:
         lead = tuple(range(g.ndim - 1))
+        xhat = a.data - mu  # the forward's xhat, to the bit
+        xhat *= inv
         buf = g * xhat
         if gain.requires_grad:
             _accumulate(gain, buf.sum(axis=lead))
@@ -833,7 +857,9 @@ def conv2d(x, w) -> Tensor:
     with zero margins, after which the output rows and columns whose input lies past
     the image are zeroed. Each output of ``wf @ cols`` still sums over ``(c, kh, kw)`` in
     the weight's own order, and each entry of the weight gradient ``g @ cols.T`` over
-    ``(n, h, w)`` in batch order.
+    ``(n, h, w)`` in batch order. The tape does not keep the columns, kh*kw times the
+    size of ``x``: backward rebuilds them from ``x``, which it holds anyway, with the
+    forward's own helper, ``_im2col``.
     """
     x, w = coerce(x), coerce(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -853,27 +879,21 @@ def conv2d(x, w) -> Tensor:
         for i in range(kh)
         for j in range(kw)
     ]
-
-    xf = np.zeros(size + 2 * margin)
-    xf[margin : margin + size] = x.data.reshape(-1)
-    cols = np.empty((c, kh * kw, n, h, width))
-    for t, (off, rows, columns) in enumerate(taps):
-        cols[:, t] = xf[off : off + size].reshape(x.shape)
-        _zero_border(cols[:, t], rows, columns)
-    cols = cols.reshape(c * kh * kw, n * h * width)
     wf = w.data.reshape(f, c * kh * kw)
-    out = (wf @ cols).reshape(f, n, h, width)
+    out = (wf @ _im2col(x.data, taps, margin)).reshape(f, n, h, width)
 
     def bwd(g: Array) -> None:
         g2 = g.reshape(f, n * h * width)
+        cols = _im2col(x.data, taps, margin)
         # weight gradient: one GEMM with the batch and output positions as the inner sum
         _accumulate(w, (g2 @ cols.T).reshape(w.shape), owned=True)
         if not x.requires_grad:  # e.g. the image batch itself
             return
         # col2im: each tap of the column gradient, its border zeroed, is added at the tap's
         # flat offset in (i, j) order; the zeroed entries add an exact +0.0 to the margins
-        # and to the neighbouring rows they land on
-        gcols = (wf.T @ g2).reshape(c, kh * kw, n, h, width)
+        # and to the neighbouring rows they land on. The column gradient takes the rebuilt
+        # columns' buffer, so the rebuild costs backward no extra allocation.
+        gcols = np.matmul(wf.T, g2, out=cols).reshape(c, kh * kw, n, h, width)
         gxf = np.zeros(size + 2 * margin)
         for t, (off, rows, columns) in enumerate(taps):
             _zero_border(gcols[:, t], rows, columns)
@@ -882,6 +902,20 @@ def conv2d(x, w) -> Tensor:
         _accumulate(x, gxf[margin : margin + size].reshape(x.shape), owned=True)
 
     return _make(out, (x, w), "conv2d", bwd)
+
+
+def _im2col(x: Array, taps, margin: int) -> Array:
+    """The (c*kh*kw, n*h*w) im2col columns of a (c, n, h, w) input for conv2d's ``taps``,
+    read out of a flat copy of ``x`` with ``margin`` zeros on either side."""
+    c, n, h, width = x.shape
+    size = x.size
+    xf = np.zeros(size + 2 * margin)
+    xf[margin : margin + size] = x.reshape(-1)
+    cols = np.empty((c, len(taps), n, h, width))
+    for t, (off, rows, columns) in enumerate(taps):
+        cols[:, t] = xf[off : off + size].reshape(x.shape)
+        _zero_border(cols[:, t], rows, columns)
+    return cols.reshape(c * len(taps), n * h * width)
 
 
 def _past_edge(shift: int, length: int) -> slice | None:

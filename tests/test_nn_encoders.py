@@ -12,7 +12,7 @@ from deskclip.encoders import (
     VitEncoder,
 )
 from deskclip.errors import ConfigError, ContractError, ShapeError
-from deskclip.nn import LayerNorm, Linear, Module, MultiHeadSelfAttention, trunc_normal
+from deskclip.nn import LayerNorm, Linear, Module, MultiHeadSelfAttention, TransformerBlock, trunc_normal
 
 
 def rng():
@@ -75,6 +75,19 @@ def test_linear_records_one_matmul_node(bias):
     assert [node.op for node in T.build_graph(out).nodes] == ["leaf"] * (1 + len(params)) + ["matmul"]
     want = x.data @ layer.weight.data + (layer.bias.data if bias else 0.0)
     assert np.array_equal(out.data, want)
+
+
+@pytest.mark.parametrize("rows", [None, [2, 0]], ids=["every-row", "one-row"])
+def test_transformer_block_folds_its_residual_sums_into_its_matmuls(rows):
+    block = TransformerBlock(12, 2, rng())
+    x = T.Tensor(rng().standard_normal((2, 4, 12)), requires_grad=True)
+    rows = None if rows is None else np.array(rows)
+    out = block.finish(x, block.fuse(x), rows=rows)
+    assert "add" not in [node.op for node in T.build_graph(out).nodes]
+    # x + attn(ln(x)), then h + mlp(ln(h)), to the bit
+    picked = x.data if rows is None else x.data[np.arange(2), rows]
+    h = picked + block.attn.mix(block.fuse(x), rows=rows).data
+    assert np.array_equal(out.data, h + block.mlp(block.ln2(T.constant(h))).data)
 
 
 def test_layernorm_standardizes_last_axis():

@@ -391,6 +391,41 @@ def test_matmul_bias_is_one_node_and_checks_shapes():
         T.matmul(T.constant(np.zeros(4)), w, b)
 
 
+@pytest.mark.parametrize("ashape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+def test_matmul_residual_is_the_composed_add_and_passes_the_gradient_through(ashape, bias):
+    rng = np.random.default_rng(17)
+    a_data, w_data, b_data = rng.standard_normal(ashape), rng.standard_normal((4, 6)), rng.standard_normal(6)
+    r_data = rng.standard_normal(ashape[:-1] + (6,))
+    g = T.constant(rng.standard_normal(r_data.shape))
+    runs = []
+    for fused in (False, True):
+        a, w, r = (T.Tensor(d, requires_grad=True) for d in (a_data, w_data, r_data))
+        b = T.Tensor(b_data, requires_grad=True) if bias else None
+        out = T.matmul(a, w, b, r) if fused else r + T.matmul(a, w, b)
+        T.backward(T.sum_(out * g))
+        runs.append([out.data, a.grad, w.grad, r.grad] + ([b.grad] if bias else []))
+    for want, got in zip(*runs):
+        assert np.array_equal(got, want)
+    assert np.array_equal(r.grad, g.data)
+    a, w, r = rand(rng, *ashape), rand(rng, 4, 6), rand(rng, *r_data.shape)
+    b = rand(rng, 6) if bias else None
+    params = [("a", a), ("w", w), ("residual", r)] + ([("bias", b)] if bias else [])
+    check(lambda: T.sum_(T.matmul(a, w, b, r) ** 2.0), params)
+
+
+def test_matmul_residual_is_one_node_and_must_have_the_product_shape():
+    rng = np.random.default_rng(18)
+    a, w, b, r = rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5), rand(rng, 2, 3, 5)
+    out = T.matmul(a, w, b, r)
+    assert out._parents == (a, w, b, r)
+    assert [node.op for node in T.build_graph(out).nodes] == ["leaf"] * 4 + ["matmul"]
+    assert np.array_equal(T.matmul(a, w, residual=r).data, r.data + a.data @ w.data)
+    for shape in [(5,), (1, 3, 5), (2, 3, 4), (2, 2, 3, 5)]:  # broadcastable or not, it must match
+        with pytest.raises(ShapeError, match="residual"):
+            T.matmul(a, w, b, T.constant(np.zeros(shape)))
+
+
 @pytest.mark.parametrize("ashape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
 def test_matmul_skips_the_input_gradient_of_a_constant(ashape, unbroadcast_shapes):
     rng = np.random.default_rng(16)
@@ -432,6 +467,18 @@ def test_softmax_rows_sum_to_one_and_grad():
     w = T.constant(rng.standard_normal((4, 6)))
     assert np.allclose(T.softmax(a, axis=1).data.sum(axis=1), 1.0, atol=1e-12)
     check(lambda: T.sum_(T.softmax(a, axis=1) * w), [("a", a)])
+
+
+def test_softmax_forward_is_bitwise_the_plain_formula_and_leaves_its_input():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((2, 4, 9, 9)) * 30.0
+    x[0, 0, 0] = -1e9  # a masked row, as attention's padding bias makes
+    before = x.copy()
+    for axis in (-1, 1):
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        assert np.array_equal(T._softmax_forward(x, axis), e / e.sum(axis=axis, keepdims=True))
+    assert np.array_equal(x, before)
 
 
 @settings(max_examples=50, deadline=None)
