@@ -169,6 +169,8 @@ def cmd_synth(args) -> int:
         raise ConfigError("need at least 2 classes")
     if args.image_size < 1:
         raise ConfigError(f"--image-size must be at least 1, got {args.image_size}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     if args.train < args.classes or args.val < args.classes:
         raise ConfigError("--train and --val must each cover every class at least once")
     names = synthetic_class_names(args.classes)

@@ -180,9 +180,14 @@ class SyntheticSpec:
             except ValueError:
                 raise ManifestError(f"non-integer synthetic spec value: {part!r}") from None
         try:
-            return cls(fields["class"], fields["seed"], fields["template"])
+            spec = cls(fields["class"], fields["seed"], fields["template"])
         except KeyError as missing:
             raise ManifestError(f"synthetic spec missing {missing}") from None
+        if not 0 <= spec.class_id < MAX_CLASSES:
+            raise ManifestError(f"synthetic spec class {spec.class_id} outside [0, {MAX_CLASSES})")
+        if spec.seed < 0 or spec.template_id < 0:
+            raise ManifestError(f"synthetic spec seed and template must be >= 0: {text!r}")
+        return spec
 
 
 def class_name(class_id: int) -> str:

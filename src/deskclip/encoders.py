@@ -31,6 +31,11 @@ def _require_positive(cfg, *names: str) -> None:
             raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
 
 
+def _require_rgb(cfg) -> None:
+    if cfg.channels != 3:
+        raise ConfigError(f"image.channels must be 3, got {cfg.channels}: every image is read as RGB")
+
+
 @dataclass(frozen=True)
 class VitConfig:
     image_size: int = 32
@@ -43,6 +48,7 @@ class VitConfig:
 
     def __post_init__(self):
         _require_positive(self, "image_size", "patch_size", "width", "depth", "heads", "embed_dim", "channels")
+        _require_rgb(self)
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -71,6 +77,7 @@ class ConvConfig:
         if not self.stage_channels:
             raise ConfigError("stage_channels must be non-empty")
         _require_positive(self, "image_size", "channels", "kernel_size", "embed_dim")
+        _require_rgb(self)
         if min(self.stage_channels) < 1:
             raise ConfigError(f"stage_channels must be positive, got {self.stage_channels}")
         if self.kernel_size % 2 != 1:

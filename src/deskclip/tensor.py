@@ -3,7 +3,9 @@
 Data lives in row-major numpy arrays. Every differentiable operation
 records its operands and a backward rule; ``backward`` walks the graph
 once in reverse topological order and accumulates gradients into every
-reachable tensor that has ``requires_grad`` set.
+reachable tensor that has ``requires_grad`` set. A broadcasting binary op
+is one call to ``_binary`` and a pointwise op one call to ``_unary``: each
+gives its forward and its local derivative, and the rule does the rest.
 """
 
 from __future__ import annotations
@@ -261,110 +263,66 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+# elementwise ------------------------------------------------------------
+
+
+def _binary(op: str, a, b, forward, grad_a, grad_b) -> Tensor:
+    """One rule for the broadcasting binary ops: ``forward(x, y)`` is the value, and
+    ``grad_a(g, x, y)`` and ``grad_b(g, x, y)`` each side's gradient at the broadcast
+    shape, run only for a side that requires one."""
+    a, b = coerce(a), coerce(b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from None
 
+    def bwd(g: Array) -> None:
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad_a(g, a.data, b.data), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(grad_b(g, a.data, b.data), b.shape))
 
-# elementwise ------------------------------------------------------------
+    return _make(forward(a.data, b.data), (a, b), op, bwd)
 
 
 def add(a, b) -> Tensor:
-    a, b = coerce(a), coerce(b)
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
-
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out, (a, b), "add", bwd)
+    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = coerce(a), coerce(b)
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
-
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out, (a, b), "sub", bwd)
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = coerce(a), coerce(b)
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
-
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out, (a, b), "mul", bwd)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = coerce(a), coerce(b)
-    _check_broadcast(a, b, "div")
-    out = a.data / b.data
+    return _binary("div", a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _make(out, (a, b), "div", bwd)
+def _unary(op: str, a, forward, grad) -> Tensor:
+    """The pointwise ops' rule: ``forward(x)`` is the value, ``grad(g, x, out)`` the gradient."""
+    a = coerce(a)
+    out = forward(a.data)
+    return _make(out, (a,), op, lambda g: _accumulate(a, grad(g, a.data, out)))
 
 
 def neg(a) -> Tensor:
-    a = coerce(a)
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), "neg", bwd)
+    return _unary("neg", a, np.negative, lambda g, x, out: -g)
 
 
 def power(a, exponent: float) -> Tensor:
-    a = coerce(a)
     p = float(exponent)
-    out = a.data**p
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _make(out, (a,), "power", bwd)
+    return _unary("power", a, lambda x: x**p, lambda g, x, out: g * p * x ** (p - 1.0))
 
 
 def exp(a) -> Tensor:
-    a = coerce(a)
-    out = np.exp(a.data)
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, g * out)
-
-    return _make(out, (a,), "exp", bwd)
+    return _unary("exp", a, np.exp, lambda g, x, out: g * out)
 
 
 def log(a) -> Tensor:
-    a = coerce(a)
-    out = np.log(a.data)
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, g / a.data)
-
-    return _make(out, (a,), "log", bwd)
+    return _unary("log", a, np.log, lambda g, x, out: g / x)
 
 
 def gelu(a) -> Tensor:
@@ -721,11 +679,15 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | N
     return _make(merged.reshape((n, L, w) if rows is None else (n, w)), (fused,), "attention", bwd)
 
 
+def _log_softmax_forward(x: Array, axis: int) -> Array:
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = coerce(a)
     axis = _axis("log_softmax", axis, a.shape)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = _log_softmax_forward(a.data, axis)
 
     def bwd(g: Array) -> None:
         _accumulate(a, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
@@ -829,8 +791,7 @@ def cross_entropy(logits, targets) -> Tensor:
         raise ShapeError(f"cross_entropy: targets shape {tgt.shape} does not match {n} rows")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
         raise IndexError(f"cross_entropy: target outside [0, {v})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = _log_softmax_forward(logits.data, 1)
     rows = np.arange(n)
     out = -logp[rows, tgt].mean()
 

@@ -31,7 +31,8 @@ class PromptSet:
                 raise ConfigError(f"template must contain {{label}} exactly once: {template!r}")
 
     def fill(self, label: str) -> list[str]:
-        return [template.format(label=label) for template in self.templates]
+        # replace, not format: any other brace in a template is text
+        return [template.replace("{label}", label) for template in self.templates]
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptSet":

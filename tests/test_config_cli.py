@@ -429,6 +429,49 @@ def test_a_rerun_that_fails_leaves_the_run_directory_as_it_was(tmp_path, capsys,
     assert _files(out) == before
 
 
+def _manifest_with_first_source(tmp_path, data_dir, source):
+    """A copy of the train manifest whose first record's source is ``source``."""
+    lines = (data_dir / "train.tsv").read_text().splitlines()
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_text("\n".join([source + "\t" + lines[0].split("\t", 1)[1]] + lines[1:]) + "\n")
+    return manifest
+
+
+# case -> (its extra arguments, or for spec- cases the first train record's source; the error's text)
+INPUT_FAULTS = {
+    "image-channels": (["--set", "image.channels=1"], "image.channels must be 3, got 1"),
+    "spec-seed": ("synthetic:class=0;seed=-5;template=0", "bad.tsv:1: synthetic spec seed and template must be >= 0"),
+    "spec-template": ("synthetic:class=0;seed=5;template=-1", "bad.tsv:1: synthetic spec seed and template"),
+    "spec-class-negative": ("synthetic:class=-1;seed=5;template=0", "bad.tsv:1: synthetic spec class -1 outside"),
+    "spec-class-past": ("synthetic:class=99;seed=5;template=0", "bad.tsv:1: synthetic spec class 99 outside"),
+    "synth-seed": (["--seed", "-5"], "--seed must be at least 0, got -5"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_FAULTS))
+def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory_as_it_was(
+    tmp_path, capsys, data_dir, micro_checkpoint, case
+):
+    extra, message = INPUT_FAULTS[case]
+    if case == "synth-seed":
+        out = tmp_path / "data"
+        shutil.copytree(data_dir, out)
+        argv = ["synth", str(out), "--classes", "4", "--train", "16", "--val", "8", *extra]
+    else:
+        out = tmp_path / "run"
+        shutil.copytree(micro_checkpoint.parent, out)
+        if case.startswith("spec-"):
+            extra = ["--set", f"data.train_manifest={_manifest_with_first_source(tmp_path, data_dir, extra)}"]
+        argv = ["train", "--out", str(out)] + micro_args(data_dir) + extra
+    before = _files(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert message in err
+    assert _files(out) == before
+
+
 def _copy(micro_checkpoint, tmp_path):
     ckpt = tmp_path / "final.ckpt"
     shutil.copyfile(micro_checkpoint, ckpt)
@@ -655,6 +698,7 @@ def test_synth_guards_class_coverage(tmp_path, capsys):
     (["--classes", "1"], "need at least 2 classes"),
     (["--materialize", "--image-size", "0"], "--image-size must be at least 1, got 0"),
     (["--image-size", "-3"], "--image-size must be at least 1, got -3"),
+    (["--seed", "-5"], "--seed must be at least 0, got -5"),
 ])
 def test_synth_rejects_bad_sizes_exits_2_before_making_the_directory(tmp_path, capsys, args, message):
     out = tmp_path / "d"

@@ -170,6 +170,18 @@ def test_spec_parse_rejects_garbage():
             SyntheticSpec.parse(bad)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("class=-1;seed=1;template=0", "class -1 outside [0, 16)"),
+    ("class=16;seed=1;template=0", "class 16 outside [0, 16)"),
+    ("class=0;seed=-5;template=0", "seed and template must be >= 0"),
+    ("class=0;seed=1;template=-1", "seed and template must be >= 0"),
+])
+def test_spec_parse_rejects_out_of_range_values(fields, message):
+    assert SyntheticSpec.parse("synthetic:class=15;seed=0;template=0").class_id == 15
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        SyntheticSpec.parse(f"synthetic:{fields}")
+
+
 def test_class_names_pair_color_with_shape():
     assert class_name(0) == "red circle"
     assert class_name(5) == "green square"

@@ -218,6 +218,14 @@ def test_vit_config_validation():
                 VitConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("cls", [VitConfig, ConvConfig])
+def test_image_configs_take_three_channels_only(cls):
+    assert cls().channels == 3
+    for channels in (1, 4):
+        with pytest.raises(ConfigError, match=f"image.channels must be 3, got {channels}"):
+            cls(channels=channels)
+
+
 def test_conv_config_validation():
     for field in ("image_size", "channels", "kernel_size", "embed_dim"):
         for bad in (0, -1):

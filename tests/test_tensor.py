@@ -96,6 +96,61 @@ def test_gelu_forward_is_bitwise_the_composed_formula(shape):
     assert a.grad.shape == shape
 
 
+# op -> (the op, its numpy forward, and the gradient of each operand at the broadcast shape)
+BINARY = {
+    "add": (T.add, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g),
+    "sub": (T.sub, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g),
+    "mul": (T.mul, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x),
+    "div": (T.div, lambda x, y: x / y, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y)),
+}
+UNARY = {
+    "neg": (T.neg, lambda x: -x, lambda g, x: -g),
+    "exp": (T.exp, np.exp, lambda g, x: g * np.exp(x)),
+    "log": (T.log, np.log, lambda g, x: g / x),
+    "power": (lambda a: T.power(a, 2.5), lambda x: x**2.5, lambda g, x: g * 2.5 * x**1.5),
+}
+# (a's shape, b's shape, the sums that bring a broadcast-shape gradient back to a and to b)
+BROADCASTS = {
+    "b-to-a": ((3, 4), (4,), lambda t: t, lambda t: t.sum(axis=0)),
+    "a-to-b": ((3, 1), (3, 4), lambda t: t.sum(axis=1, keepdims=True), lambda t: t),
+}
+FAMILY_CASES = [(op, shapes, const) for op in BINARY for shapes in BROADCASTS for const in "ab"]
+FAMILY_CASES += [(op, None, None) for op in UNARY]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("op, shapes, const", FAMILY_CASES,
+                         ids=[f"{op}-{s}-const-{c}" if s else op for op, s, c in FAMILY_CASES])
+def test_binary_and_pointwise_ops_are_bitwise_the_numpy_formula(op, shapes, const):
+    rng = np.random.default_rng(24)
+    if op in UNARY:
+        fn, forward, grad = UNARY[op]
+        x = rng.uniform(0.5, 2.0, (3, 4))
+        tracked, fixed = T.Tensor(x, requires_grad=True), None
+        out, want = fn(tracked), forward(x)
+        expected = lambda g: grad(g, x)
+    else:
+        fn, forward, grad_a, grad_b = BINARY[op]
+        shape_a, shape_b, sum_a, sum_b = BROADCASTS[shapes]
+        x, y = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        a, b = T.Tensor(x, requires_grad=const != "a"), T.Tensor(y, requires_grad=const != "b")
+        out, want = fn(a, b), forward(x, y)
+        if const == "a":
+            tracked, fixed, expected = b, a, lambda g: sum_b(grad_b(g, x, y))
+        else:
+            tracked, fixed, expected = a, b, lambda g: sum_a(grad_a(g, x, y))
+    assert out.op == op and out.requires_grad
+    assert out.shape == want.shape and _bits(out.data) == _bits(want)
+    g = rng.standard_normal(out.shape)
+    out._backward(g)
+    # a first gradient is copied into a fresh buffer as grad + 0.0
+    assert _bits(tracked.grad) == _bits(np.add(expected(g), 0.0))
+    assert fixed is None or fixed.grad is None
+
+
 def test_incompatible_shapes_raise():
     a = T.constant(np.zeros((2, 3)))
     b = T.constant(np.zeros((4, 5)))

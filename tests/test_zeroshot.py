@@ -60,6 +60,7 @@ def micro_vocab():
 def test_prompt_set_fills_label():
     ps = PromptSet(("a photo of a {label}.", "{label} on a desk"))
     assert ps.fill("red circle") == ["a photo of a red circle.", "red circle on a desk"]
+    assert PromptSet(("a {label} in {place}",)).fill("red circle") == ["a red circle in {place}"]
 
 
 def test_prompt_set_rejects_empty_and_bad_templates():
