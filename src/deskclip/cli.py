@@ -50,6 +50,19 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _output_path(path: str | Path, what: str, directory: bool) -> Path:
+    """``path`` for an output ``what``; ConfigError, naming it, if it or its nearest
+    existing parent is of the wrong kind, so the command fails before it writes."""
+    path = Path(path)
+    kind = "a directory" if directory else "a file"
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"{what} must be {kind}: {path}")
+    parent = next(p for p in path.absolute().parents if p.exists())
+    if not parent.is_dir():
+        raise ConfigError(f"{what} cannot be made: {parent} is not a directory")
+    return path
+
+
 def _load_prompts(path: str) -> PromptSet:
     return PromptSet.load(_require_file(path, "prompt file")) if path else desk_prompts()
 
@@ -83,9 +96,10 @@ def cmd_train(args) -> int:
     if args.validate_only:
         print("config ok")
         return EXIT_OK
+    out = _output_path(args.out or cfg.data.out_dir, "run directory", directory=True)
     train_records, val_records, names, prompts = _gather_run_inputs(cfg)
     result = train(
-        args.out or cfg.data.out_dir,
+        out,
         train_records,
         val_records,
         names,
@@ -116,19 +130,21 @@ def _print_result(result: TrainResult) -> None:
 def cmd_eval(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
+    report_path = _output_path(args.report, "report file", directory=False) if args.report else None
     records, names = _read_labelled_split(args.manifest, args.classes)
     prompts = _load_prompts(args.prompts)
     model, vocab, (_, _, image_cfg, text_cfg) = load_model_for_eval(
         _require_file(args.checkpoint, "checkpoint")
     )
+    check_images(records, image_cfg.image_size)
     accuracy, predictions, labels = evaluate(
         model, records, names, prompts, vocab,
         text_cfg.context_length, image_cfg.image_size, args.batch_size,
     )
     report = evaluation_report(predictions, labels, names)
     print(report)
-    if args.report:
-        Path(args.report).write_text(report + "\n", encoding="utf-8")
+    if report_path is not None:
+        report_path.write_text(report + "\n", encoding="utf-8")
     if args.expect_at_least is not None and accuracy < args.expect_at_least:
         print(
             f"accuracy {accuracy:.4f} below required {args.expect_at_least:.4f}",
@@ -174,10 +190,12 @@ def cmd_synth(args) -> int:
     if args.train < args.classes or args.val < args.classes:
         raise ConfigError("--train and --val must each cover every class at least once")
     names = synthetic_class_names(args.classes)
-    out = Path(args.out_dir)
+    out = _output_path(args.out_dir, "output directory", directory=True)
     out.mkdir(parents=True, exist_ok=True)
     train_records = generate_synthetic(args.classes, args.train // args.classes, args.seed)
-    val_records = generate_synthetic(args.classes, args.val // args.classes, args.seed + 10_000)
+    # the validation seeds start past the last training seed, so the splits share no spec
+    val_seed = args.seed + max(10_000, len(train_records))
+    val_records = generate_synthetic(args.classes, args.val // args.classes, val_seed)
     if args.materialize:
         train_records = materialize(train_records, out / "images" / "train", args.image_size)
         val_records = materialize(val_records, out / "images" / "val", args.image_size)
@@ -209,11 +227,13 @@ def _sweep_values(over: str) -> tuple[str, list[str]]:
 
 def cmd_sweep(args) -> int:
     key, values = _sweep_values(args.over)
-    out_root = Path(args.out or load_run_config(args.config, args.set).data.out_dir)
+    out_root = _output_path(args.out or load_run_config(args.config, args.set).data.out_dir,
+                            "sweep directory", directory=True)
     # every run's config and inputs are checked before the first run starts
     runs = []
     for value in values:
         cfg = load_run_config(args.config, args.set + [f"{key}={value}"])
+        _output_path(out_root / value, "run directory", directory=True)
         runs.append((value, cfg, _gather_run_inputs(cfg)))
     rows = []
     for value, cfg, (records, val_records, names, prompts) in runs:

@@ -147,8 +147,18 @@ def _farbfeld_size(path: str | Path, header: bytes, length: int) -> tuple[int, i
     return w, h
 
 
+def _read_image(path: str | Path, size: int = -1) -> tuple[bytes, int]:
+    """The first ``size`` bytes of an image file (all of them by default) and its length;
+    a file that cannot be read is a ManifestError that names it, so the CLI exits 2."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(size), os.fstat(fh.fileno()).st_size
+    except OSError as err:
+        raise ManifestError(f"cannot read image {path}: {err}") from err
+
+
 def read_farbfeld(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    raw, _ = _read_image(path)
     w, h = _farbfeld_size(path, raw[:16], len(raw))
     pixels = np.frombuffer(raw, dtype=">u2", offset=16).reshape(h, w, 4)
     return (pixels[:, :, :3].transpose(2, 0, 1).astype(np.float64) / 65535.0)
@@ -278,10 +288,7 @@ def check_images(records: list[PairRecord], image_size: int) -> None:
     for record in records:
         if record.source.startswith(SYNTHETIC_PREFIX):
             continue
-        with open(record.source, "rb") as fh:
-            header = fh.read(16)
-            length = os.fstat(fh.fileno()).st_size
-        w, h = _farbfeld_size(record.source, header, length)
+        w, h = _farbfeld_size(record.source, *_read_image(record.source, 16))
         _require_side(record.source, w, h, image_size)
 
 

@@ -4,8 +4,10 @@ Data lives in row-major numpy arrays. Every differentiable operation
 records its operands and a backward rule; ``backward`` walks the graph
 once in reverse topological order and accumulates gradients into every
 reachable tensor that has ``requires_grad`` set. A broadcasting binary op
-is one call to ``_binary`` and a pointwise op one call to ``_unary``: each
-gives its forward and its local derivative, and the rule does the rest.
+is one call to ``_binary``, a one-operand op one to ``_unary`` and an index
+op one to ``_gather``: each gives its forward and its local gradient, and
+nothing else. Every rule gets a read-only gradient, and ``_accumulate``
+takes over exactly the writeable buffers a rule built.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ def backward(loss: Tensor) -> None:
     rebuild: a closure that needs a copy or a sum of arrays the tape
     already holds (layernorm's normalized input, conv2d's im2col columns)
     rebuilds it here with the forward's own operations, so the gradients
-    are the same bits as if it had been kept.
+    are the same bits as if it had been kept. A rule's incoming gradient is
+    read-only: writing into it raises ValueError, and it is never taken over.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -171,6 +174,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         if node._backward is not None and node.grad is not None:
+            node.grad.flags.writeable = False
             node._backward(node.grad)
         if node._parents:  # interior node: grad consumed, activations no longer needed
             node.grad = None
@@ -178,20 +182,20 @@ def backward(loss: Tensor) -> None:
             node._parents = ()
 
 
-def _accumulate(target: Tensor, grad: Array, owned: bool = False) -> None:
+def _accumulate(target: Tensor, grad: Array) -> None:
     """Add ``grad`` into ``target.grad``.
 
-    ``owned`` says ``grad`` is a buffer of the target's shape that the
-    backward closure built for this call and never touches again (never
-    an alias of its incoming gradient), so it becomes ``target.grad``
-    without a copy.
+    A first gradient that is writeable and has the target's shape becomes
+    ``target.grad`` without a copy: a rule hands over the buffers it builds
+    and never touches them again. A read-only one (an incoming gradient, a
+    view of one, or a buffer a rule chose to keep) is copied.
     """
     if not target.requires_grad:
         return
     if target.grad is None:
-        # never an alias of a buffer someone else holds; adding +0.0 keeps the bits of
-        # zeros + grad (a -0.0 becomes +0.0) and broadcasts the same way
-        target.grad = np.add(grad, 0.0, out=grad if owned else np.empty_like(target.data))
+        take = grad.flags.writeable and grad.shape == target.shape
+        # adding +0.0 keeps the bits of zeros + grad (a -0.0 becomes +0.0) and broadcasts the same way
+        target.grad = np.add(grad, 0.0, out=grad if take else np.empty_like(target.data))
     else:
         target.grad += grad
 
@@ -302,7 +306,7 @@ def div(a, b) -> Tensor:
 
 
 def _unary(op: str, a, forward, grad) -> Tensor:
-    """The pointwise ops' rule: ``forward(x)`` is the value, ``grad(g, x, out)`` the gradient."""
+    """The one-operand ops' rule: ``forward(x)`` is the value, ``grad(g, x, out)`` the gradient."""
     a = coerce(a)
     out = forward(a.data)
     return _make(out, (a,), op, lambda g: _accumulate(a, grad(g, a.data, out)))
@@ -346,7 +350,7 @@ def gelu(a) -> Tensor:
         buf *= x
         buf += cdf
         buf *= g
-        _accumulate(a, buf, owned=True)
+        _accumulate(a, buf)
 
     return _make(out, (a,), "gelu", bwd)
 
@@ -358,14 +362,9 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     a = coerce(a)
     shape = tuple(int(s) for s in shape)
     try:
-        out = a.data.reshape(shape)
+        return _unary("reshape", a, lambda x: x.reshape(shape), lambda g, x, out: g.reshape(x.shape))
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(out, (a,), "reshape", bwd)
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
@@ -373,27 +372,19 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(int(x) for x in axes)
-    out = np.ascontiguousarray(a.data.transpose(axes))
     inverse = tuple(np.argsort(axes))
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, g.transpose(inverse))
-
-    return _make(out, (a,), "transpose", bwd)
+    return _unary("transpose", a, lambda x: np.ascontiguousarray(x.transpose(axes)),
+                  lambda g, x, out: g.transpose(inverse))
 
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     a = coerce(a)
     shape = tuple(int(s) for s in shape)
     try:
-        out = np.broadcast_to(a.data, shape).copy()
+        return _unary("broadcast_to", a, lambda x: np.broadcast_to(x, shape).copy(),
+                      lambda g, x, out: _unbroadcast(g, x.shape))
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}") from None
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-
-    return _make(out, (a,), "broadcast_to", bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -411,10 +402,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, parts, "concat", bwd)
 
 
+def _gather(op: str, a: Tensor, index) -> Tensor:
+    """The index ops' rule: ``a.data[index]``, where ``index`` picks no entry twice, so
+    backward adds each picked entry's gradient in place, once."""
+    return _make(a.data[index], (a,), op, lambda g: _accumulate_at(a, index, g))
+
+
 def slice_(a, key) -> Tensor:
-    """Basic (non-fancy) indexing with slices and integers."""
-    a = coerce(a)
-    return _make(a.data[key], (a,), "slice", lambda g: _accumulate_at(a, key, g))
+    """``a[key]`` with slices, integers and integer arrays that pick no entry twice:
+    backward adds a picked entry's gradient once, so a repeat would drop the rest."""
+    return _gather("slice", coerce(a), key)
 
 
 def _positions(op: str, positions, n: int, size: int) -> Array:
@@ -433,8 +430,7 @@ def select_positions(a, positions) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"select_positions: got tensor {a.shape}, need (n, L, ...)")
     idx = _positions("select_positions", positions, a.shape[0], a.shape[1])
-    rows = np.arange(a.shape[0])
-    return _make(a.data[rows, idx], (a,), "select_positions", lambda g: _accumulate_at(a, (rows, idx), g))
+    return _gather("select_positions", a, (np.arange(a.shape[0]), idx))
 
 
 # reductions -------------------------------------------------------------
@@ -482,7 +478,7 @@ def sum_(a, axis=None) -> Tensor:
     out = a.data.sum(axis=axes)
 
     def bwd(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axes), a.shape).copy(), owned=True)
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axes), a.shape).copy())
 
     return _make(out, (a,), "sum", bwd)
 
@@ -503,7 +499,7 @@ def mean(a, axis=None, keep=None) -> Tensor:
         full = np.broadcast_to(np.expand_dims(g / count, axes), a.shape).copy()  # an array even when a is 0-d
         if keep is not None:
             full *= keep
-        _accumulate(a, full, owned=True)
+        _accumulate(a, full)
 
     return _make(out, (a,), "mean", bwd)
 
@@ -524,8 +520,7 @@ def max_(a, axis: int, keep=None) -> Tensor:
     keep = _kept("max", keep, a.shape, (axis,))
     idx = _argmax_forward(a.data if keep is None else np.where(keep, a.data, -np.inf), axis=axis)
     grid = np.indices(idx.shape, sparse=True)  # an open grid over the other axes
-    index = grid[:axis] + (idx,) + grid[axis:]
-    return _make(a.data[index], (a,), "max", lambda g: _accumulate_at(a, index, g))
+    return _gather("max", a, grid[:axis] + (idx,) + grid[axis:])
 
 
 # linear algebra ---------------------------------------------------------
@@ -576,14 +571,14 @@ def matmul(a, b, bias=None, residual=None) -> Tensor:
                 ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
             else:
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            _accumulate(a, ga, owned=True)
+            _accumulate(a, ga)
         if b.requires_grad:
             if shared:
                 # one weight shared by every leading index: fold them into the GEMM's inner sum
                 gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            _accumulate(b, gb, owned=True)
+            _accumulate(b, gb)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.shape))
         if residual is not None:
@@ -606,13 +601,8 @@ def _softmax_forward(x: Array, axis: int) -> Array:
 def softmax(a, axis: int = -1) -> Tensor:
     a = coerce(a)
     axis = _axis("softmax", axis, a.shape)
-    out = _softmax_forward(a.data, axis)
-
-    def bwd(g: Array) -> None:
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(a, out * (g - inner))
-
-    return _make(out, (a,), "softmax", bwd)
+    return _unary("softmax", a, lambda x: _softmax_forward(x, axis),
+                  lambda g, x, out: out * (g - (g * out).sum(axis=axis, keepdims=True)))
 
 
 def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | None = None) -> Tensor:
@@ -674,7 +664,7 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | N
             gq[...] = 0.0
             gq[np.arange(n), :, rows] = (gs @ k)[:, :, 0]
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
-        _accumulate(fused, gfused.reshape(n, L, w3), owned=True)
+        _accumulate(fused, gfused.reshape(n, L, w3))
 
     return _make(merged.reshape((n, L, w) if rows is None else (n, w)), (fused,), "attention", bwd)
 
@@ -687,12 +677,8 @@ def _log_softmax_forward(x: Array, axis: int) -> Array:
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = coerce(a)
     axis = _axis("log_softmax", axis, a.shape)
-    out = _log_softmax_forward(a.data, axis)
-
-    def bwd(g: Array) -> None:
-        _accumulate(a, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
-
-    return _make(out, (a,), "log_softmax", bwd)
+    return _unary("log_softmax", a, lambda x: _log_softmax_forward(x, axis),
+                  lambda g, x, out: g - np.exp(out) * g.sum(axis=axis, keepdims=True))
 
 
 def l2_normalize(a, axis: int = -1) -> Tensor:
@@ -754,13 +740,14 @@ def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
         dxhat -= centre
         dxhat -= buf
         dxhat *= inv
-        _accumulate(a, dxhat, owned=True)
+        _accumulate(a, dxhat)
 
     return _make(out, (a, gain, bias), "layernorm", bwd)
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Gather rows of a 2-D table by integer index (any index shape)."""
+    """Gather rows of a 2-D table by integer ids of any shape, which may repeat:
+    backward sums each row's gradients with ``np.add.at`` into a zero-filled table."""
     table = coerce(table)
     if table.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
@@ -775,7 +762,7 @@ def embedding_lookup(table, ids) -> Tensor:
     def bwd(g: Array) -> None:
         full = np.zeros_like(table.data)
         np.add.at(full, idx, g)
-        _accumulate(table, full, owned=True)
+        _accumulate(table, full)
 
     return _make(out, (table,), "embedding_lookup", bwd)
 
@@ -847,7 +834,7 @@ def conv2d(x, w) -> Tensor:
         g2 = g.reshape(f, n * h * width)
         cols = _im2col(x.data, taps, margin)
         # weight gradient: one GEMM with the batch and output positions as the inner sum
-        _accumulate(w, (g2 @ cols.T).reshape(w.shape), owned=True)
+        _accumulate(w, (g2 @ cols.T).reshape(w.shape))
         if not x.requires_grad:  # e.g. the image batch itself
             return
         # col2im: each tap of the column gradient, its border zeroed, is added at the tap's
@@ -860,7 +847,7 @@ def conv2d(x, w) -> Tensor:
             _zero_border(gcols[:, t], rows, columns)
             block = gxf[off : off + size].reshape(x.shape)
             block += gcols[:, t]
-        _accumulate(x, gxf[margin : margin + size].reshape(x.shape), owned=True)
+        _accumulate(x, gxf[margin : margin + size].reshape(x.shape))
 
     return _make(out, (x, w), "conv2d", bwd)
 
@@ -915,8 +902,9 @@ def avgpool2(x) -> Tensor:
         for i in (0, 1):
             for j in (0, 1):
                 full[:, :, i::2, j::2] = quarter
-        # copied, not handed over: the handover measured ~3 MB more peak RSS on
-        # train-conv-clip (1 BLAS thread), with no step-time gain above the noise
+        # read-only, so copied rather than taken over: the takeover measured ~3 MB more
+        # peak RSS on both conv workloads (1 BLAS thread), with no step-time gain
+        full.flags.writeable = False
         _accumulate(x, full)
 
     return _make(out, (x,), "avgpool2", bwd)

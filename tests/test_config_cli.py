@@ -429,40 +429,60 @@ def test_a_rerun_that_fails_leaves_the_run_directory_as_it_was(tmp_path, capsys,
     assert _files(out) == before
 
 
-def _manifest_with_first_source(tmp_path, data_dir, source):
-    """A copy of the train manifest whose first record's source is ``source``."""
-    lines = (data_dir / "train.tsv").read_text().splitlines()
+def _manifest_with_first_source(tmp_path, data_dir, source, split="train"):
+    """A copy of a split's manifest, and of its labels, whose first record's source is ``source``."""
+    lines = (data_dir / f"{split}.tsv").read_text().splitlines()
     manifest = tmp_path / "bad.tsv"
     manifest.write_text("\n".join([source + "\t" + lines[0].split("\t", 1)[1]] + lines[1:]) + "\n")
+    shutil.copyfile(data_dir / f"{split}.tsv.labels", tmp_path / "bad.tsv.labels")
     return manifest
 
 
-# case -> (its extra arguments, or for spec- cases the first train record's source; the error's text)
+# case -> (its extra arguments, or for spec- and image- cases the first record's source; the error's
+# text). The case's command is its first word, train for the rest; {out} stands for the copy of a
+# finished run directory (of the data directory for synth) that the case must leave as it was.
 INPUT_FAULTS = {
     "image-channels": (["--set", "image.channels=1"], "image.channels must be 3, got 1"),
     "spec-seed": ("synthetic:class=0;seed=-5;template=0", "bad.tsv:1: synthetic spec seed and template must be >= 0"),
     "spec-template": ("synthetic:class=0;seed=5;template=-1", "bad.tsv:1: synthetic spec seed and template"),
     "spec-class-negative": ("synthetic:class=-1;seed=5;template=0", "bad.tsv:1: synthetic spec class -1 outside"),
     "spec-class-past": ("synthetic:class=99;seed=5;template=0", "bad.tsv:1: synthetic spec class 99 outside"),
-    "synth-seed": (["--seed", "-5"], "--seed must be at least 0, got -5"),
+    "image-a-directory": ("{out}", "cannot read image {out}: [Errno 21] Is a directory"),
+    "eval-image-a-directory": ("{out}", "cannot read image {out}: [Errno 21] Is a directory"),
+    "train-out-a-file": (["--out", "{out}/final.ckpt"], "run directory must be a directory: {out}/final.ckpt"),
+    "train-out-under-a-file": (["--out", "{out}/final.ckpt/run"],
+                               "run directory cannot be made: {out}/final.ckpt is not a directory"),
+    "sweep-out-a-file": (["--out", "{out}/final.ckpt"], "sweep directory must be a directory: {out}/final.ckpt"),
+    "eval-report-a-directory": (["--report", "{out}"], "report file must be a file: {out}"),
+    "synth-seed": (["{out}", "--seed", "-5"], "--seed must be at least 0, got -5"),
+    "synth-out-a-file": (["{out}/train.tsv"], "output directory must be a directory: {out}/train.tsv"),
 }
 
 
 @pytest.mark.parametrize("case", list(INPUT_FAULTS))
 def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory_as_it_was(
-    tmp_path, capsys, data_dir, micro_checkpoint, case
+    tmp_path, capsys, monkeypatch, data_dir, micro_checkpoint, case
 ):
     extra, message = INPUT_FAULTS[case]
-    if case == "synth-seed":
-        out = tmp_path / "data"
-        shutil.copytree(data_dir, out)
-        argv = ["synth", str(out), "--classes", "4", "--train", "16", "--val", "8", *extra]
+    command = case.split("-")[0] if case.startswith(("eval-", "sweep-", "synth-")) else "train"
+    out = tmp_path / ("data" if command == "synth" else "run")
+    shutil.copytree(data_dir if command == "synth" else micro_checkpoint.parent, out)
+    message, manifest = message.format(out=out), None
+    if isinstance(extra, str):  # the first record's source, in the split the command reads
+        manifest = _manifest_with_first_source(tmp_path, data_dir, extra.format(out=out),
+                                               "val" if command == "eval" else "train")
+        extra = [] if command == "eval" else ["--set", f"data.train_manifest={manifest}"]
+    extra = [item.format(out=out) for item in extra]
+    if command == "synth":
+        argv = ["synth", "--classes", "4", "--train", "16", "--val", "8", *extra]
+    elif command == "eval":
+        argv = ["eval", str(out / "final.ckpt"), "--manifest", str(manifest or data_dir / "val.tsv"),
+                "--classes", str(data_dir / "classes.txt"), *extra]
     else:
-        out = tmp_path / "run"
-        shutil.copytree(micro_checkpoint.parent, out)
-        if case.startswith("spec-"):
-            extra = ["--set", f"data.train_manifest={_manifest_with_first_source(tmp_path, data_dir, extra)}"]
-        argv = ["train", "--out", str(out)] + micro_args(data_dir) + extra
+        over = ["--over", "train.variant=clip,filip"] if command == "sweep" else []
+        argv = [command, *over, *([] if "--out" in extra else ["--out", str(out)])] + micro_args(data_dir) + extra
+    for work in ("train", "evaluate"):  # every fault is found before any work starts
+        monkeypatch.setattr(f"deskclip.cli.{work}", lambda *args, _work=work, **kwargs: pytest.fail(f"{_work} ran"))
     before = _files(out)
     capsys.readouterr()
     assert main(argv) == 2
@@ -470,6 +490,17 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
     assert message in err
     assert _files(out) == before
+
+
+@pytest.mark.parametrize("train", [16, 10008])
+def test_synth_splits_share_no_spec(tmp_path, train):
+    out = tmp_path / "d"
+    assert main(["synth", str(out), "--classes", "8", "--train", str(train), "--val", "8"]) == 0
+    sources = [[line.split("\t")[0] for line in (out / f"{split}.tsv").read_text().splitlines()]
+               for split in ("train", "val")]
+    assert len(sources[0]) == train and not set(sources[0]) & set(sources[1])
+    # the validation seeds start at 10,000 unless the training seeds reach it
+    assert sources[1][0].split(";")[1] == f"seed={max(10_000, train)}"
 
 
 def _copy(micro_checkpoint, tmp_path):

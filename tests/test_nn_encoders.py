@@ -456,6 +456,36 @@ def test_mlm_logits_shape_and_grad():
         enc.mlm_logits(hidden, np.array([[0, 4]]))  # past the trimmed width
 
 
+def test_mlm_logits_read_positions_as_the_flat_row_gather_did_to_the_bit():
+    enc = TextEncoder(tiny_text(), rng())
+    data = enc.forward_hidden(np.array([[1, 6, 7, 2, 0, 0, 0, 0], [1, 9, 8, 7, 6, 2, 0, 0]])).data
+    positions = np.array([[1, 3], [0, 2], [1, 1], [0, 1]])
+    n, L, w = data.shape
+    r = np.random.default_rng(3)
+    weights = T.constant(r.standard_normal((4, 32))), T.constant(r.standard_normal(data.shape))
+    runs = []
+    for route in ("slice", "reshape + embedding_lookup"):
+        hidden = T.Tensor(data, requires_grad=True)
+        if route == "slice":
+            out = enc.mlm_logits(hidden, positions)
+            readers = [node.op for node in T.build_graph(out).nodes if any(p is hidden for p in node._parents)]
+            assert readers == ["slice"]
+        else:
+            flat = T.reshape(hidden, (n * L, w))
+            out = enc.mlm_head(T.embedding_lookup(flat, positions[:, 0] * L + positions[:, 1]))
+        # a second reader, so hidden's gradient sums two contributions
+        T.backward(T.sum_(out * weights[0]) + T.sum_(hidden * weights[1]))
+        runs.append((out.data.tobytes(), hidden.grad.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_mlm_logits_reject_a_repeated_position():
+    enc = TextEncoder(tiny_text(), rng())
+    hidden = enc.forward_hidden(np.array([[1, 6, 7, 2, 0, 0, 0, 0]]))
+    with pytest.raises(ContractError, match="position repeats"):
+        enc.mlm_logits(hidden, np.array([[0, 1], [0, 2], [0, 1]]))
+
+
 # the dual wrapper ------------------------------------------------------------
 
 

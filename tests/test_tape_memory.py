@@ -4,6 +4,8 @@ Backward can rebuild a copy or a sum of arrays the tape already holds, so
 the tape keeps neither: layernorm keeps its (..., 1) statistics and not its
 normalized input, conv2d keeps no im2col columns, and a residual sum has no
 node of its own. The pinned byte counts catch a buffer that creeps back.
+Backward, in turn, copies no gradient buffer a rule built: the pinned
+first-gradient counts catch a copy that creeps back.
 """
 
 import numpy as np
@@ -105,3 +107,44 @@ def test_no_layernorm_closure_holds_an_array_of_its_input_shape():
     for node in norms:
         shape = node._parents[0].shape
         assert [arr.shape for arr in closure_arrays(node)] == [shape[:-1] + (1,)] * 2
+
+
+def first_gradients(root: T.Tensor, monkeypatch) -> tuple[int, int]:
+    """(taken over, copied): how ``_accumulate`` stores each first gradient over one
+    backward pass from ``root``. No buffer it takes over shares memory with the
+    gradient the rule at hand received."""
+    counts, incoming = [0, 0], [None]
+    accumulate = T._accumulate
+
+    def spy(target, grad):
+        first = target.requires_grad and target.grad is None
+        accumulate(target, grad)
+        if first:
+            taken = target.grad is grad
+            assert not (taken and np.shares_memory(grad, incoming[0]))
+            counts[not taken] += 1
+
+    def watched(rule):
+        def run(g):
+            incoming[0] = g
+            rule(g)
+        return run
+
+    monkeypatch.setattr(T, "_accumulate", spy)
+    loss = T.sum_(root * T.constant(np.random.default_rng(2).standard_normal(root.shape)))
+    for node in T.build_graph(loss).nodes:
+        if node._backward is not None:
+            node._backward = watched(node._backward)
+    T.backward(loss)
+    return tuple(counts)
+
+
+def test_tiny_vit_backward_takes_over_every_buffer_a_rule_built(monkeypatch):
+    # the copies are an incoming gradient or a view of one: four residuals,
+    # add's operand and concat's two pieces
+    assert first_gradients(_tiny_vit_forward(), monkeypatch) == (49, 7)
+
+
+def test_tiny_conv_backward_takes_over_every_buffer_a_rule_built(monkeypatch):
+    # the copies: reshape's and transpose's views, and avgpool2's two read-only buffers
+    assert first_gradients(_tiny_conv_forward(), monkeypatch) == (11, 4)

@@ -145,6 +145,7 @@ def test_binary_and_pointwise_ops_are_bitwise_the_numpy_formula(op, shapes, cons
     assert out.op == op and out.requires_grad
     assert out.shape == want.shape and _bits(out.data) == _bits(want)
     g = rng.standard_normal(out.shape)
+    g.flags.writeable = False  # as backward hands it over
     out._backward(g)
     # a first gradient is copied into a fresh buffer as grad + 0.0
     assert _bits(tracked.grad) == _bits(np.add(expected(g), 0.0))
@@ -314,10 +315,10 @@ def test_index_scatter_gradients_add_in_place_with_the_bits_of_zero_fill(monkeyp
             calls.append((index, np.array(grad)))
         scatter(target, index, grad)
 
-    def spy_accumulate(target, grad, owned=False):
+    def spy_accumulate(target, grad):
         if target is x:
             calls.append(((), np.array(grad)))
-        accumulate(target, grad, owned)
+        accumulate(target, grad)
 
     monkeypatch.setattr(T, "_accumulate_at", spy_scatter)
     monkeypatch.setattr(T, "_accumulate", spy_accumulate)
@@ -502,6 +503,30 @@ def test_owned_gradient_buffer_turns_negative_zero_positive():
     x = T.Tensor(np.array([-2.0, 1.0]), requires_grad=True)
     T.backward(T.sum_(T.gelu(x) * T.constant(np.array([0.0, 1.0]))))
     assert x.grad[0] == 0.0 and not np.signbit(x.grad[0])
+
+
+def test_a_rule_that_writes_into_its_incoming_gradient_raises():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+
+    def scales_in_place(g):
+        g *= 2.0
+        T._accumulate(x, g)
+
+    with pytest.raises(ValueError, match="read-only"):
+        T.backward(T.sum_(T._make(x.data * 2.0, (x,), "scale", scales_in_place)))
+
+
+def test_one_gradient_handed_to_two_parents_gives_each_its_own_buffer():
+    rng = np.random.default_rng(31)
+    a, b = rand(rng, 3, 4), rand(rng, 3, 4)
+    T.backward(T.sum_((a + b) * T.constant(rng.standard_normal((3, 4)))))
+    assert np.array_equal(a.grad, b.grad) and not np.shares_memory(a.grad, b.grad)
+    x, w = rand(rng, 3, 4), rand(rng, 4, 5)
+    bias, residual = rand(rng, 3, 5), rand(rng, 3, 5)  # both take the product's gradient as it is
+    T.backward(T.sum_(T.matmul(x, w, bias=bias, residual=residual) * T.constant(rng.standard_normal((3, 5)))))
+    grads = [x.grad, w.grad, bias.grad, residual.grad]
+    assert np.array_equal(bias.grad, residual.grad)
+    assert not any(np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
 
 
 # softmax family ------------------------------------------------------------
