@@ -130,6 +130,9 @@ def _print_result(result: TrainResult) -> None:
 def cmd_eval(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
+    # nan fails every comparison, so a nan bar would never fail a run
+    if args.expect_at_least is not None and not 0.0 <= args.expect_at_least <= 1.0:
+        raise ConfigError(f"--expect-at-least must be a number in [0, 1], got {args.expect_at_least}")
     report_path = _output_path(args.report, "report file", directory=False) if args.report else None
     records, names = _read_labelled_split(args.manifest, args.classes)
     prompts = _load_prompts(args.prompts)

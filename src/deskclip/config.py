@@ -118,6 +118,9 @@ def build_run_config(raw_sections: dict[str, dict[str, str]]) -> RunConfig:
         raise ConfigError(f"variant mismatch: train={train.variant!r} loss={loss.variant!r}")
     image = _build_dataclass(_image_class(train.image_encoder), raw_sections.get("image", {}), "image")
     text = _build_dataclass(TextConfig, raw_sections.get("text", {}), "text")
+    # the contrastive terms compare the two towers' embeddings, so they must share a width
+    if image.embed_dim != text.embed_dim:
+        raise ConfigError(f"embed_dim mismatch: image={image.embed_dim} text={text.embed_dim}")
     data = _build_dataclass(DataConfig, raw_sections.get("data", {}), "data")
     return RunConfig(train, loss, image, text, data)
 

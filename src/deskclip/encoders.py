@@ -325,15 +325,13 @@ class TextEncoder(Module):
         return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()))), ids != PAD_ID)
 
     def mlm_logits(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
-        """Vocabulary logits at distinct (row, col) positions: (P, vocab_size)."""
+        """Vocabulary logits at (row, col) positions, which may repeat: (P, vocab_size)."""
         pos = np.asarray(positions, dtype=np.int64)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ShapeError(f"positions must be (P, 2), got {pos.shape}")
         n, L, _ = hidden.shape
         if pos.size and (pos.min() < 0 or pos[:, 0].max() >= n or pos[:, 1].max() >= L):
             raise IndexError(f"positions outside the ({n}, {L}) hidden grid")
-        if np.unique(pos[:, 0] * L + pos[:, 1]).size != len(pos):
-            raise ContractError("a (row, col) position repeats: the gather adds each position's gradient once")
         return self.mlm_head(hidden[pos[:, 0], pos[:, 1]])
 
 

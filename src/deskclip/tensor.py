@@ -7,7 +7,9 @@ reachable tensor that has ``requires_grad`` set. A broadcasting binary op
 is one call to ``_binary``, a one-operand op one to ``_unary`` and an index
 op one to ``_gather``: each gives its forward and its local gradient, and
 nothing else. Every rule gets a read-only gradient, and ``_accumulate``
-takes over exactly the writeable buffers a rule built.
+takes over exactly the writeable buffers a rule built. ``_gather`` adds its
+gradient back with ``np.add.at``, so any key is exact: an entry picked k
+times gets all k gradients.
 """
 
 from __future__ import annotations
@@ -201,12 +203,13 @@ def _accumulate(target: Tensor, grad: Array) -> None:
 
 
 def _accumulate_at(target: Tensor, index, grad: Array) -> None:
-    """``target.grad[index] += grad`` in place, from zeros for the first gradient; ``index`` repeats no entry."""
+    """``np.add.at(target.grad, index, grad)`` in place, from zeros for the first gradient:
+    unbuffered, so an entry ``index`` picks more than once gets every pick's gradient."""
     if not target.requires_grad:
         return
     if target.grad is None:
         target.grad = np.zeros_like(target.data)
-    target.grad[index] += grad
+    np.add.at(target.grad, index, grad)
 
 
 _recording = True
@@ -403,24 +406,28 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _gather(op: str, a: Tensor, index) -> Tensor:
-    """The index ops' rule: ``a.data[index]``, where ``index`` picks no entry twice, so
-    backward adds each picked entry's gradient in place, once."""
+    """The index ops' rule: ``a.data[index]`` for any numpy key; backward adds each pick's
+    gradient into the entry it read, so an entry picked twice gets both."""
     return _make(a.data[index], (a,), op, lambda g: _accumulate_at(a, index, g))
 
 
 def slice_(a, key) -> Tensor:
-    """``a[key]`` with slices, integers and integer arrays that pick no entry twice:
-    backward adds a picked entry's gradient once, so a repeat would drop the rest."""
+    """``a[key]`` with slices, integers, integer arrays (whose entries may repeat) and masks."""
     return _gather("slice", coerce(a), key)
 
 
-def _positions(op: str, positions, n: int, size: int) -> Array:
-    """``positions`` as an (n,) integer array of indices into an axis of ``size``."""
-    idx = np.asarray(positions)
-    if idx.shape != (n,) or idx.dtype.kind not in "iu":
-        raise ShapeError(f"{op}: positions must be an ({n},) integer array, got {idx.dtype} {idx.shape}")
-    if np.any(idx < 0) or np.any(idx >= size):
-        raise IndexError(f"{op}: position out of range for axis of size {size}")
+def _indices(op: str, index, size: int, shape: tuple[int, ...] | None = None) -> Array:
+    """``index`` as an integer array of entries in [0, ``size``), of ``shape`` when one is given.
+
+    A float or bool array is rejected, not cast, so an id of 1.9 never reads row 1. An
+    empty list is float64 to numpy and is rejected too: pass an empty integer array.
+    """
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" or (shape is not None and idx.shape != shape):
+        want = "an integer array" if shape is None else f"a {shape} integer array"
+        raise ShapeError(f"{op}: indices must be {want}, got {idx.dtype} {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise IndexError(f"{op}: index out of range [0, {size}), got [{idx.min()}, {idx.max()}]")
     return idx
 
 
@@ -429,7 +436,7 @@ def select_positions(a, positions) -> Tensor:
     a = coerce(a)
     if a.ndim < 2:
         raise ShapeError(f"select_positions: got tensor {a.shape}, need (n, L, ...)")
-    idx = _positions("select_positions", positions, a.shape[0], a.shape[1])
+    idx = _indices("select_positions", positions, a.shape[1], (a.shape[0],))
     return _gather("select_positions", a, (np.arange(a.shape[0]), idx))
 
 
@@ -631,7 +638,7 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | N
     scale = 1.0 / math.sqrt(d)
     q, k, v = fused.data.reshape(n, L, 3, h, d).transpose(2, 0, 3, 1, 4)  # each (n, h, L, d)
     if rows is not None:
-        rows = _positions("attention", rows, n, L)
+        rows = _indices("attention", rows, L, (n,))
         q = q[np.arange(n), :, rows][:, :, None]  # (n, h, 1, d)
     R = q.shape[2]
     scores = q @ k.swapaxes(-1, -2)
@@ -746,25 +753,11 @@ def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Gather rows of a 2-D table by integer ids of any shape, which may repeat:
-    backward sums each row's gradients with ``np.add.at`` into a zero-filled table."""
+    """Rows of a 2-D table by integer ids of any shape, which may repeat: one more gather."""
     table = coerce(table)
     if table.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(
-            f"embedding_lookup: index out of range [0, {table.shape[0]}), got "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    out = table.data[idx]
-
-    def bwd(g: Array) -> None:
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accumulate(table, full)
-
-    return _make(out, (table,), "embedding_lookup", bwd)
+    return _gather("embedding_lookup", table, _indices("embedding_lookup", ids, table.shape[0]))
 
 
 def cross_entropy(logits, targets) -> Tensor:
@@ -772,12 +765,8 @@ def cross_entropy(logits, targets) -> Tensor:
     logits = coerce(logits)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy: logits must be 2-D, got {logits.shape}")
-    tgt = np.asarray(targets, dtype=np.int64)
     n, v = logits.shape
-    if tgt.shape != (n,):
-        raise ShapeError(f"cross_entropy: targets shape {tgt.shape} does not match {n} rows")
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
-        raise IndexError(f"cross_entropy: target outside [0, {v})")
+    tgt = _indices("cross_entropy", targets, v, (n,))
     logp = _log_softmax_forward(logits.data, 1)
     rows = np.arange(n)
     out = -logp[rows, tgt].mean()

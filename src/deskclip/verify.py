@@ -165,10 +165,25 @@ def check_grad_primitives():
     filt = T.constant(rng.standard_normal((4, 3, 3, 5)))
     conv_mix = T.constant(rng.standard_normal((4, 2, 5, 4)))
     report.update(gradient_report(lambda: T.sum_(T.conv2d(img, filt) * conv_mix), [("conv2d.x", img)]))
+    # index reads with repeated keys: row 2 twice by a slice key and by ids, and position 1 of both sequences
+    rows = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    seqs = T.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    pick_mix = T.constant(rng.standard_normal((2, 3, 3)))
+    report.update(gradient_report(
+        lambda: T.sum_(T.slice_(rows, np.array([2, 0, 2])) * pick_mix[0]), [("slice.repeated", rows)]
+    ))
+    ids = np.array([[2, 3, 2], [0, 2, 0]])
+    report.update(gradient_report(
+        lambda: T.sum_(T.embedding_lookup(rows, ids) * pick_mix), [("embedding.repeated", rows)]
+    ))
+    report.update(gradient_report(
+        lambda: T.sum_(T.select_positions(seqs, np.array([1, 1])) * pick_mix[0, :2]), [("select.repeated", seqs)]
+    ))
     worst = max(report.values())
     return worst <= 1e-6, (
         f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain, attention (all rows and "
-        f"one query row per sequence), biased matmul and channel-major same conv2d"
+        f"one query row per sequence), biased matmul, channel-major same conv2d and index reads "
+        f"that repeat an entry"
     )
 
 

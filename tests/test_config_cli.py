@@ -87,7 +87,7 @@ def test_bad_value_names_the_key():
 def test_conv_encoder_switches_image_section():
     cfg = load_run_config(overrides=[
         "train.image_encoder=conv", "image.stage_channels=8,16", "image.image_size=16",
-        "image.embed_dim=16",
+        "image.embed_dim=16", "text.embed_dim=16",
     ])
     assert isinstance(cfg.image, ConvConfig)
     assert cfg.image.stage_channels == (8, 16)
@@ -302,7 +302,7 @@ def test_eval_expectation_failure_exits_1(tmp_path, capsys, data_dir):
     rc = main(["eval", str(out / "final.ckpt"),
                "--manifest", str(data_dir / "val.tsv"),
                "--classes", str(data_dir / "classes.txt"),
-               "--expect-at-least", "1.01"])  # unreachable bar
+               "--expect-at-least", "1"])  # above the micro run's accuracy
     assert rc == 1
     assert "below required" in capsys.readouterr().err
 
@@ -456,6 +456,13 @@ INPUT_FAULTS = {
     "eval-report-a-directory": (["--report", "{out}"], "report file must be a file: {out}"),
     "synth-seed": (["{out}", "--seed", "-5"], "--seed must be at least 0, got -5"),
     "synth-out-a-file": (["{out}/train.tsv"], "output directory must be a directory: {out}/train.tsv"),
+    "embed-dim-mismatch": (["--set", "text.embed_dim=32"], "embed_dim mismatch: image=16 text=32"),
+    "validate-embed-dim-mismatch": (["--validate-only", "--set", "text.embed_dim=32"],
+                                    "embed_dim mismatch: image=16 text=32"),
+    "sweep-embed-dim-mismatch": (["--set", "text.embed_dim=32"], "embed_dim mismatch: image=16 text=32"),
+    "eval-expect-nan": (["--expect-at-least", "nan"], "--expect-at-least must be a number in [0, 1], got nan"),
+    "eval-expect-above-one": (["--expect-at-least", "1.01"], "--expect-at-least must be a number in [0, 1], got 1.01"),
+    "eval-expect-negative": (["--expect-at-least", "-0.5"], "--expect-at-least must be a number in [0, 1], got -0.5"),
 }
 
 

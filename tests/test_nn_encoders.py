@@ -479,11 +479,16 @@ def test_mlm_logits_read_positions_as_the_flat_row_gather_did_to_the_bit():
     assert runs[0] == runs[1]
 
 
-def test_mlm_logits_reject_a_repeated_position():
+def test_mlm_logits_give_a_repeated_position_every_picks_gradient():
     enc = TextEncoder(tiny_text(), rng())
-    hidden = enc.forward_hidden(np.array([[1, 6, 7, 2, 0, 0, 0, 0]]))
-    with pytest.raises(ContractError, match="position repeats"):
-        enc.mlm_logits(hidden, np.array([[0, 1], [0, 2], [0, 1]]))
+    hidden = T.Tensor(enc.forward_hidden(np.array([[1, 6, 7, 2, 0, 0, 0, 0]])).data, requires_grad=True)
+    w = np.random.default_rng(5).standard_normal((3, 32))
+    T.backward(T.sum_(enc.mlm_logits(hidden, np.array([[0, 1], [0, 2], [0, 1]])) * T.constant(w)))
+    # logits = h @ W + b, so a pick's gradient at its position is its weight row @ W.T
+    want = np.zeros_like(hidden.data)
+    want[0, 1] = (w[0] + w[2]) @ enc.mlm_head.weight.data.T
+    want[0, 2] = w[1] @ enc.mlm_head.weight.data.T
+    assert np.allclose(hidden.grad, want, rtol=1e-12, atol=1e-12)
 
 
 # the dual wrapper ------------------------------------------------------------

@@ -761,7 +761,95 @@ def test_attention_rejects_bad_rows(rows, error):
         T.attention(T.constant(np.zeros((2, 5, 12))), 2, rows=rows)
 
 
+# the gather family: slice_, select_positions, max_ and embedding_lookup ------------
+
+
+def _draw_read(data, family):
+    """A drawn read of ``family``: the operand's values, the op, the flat entries of the operand
+    that the op's output reads (in output order), and whether the op is smooth at these values."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def dim(hi):
+        return data.draw(st.integers(1, hi))
+
+    if family == "slice":
+        n, m = dim(5), dim(3)
+        rows = data.draw(st.one_of(
+            st.integers(-n, n - 1),
+            st.builds(slice, st.none() | st.integers(-n, n), st.none() | st.integers(-n, n),
+                      st.sampled_from([None, -2, -1, 1, 2])),
+            st.lists(st.integers(-n, n - 1), min_size=1, max_size=6).map(np.array),  # repeats welcome
+        ), label="rows")
+        key = (rows, data.draw(st.sampled_from([slice(None), -1, slice(None, None, -2)]), label="columns"))
+        return rng.standard_normal((n, m)), lambda a: T.slice_(a, key), np.arange(n * m).reshape(n, m)[key], True
+    if family == "select_positions":
+        n, L, d = dim(3), dim(4), dim(2)
+        pos = np.array(data.draw(st.lists(st.integers(0, L - 1), min_size=n, max_size=n), label="positions"))
+        flat = np.arange(n * L * d).reshape(n, L, d)
+        return rng.standard_normal((n, L, d)), lambda a: T.select_positions(a, pos), flat[np.arange(n), pos], True
+    if family == "max":
+        shape = tuple(dim(3) for _ in range(dim(3)))
+        axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+        values = rng.integers(-1, 2, shape).astype(float)  # ties in most slices
+        is_max = values == values.max(axis=axis, keepdims=True)
+        first = np.expand_dims(np.argmax(is_max, axis=axis), axis)  # the lowest index of each max
+        picks = np.take_along_axis(np.arange(values.size).reshape(shape), first, axis).squeeze(axis)
+        return values, lambda a: T.max_(a, axis=axis), picks, bool((is_max.sum(axis=axis) == 1).all())
+    vocab, width = dim(4), dim(3)
+    ids = rng.integers(0, vocab, data.draw(st.sampled_from([(5,), (2, 3)]), label="ids shape"))
+    flat = np.arange(vocab * width).reshape(vocab, width)
+    return rng.standard_normal((vocab, width)), lambda a: T.embedding_lookup(a, ids), flat[ids], True
+
+
+@pytest.mark.parametrize("family", ["slice", "select_positions", "max", "embedding_lookup"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_gather_sums_the_gradient_of_every_pick(family, data):
+    values, op, picks, smooth = _draw_read(data, family)
+    a = T.Tensor(values, requires_grad=True)
+    out = op(a)
+    assert np.array_equal(out.data, values.reshape(-1)[picks])
+    # nonzero integer weights keep every sum exact, so the tape must match the dense oracle to the bit
+    weights = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="weights"))
+    w = T.constant(weights.integers(1, 5, out.shape) * weights.choice([-1.0, 1.0], out.shape))
+    T.backward(T.sum_(out * w))
+    one_hot = np.zeros((picks.size, values.size))  # P[j, i] = 1 when output j reads entry i
+    one_hot[np.arange(picks.size), picks.reshape(-1)] = 1.0
+    dense = (one_hot.T @ w.data.reshape(-1)).reshape(values.shape)
+    assert np.array_equal(a.grad, dense)
+    if smooth:  # at a tie, max_ has a kink, and a difference quotient splits the pick between the tied entries
+        assert np.allclose(numeric_gradient(lambda: T.sum_(op(a) * w), a), dense, rtol=1e-6, atol=1e-6)
+
+
+def test_a_repeated_integer_key_gets_every_picks_gradient():
+    x = T.Tensor(np.zeros(3), requires_grad=True)
+    T.backward(T.sum_(x[np.array([0, 0, 2])]))
+    assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+
+
 # embedding / cross entropy --------------------------------------------------
+
+
+@pytest.mark.parametrize("ids", [[1.9], np.array([1.0]), [True], np.array([True])],
+                         ids=["float-list", "float-array", "bool-list", "bool-array"])
+def test_embedding_lookup_and_cross_entropy_take_integer_ids_only(ids):
+    with pytest.raises(ShapeError, match="integer array"):
+        T.embedding_lookup(T.constant(np.zeros((3, 2))), ids)
+    with pytest.raises(ShapeError, match="integer array"):
+        T.cross_entropy(T.constant(np.zeros((1, 3))), ids)
+
+
+def test_an_empty_list_is_no_integer_index_but_an_empty_integer_array_is():
+    # numpy reads [] as float64, and the check reads the dtype, not the length
+    table = T.Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(ShapeError, match="float64"):
+        T.embedding_lookup(table, [])
+    with pytest.raises(ShapeError, match="float64"):
+        T.cross_entropy(T.constant(np.zeros((0, 3))), [])
+    out = T.embedding_lookup(table, np.array([], dtype=np.int64))
+    assert out.shape == (0, 2)
+    T.backward(T.sum_(out))
+    assert np.array_equal(table.grad, np.zeros((3, 2)))
 
 
 def test_embedding_lookup_grad_repeated_ids():
