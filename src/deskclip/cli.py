@@ -162,18 +162,16 @@ def _emit_report(report, machine: bool) -> None:
 
 
 def cmd_stats(args) -> int:
+    # the filter arguments are checked before the file is read
+    policy = FilterPolicy(
+        min_length=args.min_length,
+        max_length=args.max_length if args.max_length is not None else 10**9,
+        min_english_ratio=args.min_english_ratio,
+    )
     plain = {"auto": None, "manifest": False, "plain": True}[args.format]
     captions = read_captions(args.path, plain=plain)
     _emit_report(analyze(captions), args.machine)
-    wants_filter = (
-        args.min_length > 0 or args.max_length is not None or args.min_english_ratio > 0
-    )
-    if wants_filter:
-        policy = FilterPolicy(
-            min_length=args.min_length,
-            max_length=args.max_length if args.max_length is not None else 10**9,
-            min_english_ratio=args.min_english_ratio,
-        )
+    if args.min_length > 0 or args.max_length is not None or args.min_english_ratio > 0:
         kept, tally = filter_captions(captions, policy)
         print(f"rejected_length={tally['length']}")
         print(f"rejected_ratio={tally['ratio']}")

@@ -119,10 +119,12 @@ class FilterPolicy:
     min_english_ratio: float = 0.0
 
     def __post_init__(self):
+        if self.min_length < 0:
+            raise ConfigError(f"min_length must be at least 0, got {self.min_length}")
         if self.min_length > self.max_length:
             raise ConfigError("min_length exceeds max_length")
-        if not 0.0 <= self.min_english_ratio <= 1.0:
-            raise ConfigError("min_english_ratio must lie in [0, 1]")
+        if not 0.0 <= self.min_english_ratio <= 1.0:  # nan too
+            raise ConfigError(f"min_english_ratio must lie in [0, 1], got {self.min_english_ratio}")
 
 
 def filter_captions(captions, policy: FilterPolicy) -> tuple[list[str], dict[str, int]]:

@@ -281,13 +281,14 @@ class TextEncoder(Module):
         self.mlm_head = Linear(cfg.width, cfg.vocab_size, rng)
 
     def _validate_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
+        """``ids`` as an (N, context_length) integer array of ids in [0, vocab_size):
+        ``tensor._indices`` rejects a float or bool id (ShapeError) and one out of range
+        (IndexError), and a wrong width is ShapeError."""
+        ids = T._indices("TextEncoder", ids, self.cfg.vocab_size)
         if ids.ndim != 2 or ids.shape[1] != self.cfg.context_length:
             raise ShapeError(
                 f"TextEncoder expects (N, {self.cfg.context_length}) token ids, got {ids.shape}"
             )
-        if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
-            raise ContractError(f"token id outside [0, {self.cfg.vocab_size})")
         return ids
 
     def _trimmed_ids(self, ids: np.ndarray) -> np.ndarray:
@@ -325,14 +326,17 @@ class TextEncoder(Module):
         return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()))), ids != PAD_ID)
 
     def mlm_logits(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
-        """Vocabulary logits at (row, col) positions, which may repeat: (P, vocab_size)."""
-        pos = np.asarray(positions, dtype=np.int64)
+        """Vocabulary logits (P, vocab_size) at (row, col) positions, which may repeat.
+
+        ``positions`` is (P, 2); ``tensor._indices`` checks its row column against
+        the n rows and its col column against the L columns of ``hidden``.
+        """
+        pos = np.asarray(positions)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ShapeError(f"positions must be (P, 2), got {pos.shape}")
         n, L, _ = hidden.shape
-        if pos.size and (pos.min() < 0 or pos[:, 0].max() >= n or pos[:, 1].max() >= L):
-            raise IndexError(f"positions outside the ({n}, {L}) hidden grid")
-        return self.mlm_head(hidden[pos[:, 0], pos[:, 1]])
+        rows, cols = T._indices("mlm_logits", pos[:, 0], n), T._indices("mlm_logits", pos[:, 1], L)
+        return self.mlm_head(hidden[rows, cols])
 
 
 class DualEncoder(Module):

@@ -268,15 +268,16 @@ def make_mlm_batch(
     Of the chosen positions 80% become the mask id, 10% a random ordinary
     id, 10% stay unchanged. A sequence whose draw selects nothing gets one
     forced position so every maskable sequence contributes; sequences with
-    no ordinary tokens at all are skipped and counted.
+    no ordinary tokens at all are skipped and counted. ``ids`` is an (N, L)
+    integer array of ids in [0, ``vocab_size``), checked by ``tensor._indices``.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = T._indices("make_mlm_batch", ids, vocab_size)
     corrupted = ids.copy()
     n, L = ids.shape
     maskable = ids >= NUM_RESERVED  # the reserved ids are 0 .. NUM_RESERVED - 1
     if NUM_RESERVED >= vocab_size:
         raise ConfigError("vocabulary has no ordinary ids to sample for corruption")
-    rows, cols, targets = [], [], []
+    rows, cols = [], []
     skipped = 0
     for i in range(n):
         cand = np.flatnonzero(maskable[i])
@@ -289,7 +290,6 @@ def make_mlm_batch(
         for j in chosen:
             rows.append(i)
             cols.append(j)
-            targets.append(ids[i, j])
             u = rng.random()
             if u < MLM_MASK_PROB:
                 corrupted[i, j] = MASK_ID
@@ -297,7 +297,7 @@ def make_mlm_batch(
                 corrupted[i, j] = rng.integers(NUM_RESERVED, vocab_size)
             # else: keep the original id, prediction site only
     positions = np.stack([rows, cols], axis=1) if rows else np.zeros((0, 2), dtype=np.int64)
-    return MlmBatch(corrupted, positions.astype(np.int64), np.asarray(targets, dtype=np.int64), skipped)
+    return MlmBatch(corrupted, positions, ids[positions[:, 0], positions[:, 1]], skipped)
 
 
 def masked_token_loss(text_encoder: TextEncoder, batch: MlmBatch) -> tuple[Tensor, int]:

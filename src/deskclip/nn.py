@@ -78,8 +78,8 @@ class Linear(Module):
 
     One ``matmul`` tape node per call, with the bias and a ``residual`` of the
     output's shape folded in: the tape keeps no pre-bias product and no
-    separate residual sum. ``x`` may carry any leading axes; they share the
-    weight, so the product runs as one 2-D GEMM over its rows.
+    separate residual sum. ``x`` is (..., in_dim); its leading axes share
+    the weight, so the product runs as one 2-D GEMM over its rows.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
@@ -102,12 +102,12 @@ class LayerNorm(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Standard scaled dot-product self-attention with a fused qkv projection.
+    """The projections of multi-head self-attention: a fused qkv and an output.
 
-    The layer's output is ``mix(qkv(x), attn_bias)``; ``mix`` adds a
-    ``residual`` to it in the output projection. ``attn_bias`` is added
-    to the pre-softmax scores, shape broadcastable to (batch, heads, seq,
-    seq); large negative entries mask positions out.
+    The layer is ``out(T.attention(qkv(x), heads, attn_bias))``, which
+    ``TransformerBlock`` runs in two parts (``fuse``, then ``finish``).
+    ``attn_bias`` is added to the pre-softmax scores, shape broadcastable to
+    (batch, heads, seq, seq); large negative entries mask positions out.
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
@@ -117,17 +117,6 @@ class MultiHeadSelfAttention(Module):
         self.heads = heads
         self.qkv = Linear(width, 3 * width, rng)
         self.out = Linear(width, width, rng)
-
-    def mix(
-        self,
-        fused: Tensor,
-        attn_bias: np.ndarray | None = None,
-        rows: np.ndarray | None = None,
-        residual: Tensor | None = None,
-    ) -> Tensor:
-        """Attention output at every row, or at one row per sequence (``rows``), from the fused qkv of all rows,
-        plus ``residual`` when given."""
-        return self.out(T.attention(fused, self.heads, attn_bias, rows=rows), residual)
 
 
 class MLPBlock(Module):
@@ -171,10 +160,11 @@ class TransformerBlock(Module):
         self, x: Tensor, fused: Tensor, attn_bias: np.ndarray | None = None, rows: np.ndarray | None = None
     ) -> Tensor:
         """The block's output at every row of ``x``, or (N, width) at row
-        ``rows[i]`` of each sequence i alone when ``rows`` is given."""
+        ``rows[i]`` of each sequence i alone when ``rows`` is given, from the
+        fused qkv of every row: the attention output projection adds ``x``."""
         if rows is not None:
             x = T.select_positions(x, rows)
-        x = self.attn.mix(fused, attn_bias, rows, residual=x)
+        x = self.attn.out(T.attention(fused, self.attn.heads, attn_bias, rows=rows), x)
         return self.mlp(self.ln2(x), residual=x)
 
 

@@ -534,29 +534,24 @@ def max_(a, axis: int, keep=None) -> Tensor:
 
 
 def matmul(a, b, bias=None, residual=None) -> Tensor:
-    """a @ b, plus ``bias`` broadcast over the product's rows, plus ``residual``, when given.
+    """a @ b for ``a`` (..., k) and a 2-D ``b`` (k, m), plus ``bias`` broadcast over the
+    product's rows, plus ``residual``, when given.
 
-    One tape node with parents (a, b, bias, residual): the bias and then the
-    residual are added in place on the product, so no pre-bias or pre-residual
-    buffer is kept, and ``x + (a @ b + bias)`` needs no ``add`` node of its
-    own (the sum is the same bits in either order). ``residual`` must have the
-    product's shape; its gradient is the incoming one. When ``b`` is a 2-D
-    weight shared by every leading index of ``a``, the forward product and
-    both gradients run as one 2-D GEMM over ``a``'s rows.
+    Every leading axis of ``a`` shares ``b``: the product and both gradients
+    run as one 2-D GEMM over the rows of ``a.reshape(-1, k)``. One tape node
+    with parents (a, b, bias, residual): the bias and then the residual are
+    added in place on the product, so no pre-bias or pre-residual buffer is
+    kept, and ``x + (a @ b + bias)`` needs no ``add`` node of its own (the
+    sum is the same bits in either order). ``residual`` must have the
+    product's shape; its gradient is the incoming one.
     """
     a, b = coerce(a), coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul requires a of rank >= 2 and a 2-D b, got {a.shape} x {b.shape}")
+    k, m = b.shape
+    if a.shape[-1] != k:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    shared = b.ndim == 2 and a.ndim > 2
-    if shared:
-        out = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-    else:
-        try:
-            out = a.data @ b.data
-        except ValueError:
-            raise ShapeError(f"matmul batch dimensions incompatible: {a.shape} x {b.shape}") from None
+    out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,))
     parents = (a, b)
     if bias is not None:
         bias = coerce(bias)
@@ -573,19 +568,11 @@ def matmul(a, b, bias=None, residual=None) -> Tensor:
         parents += (residual,)
 
     def bwd(g: Array) -> None:
+        g2 = g.reshape(-1, m)
         if a.requires_grad:
-            if shared:
-                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
-            else:
-                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            _accumulate(a, ga)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
         if b.requires_grad:
-            if shared:
-                # one weight shared by every leading index: fold them into the GEMM's inner sum
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            _accumulate(b, gb)
+            _accumulate(b, a.data.reshape(-1, k).T @ g2)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.shape))
         if residual is not None:

@@ -252,16 +252,23 @@ def load_training_checkpoint(path: str | Path, expected_config: str | None = Non
         raise CheckpointError(f"{path}: run.counters must hold {len(COUNTERS)} values, {', '.join(COUNTERS)}")
     counters = dict(zip(COUNTERS, values.tolist()))
     for name, value in counters.items():
-        if name != "best_accuracy":
-            if not (value >= 0 and float(value).is_integer()):
-                raise CheckpointError(f"{path}: counter {name}={value} is not a non-negative integer")
+        if name == "best_accuracy":
+            if not (value == -1.0 or 0.0 <= value <= 1.0):
+                raise CheckpointError(f"{path}: counter best_accuracy={value} is neither -1 nor in [0, 1]")
+        elif not (value >= 0 and float(value).is_integer()):
+            raise CheckpointError(f"{path}: counter {name}={value} is not a non-negative integer")
+        else:
             counters[name] = int(value)
+    queue_buffer = arrays.pop("queue.buffer", np.zeros(0))
+    width = queue_buffer.shape[1] if queue_buffer.ndim == 2 else 0
+    if width not in (0, configs[3].embed_dim):
+        raise CheckpointError(f"{path}: queue width {width} is not text.embed_dim={configs[3].embed_dim}")
     model, optimizer, queue = _fresh_run(*configs)
     try:
         optimizer.load_state(
             counters["adam_t"], _pop_prefixed(arrays, "optim.m."), _pop_prefixed(arrays, "optim.v.")
         )
-        queue.load_state(arrays.pop("queue.buffer", np.zeros(0)), counters["queue_fill"], counters["queue_head"])
+        queue.load_state(queue_buffer, counters["queue_fill"], counters["queue_head"])
     except ConfigError as err:
         raise CheckpointError(f"{path}: {err}") from err
     params = dict(model.named_parameters())

@@ -463,6 +463,9 @@ INPUT_FAULTS = {
     "eval-expect-nan": (["--expect-at-least", "nan"], "--expect-at-least must be a number in [0, 1], got nan"),
     "eval-expect-above-one": (["--expect-at-least", "1.01"], "--expect-at-least must be a number in [0, 1], got 1.01"),
     "eval-expect-negative": (["--expect-at-least", "-0.5"], "--expect-at-least must be a number in [0, 1], got -0.5"),
+    "stats-ratio-nan": (["--min-english-ratio", "nan"], "min_english_ratio must lie in [0, 1], got nan"),
+    "stats-ratio-negative": (["--min-english-ratio", "-0.5"], "min_english_ratio must lie in [0, 1], got -0.5"),
+    "stats-length-negative": (["--min-length", "-3"], "min_length must be at least 0, got -3"),
 }
 
 
@@ -471,9 +474,10 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     tmp_path, capsys, monkeypatch, data_dir, micro_checkpoint, case
 ):
     extra, message = INPUT_FAULTS[case]
-    command = case.split("-")[0] if case.startswith(("eval-", "sweep-", "synth-")) else "train"
-    out = tmp_path / ("data" if command == "synth" else "run")
-    shutil.copytree(data_dir if command == "synth" else micro_checkpoint.parent, out)
+    command = case.split("-")[0] if case.startswith(("eval-", "sweep-", "synth-", "stats-")) else "train"
+    reads_data = command in ("synth", "stats")
+    out = tmp_path / ("data" if reads_data else "run")
+    shutil.copytree(data_dir if reads_data else micro_checkpoint.parent, out)
     message, manifest = message.format(out=out), None
     if isinstance(extra, str):  # the first record's source, in the split the command reads
         manifest = _manifest_with_first_source(tmp_path, data_dir, extra.format(out=out),
@@ -482,13 +486,15 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     extra = [item.format(out=out) for item in extra]
     if command == "synth":
         argv = ["synth", "--classes", "4", "--train", "16", "--val", "8", *extra]
+    elif command == "stats":
+        argv = ["stats", str(out / "train.tsv"), *extra]
     elif command == "eval":
         argv = ["eval", str(out / "final.ckpt"), "--manifest", str(manifest or data_dir / "val.tsv"),
                 "--classes", str(data_dir / "classes.txt"), *extra]
     else:
         over = ["--over", "train.variant=clip,filip"] if command == "sweep" else []
         argv = [command, *over, *([] if "--out" in extra else ["--out", str(out)])] + micro_args(data_dir) + extra
-    for work in ("train", "evaluate"):  # every fault is found before any work starts
+    for work in ("train", "evaluate", "read_captions"):  # every fault is found before any work starts
         monkeypatch.setattr(f"deskclip.cli.{work}", lambda *args, _work=work, **kwargs: pytest.fail(f"{_work} ran"))
     before = _files(out)
     capsys.readouterr()
@@ -623,6 +629,12 @@ def _vocab_id_past_the_embedding(ckpt):
     save_checkpoint(ckpt, config, arrays, vocab)
 
 
+def _queue_of_width(width):
+    def edit(arrays):
+        arrays["queue.buffer"] = np.zeros((len(arrays["queue.buffer"]), width))
+    return edit
+
+
 def _flip_byte_at(fraction):
     def corrupt(ckpt):
         raw = bytearray(ckpt.read_bytes())
@@ -668,6 +680,9 @@ CORRUPTIONS = {
     "queue-head-past-end": (_edit_state(_head_past_end), "capacity"),
     "moments-m-renamed": (_edit_state(_rename_first_m), "does not match the parameter set"),
     "model-parameter-missing": (_edit_state(lambda arrays: arrays.pop("log_temperature")), "parameter names"),
+    "queue-width": (_edit_state(_queue_of_width(7)), "queue width 7 is not text.embed_dim=16"),
+    "best-accuracy-nan": (_set_counters(best_accuracy=np.nan), "best_accuracy=nan is neither -1 nor in [0, 1]"),
+    "best-accuracy-above-one": (_set_counters(best_accuracy=7.0), "best_accuracy=7.0 is neither -1 nor in [0, 1]"),
 }
 
 
@@ -681,7 +696,8 @@ def test_eval_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, mic
                "--manifest", str(data_dir / "val.tsv"),
                "--classes", str(data_dir / "classes.txt")])
     assert rc == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
@@ -691,8 +707,9 @@ def test_resume_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, m
     corrupt(ckpt)
     capsys.readouterr()
     assert _resume(tmp_path, data_dir, ckpt) == 3
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "resumed" / "metrics.log").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert not (tmp_path / "resumed").exists()  # nothing is written
 
 
 def test_stats_plain_and_filtered(tmp_path, capsys):

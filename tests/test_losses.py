@@ -343,6 +343,14 @@ def test_mlm_positions_only_hit_ordinary_tokens():
     assert np.array_equal(batch.targets, ids[batch.positions[:, 0], batch.positions[:, 1]])
 
 
+def test_mlm_batch_checks_its_ids_against_the_vocabulary():
+    ids = np.array([[1, 6, 7, 2], [1, 31, 2, 0]])
+    assert make_mlm_batch(ids, 32, np.random.default_rng(0)).positions.shape[0] >= 2
+    for bad, vocab_size in ((ids, 31), (-ids, 32)):
+        with pytest.raises(IndexError, match="make_mlm_batch"):
+            make_mlm_batch(bad, vocab_size, np.random.default_rng(0))
+
+
 def test_mlm_untouched_positions_are_preserved():
     rng = np.random.default_rng(18)
     ids = np.array([[1, 6, 7, 8, 9, 10, 2, 0]])

@@ -12,6 +12,7 @@ from deskclip.encoders import (
     VitEncoder,
 )
 from deskclip.errors import ConfigError, ContractError, ShapeError
+from deskclip.losses import make_mlm_batch
 from deskclip.nn import LayerNorm, Linear, Module, MultiHeadSelfAttention, TransformerBlock, trunc_normal
 
 
@@ -86,7 +87,7 @@ def test_transformer_block_folds_its_residual_sums_into_its_matmuls(rows):
     assert "add" not in [node.op for node in T.build_graph(out).nodes]
     # x + attn(ln(x)), then h + mlp(ln(h)), to the bit
     picked = x.data if rows is None else x.data[np.arange(2), rows]
-    h = picked + block.attn.mix(block.fuse(x), rows=rows).data
+    h = picked + block.attn.out(T.attention(block.fuse(x), 2, rows=rows)).data
     assert np.array_equal(out.data, h + block.mlp(block.ln2(T.constant(h))).data)
 
 
@@ -102,10 +103,10 @@ def test_attention_respects_additive_bias():
     x = T.Tensor(rng().standard_normal((1, 4, 12)))
     bias = np.zeros((1, 1, 4, 4))
     bias[..., 3] = -1e9  # nobody may look at position 3
-    masked = attn.mix(attn.qkv(x), bias).data
+    masked = attn.out(T.attention(attn.qkv(x), attn.heads, bias)).data
     x2 = x.data.copy()
     x2[0, 3] = 99.0  # content of a fully masked key changes nothing upstream
-    masked2 = attn.mix(attn.qkv(T.Tensor(x2)), bias).data
+    masked2 = attn.out(T.attention(attn.qkv(T.Tensor(x2)), attn.heads, bias)).data
     assert np.allclose(masked[:, :3], masked2[:, :3], atol=1e-12)
 
 
@@ -422,8 +423,28 @@ def test_text_rejects_bad_ids():
     enc = TextEncoder(tiny_text(), rng())
     with pytest.raises(ContractError):
         enc(np.array([[1, 5, 5, 5, 5, 5, 5, 5]]))  # no end token
-    with pytest.raises(ContractError):
-        enc(np.array([[1, 99, 2, 0, 0, 0, 0, 0]]))  # id out of range
+    with pytest.raises(IndexError):
+        enc(np.array([[1, 99, 2, 0, 0, 0, 0, 0]]))  # id out of range, as for every other index
+
+
+@pytest.mark.parametrize("ids", [np.array([[1, 6.7, 7, 2, 0, 0, 0, 0]]), [[1, 6, 7, 2, 0, 0, 0, 0.0]],
+                                 np.array([[True, False, False, False, False, False, False, False]])],
+                         ids=["float-array", "float-list", "bool"])
+def test_text_takes_integer_ids_only(ids):
+    enc = TextEncoder(tiny_text(), rng())
+    for read in (enc, enc.forward_hidden, lambda ids: make_mlm_batch(ids, 32, rng())):
+        with pytest.raises(ShapeError, match="integer array"):
+            read(ids)  # id 6.7 would read id 6
+
+
+def test_mlm_logits_take_integer_positions_only():
+    enc = TextEncoder(tiny_text(), rng())
+    hidden = enc.forward_hidden(np.array([[1, 6, 7, 2, 0, 0, 0, 0]]))
+    for positions in (np.array([[0, 1.9]]), [[0.0, 1.0]], np.array([[False, True]])):
+        with pytest.raises(ShapeError, match="integer array"):
+            enc.mlm_logits(hidden, positions)  # position 1.9 would read column 1
+    with pytest.raises(IndexError):
+        enc.mlm_logits(hidden, np.array([[1, 0]]))  # past the one row
 
 
 def test_text_config_validation():

@@ -344,57 +344,45 @@ def test_matmul_identity_fixture():
     assert np.array_equal(out.data, x)
 
 
-def test_matmul_grad_2d_and_batched():
-    rng = np.random.default_rng(11)
-    a = rand(rng, 3, 4)
-    b = rand(rng, 4, 2)
-    check(lambda: T.sum_(T.matmul(a, b) ** 2.0), [("a", a), ("b", b)])
-    c = rand(rng, 2, 3, 4)
-    d = rand(rng, 2, 4, 5)
-    check(lambda: T.sum_(T.matmul(c, d)), [("c", c), ("d", d)])
-    # broadcast batch: (2,3,4) @ (4,5)
-    e = rand(rng, 4, 5)
-    check(lambda: T.sum_(T.matmul(c, e) ** 2.0), [("c", c), ("e", e)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matmul_is_one_gemm_over_the_rows_of_a(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="leading axes"))
+    rows, k, m = (data.draw(st.integers(1, 4), label=name) for name in ("rows", "k", "m"))
+    a, b = rand(rng, *lead, rows, k), rand(rng, k, m)
+    bias = rand(rng, m) if data.draw(st.booleans(), label="bias") else None
+    residual = rand(rng, *lead, rows, m) if data.draw(st.booleans(), label="residual") else None
+    out = T.matmul(a, b, bias, residual)
+    a2 = a.data.reshape(-1, k)
+    want = (a2 @ b.data).reshape(lead + (rows, m))
+    for extra in (bias, residual):
+        if extra is not None:
+            want += extra.data
+    assert out.op == "matmul" and _bits(out.data) == _bits(want)
+    g = rng.standard_normal(out.shape)
+    g2 = g.reshape(-1, m)
+    loss = lambda: T.sum_(T.matmul(a, b, bias, residual) * T.constant(g))  # noqa: E731
+    T.backward(loss())
+    assert np.array_equal(a.grad, (g2 @ b.data.T).reshape(a.shape))
+    assert np.array_equal(b.grad, a2.T @ g2)
+    if residual is not None:
+        assert np.array_equal(residual.grad, g)
+    for name, t in (("a", a), ("b", b), ("bias", bias)):
+        if t is not None:
+            np.testing.assert_allclose(t.grad, numeric_gradient(loss, t), rtol=1e-6, atol=1e-8, err_msg=name)
 
 
-@pytest.fixture
-def unbroadcast_shapes(monkeypatch):
-    """Shapes that matmul's backward hands to _unbroadcast."""
-    seen = []
-    original = T._unbroadcast
-
-    def spy(grad, shape):
-        seen.append(shape)
-        return original(grad, shape)
-
-    monkeypatch.setattr(T, "_unbroadcast", spy)
-    return seen
-
-
-@pytest.mark.parametrize("lead", [(2, 3), (2, 3, 5)])
-def test_matmul_shared_weight_grad_matches_batched_formula(lead, unbroadcast_shapes):
-    rng = np.random.default_rng(12)
-    a = rand(rng, *lead, 4)
-    w = rand(rng, 4, 6)
-    g = rng.standard_normal((*lead, 6))
-    T.backward(T.sum_(T.matmul(a, w) * T.constant(g)))
-    assert (4, 6) not in unbroadcast_shapes  # one 2-D GEMM, no batched product to sum
-    batched = (np.swapaxes(a.data, -1, -2) @ g).reshape(-1, 4, 6).sum(axis=0)
-    np.testing.assert_allclose(w.grad, batched, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("wshape", [(1, 4, 6), (3, 4, 6)])
-def test_matmul_batched_weight_grad_goes_through_unbroadcast(wshape, unbroadcast_shapes):
-    rng = np.random.default_rng(13)
-    a = rand(rng, 3, 5, 4)
-    w = rand(rng, *wshape)
-    g = rng.standard_normal((3, 5, 6))
-    T.backward(T.sum_(T.matmul(a, w) * T.constant(g)))
-    assert wshape in unbroadcast_shapes
-    want = np.swapaxes(a.data, -1, -2) @ g
-    np.testing.assert_allclose(w.grad, want.sum(axis=0, keepdims=True) if wshape[0] == 1 else want,
-                               rtol=0, atol=1e-12)
+@pytest.mark.parametrize("ashape, bshape", [
+    ((2, 3, 4), (2, 4, 5)),  # a batched right operand
+    ((2, 3, 4), (1, 4, 5)),
+    ((4,), (4, 5)),  # a 1-D left operand
+    ((3, 4), (4,)),
+    ((3, 4), (5, 6)),  # inner dimensions differ
+], ids=["batched-b", "broadcast-b", "vector-a", "vector-b", "inner"])
+def test_matmul_takes_a_2d_right_operand_and_a_left_of_rank_2_or_more(ashape, bshape):
+    with pytest.raises(ShapeError):
+        T.matmul(T.constant(np.zeros(ashape)), T.constant(np.zeros(bshape)))
 
 
 def _composed_and_fused(a_data, w_data, b_data, g, take=lambda t: t):
@@ -483,17 +471,24 @@ def test_matmul_residual_is_one_node_and_must_have_the_product_shape():
 
 
 @pytest.mark.parametrize("ashape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
-def test_matmul_skips_the_input_gradient_of_a_constant(ashape, unbroadcast_shapes):
+def test_matmul_skips_the_input_gradient_of_a_constant(ashape, monkeypatch):
     rng = np.random.default_rng(16)
     a_data, w_data = rng.standard_normal(ashape), rng.standard_normal((4, 5))
     g = T.constant(rng.standard_normal(ashape[:-1] + (5,)))
+    accumulated, accumulate = [], T._accumulate
+
+    def spy(target, grad):
+        accumulated.append(grad.shape)
+        accumulate(target, grad)
+
+    monkeypatch.setattr(T, "_accumulate", spy)
     grads = []
     for requires in (True, False):
         a, w = T.Tensor(a_data, requires_grad=requires), T.Tensor(w_data, requires_grad=True)
-        unbroadcast_shapes.clear()
+        accumulated.clear()
         T.backward(T.sum_(T.matmul(a, w) * g))
         grads.append(w.grad)
-    assert a.grad is None and ashape not in unbroadcast_shapes
+    assert a.grad is None and ashape not in accumulated  # the input gradient is never built
     assert np.array_equal(grads[0], grads[1])
 
 
@@ -647,10 +642,13 @@ def _composed_attention(fused, heads, attn_bias):
         return T.transpose(T.reshape(part, (n, L, heads, d)), (0, 2, 1, 3))
 
     q, k, v = (split(fused[:, :, i * w : (i + 1) * w]) for i in range(3))
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(d))
+    # the batched products as broadcast products summed over the shared axis
+    scores = T.sum_(T.reshape(q, (n, heads, L, 1, d)) * T.reshape(k, (n, heads, 1, L, d)), axis=-1)
+    scores = scores * (1.0 / math.sqrt(d))
     if attn_bias is not None:
         scores = scores + T.constant(attn_bias)
-    mixed = T.matmul(T.softmax(scores, axis=-1), v)
+    probs = T.softmax(scores, axis=-1)
+    mixed = T.sum_(T.reshape(probs, (n, heads, L, L, 1)) * T.reshape(v, (n, heads, 1, L, d)), axis=3)
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (n, L, w))
 
 
@@ -1095,6 +1093,20 @@ def test_negative_zero_gradient_accumulates_to_positive_zero():
     s = T.Tensor(np.array(1.5), requires_grad=True)  # a 0-d leaf broadcast into a vector
     T.backward(T.sum_(s * T.constant(np.array([-0.0, -0.0]))))
     assert s.grad.shape == () and not np.signbit(s.grad)
+
+
+@pytest.fixture
+def unbroadcast_shapes(monkeypatch):
+    """Shapes that a backward rule hands to _unbroadcast."""
+    seen = []
+    original = T._unbroadcast
+
+    def spy(grad, shape):
+        seen.append(shape)
+        return original(grad, shape)
+
+    monkeypatch.setattr(T, "_unbroadcast", spy)
+    return seen
 
 
 def test_elementwise_backward_skips_constant_operands(unbroadcast_shapes):

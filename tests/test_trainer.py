@@ -166,8 +166,9 @@ def _micro_state(capacity=8):
         optimizer.v[name] = np.abs(rng.normal(size=p.data.shape))
     optimizer.t = 29
     queue = NNQueue(capacity)
-    queue.enqueue(rng.normal(size=(5, 4)))
-    queue.enqueue(rng.normal(size=(6, 4)))  # wraps: full, head at slot 3
+    width = MICRO_TEXT.embed_dim  # the queue holds text embeddings
+    queue.enqueue(rng.normal(size=(5, width)))
+    queue.enqueue(rng.normal(size=(6, width)))  # wraps: full, head at slot 3
     config_text = render_config_text(train_cfg, loss_cfg, MICRO_IMAGE, MICRO_TEXT)
     return model, config_text, optimizer, queue
 
@@ -190,7 +191,7 @@ def test_train_state_codec_roundtrip(tmp_path, records):
     assert np.array_equal(got_queue.buffer, queue.buffer)
     # the run state sits beside the parameters under its own names
     _, arrays, _ = load_checkpoint(path)
-    assert arrays["queue.buffer"].shape == (8, 4)
+    assert arrays["queue.buffer"].shape == (8, MICRO_TEXT.embed_dim)
     assert len([n for n in arrays if n.startswith("optim.m.")]) == len(optimizer.m)
 
 
