@@ -41,10 +41,6 @@ class ImageAugPolicy:
                 raise ConfigError(f"{name} must lie in [0, 1], got {p}")
 
 
-IDENTITY_IMAGE_POLICY = ImageAugPolicy(
-    crop_scale=(1.0, 1.0), jitter_prob=0.0, grayscale_prob=0.0, blur_prob=0.0, flip_prob=0.0
-)
-
 # ITU-R 601 luma weights
 _LUMA = np.array([0.299, 0.587, 0.114])
 

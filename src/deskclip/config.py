@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .encoders import ConvConfig, TextConfig, VitConfig
+from .encoders import IMAGE_TOWERS, ConvConfig, TextConfig, VitConfig
 from .data import read_text
 from .errors import ConfigError, require_finite
 from .losses import LossConfig
@@ -35,7 +35,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    image_encoder: str = "vit"  # vit | conv
+    image_encoder: str = "vit"  # a key of encoders.IMAGE_TOWERS
 
     def __post_init__(self):
         require_finite(self, "train")
@@ -45,8 +45,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.warmup_epochs < 0 or (self.epochs and self.warmup_epochs > self.epochs):
             raise ConfigError("warmup_epochs must lie in [0, epochs]")
-        if self.image_encoder not in ("vit", "conv"):
-            raise ConfigError("image_encoder must be 'vit' or 'conv'")
+        if self.image_encoder not in IMAGE_TOWERS:
+            raise ConfigError(f"image_encoder must be one of {', '.join(map(repr, IMAGE_TOWERS))}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("betas must lie in [0, 1)")
         if self.weight_decay < 0 or self.eps <= 0:
@@ -100,10 +100,6 @@ def _build_dataclass(cls, mapping: dict[str, str], section: str):
     return cls(**kwargs)
 
 
-def _image_class(image_encoder: str):
-    return VitConfig if image_encoder == "vit" else ConvConfig
-
-
 def build_run_config(raw_sections: dict[str, dict[str, str]]) -> RunConfig:
     unknown = set(raw_sections) - set(SECTIONS)
     if unknown:
@@ -116,7 +112,7 @@ def build_run_config(raw_sections: dict[str, dict[str, str]]) -> RunConfig:
     loss = _build_dataclass(LossConfig, loss_map, "loss")
     if loss.variant != train.variant:
         raise ConfigError(f"variant mismatch: train={train.variant!r} loss={loss.variant!r}")
-    image = _build_dataclass(_image_class(train.image_encoder), raw_sections.get("image", {}), "image")
+    image = _build_dataclass(IMAGE_TOWERS[train.image_encoder][0], raw_sections.get("image", {}), "image")
     text = _build_dataclass(TextConfig, raw_sections.get("text", {}), "text")
     # the contrastive terms compare the two towers' embeddings, so they must share a width
     if image.embed_dim != text.embed_dim:

@@ -337,6 +337,8 @@ def read_manifest(path: str | Path) -> list[PairRecord]:
             except ManifestError as err:
                 raise ManifestError(f"{path}:{lineno}: {err}") from None
         records.append(PairRecord(source, caption))
+    if not records:
+        raise ManifestError(f"{path}: the manifest holds no record")
     sidecar = path.with_suffix(path.suffix + ".labels")
     if sidecar.exists():
         labels = _read_labels(sidecar)

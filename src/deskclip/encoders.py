@@ -22,7 +22,6 @@ from .tensor import Tensor
 TEMPERATURE_INIT = 0.07
 TEMPERATURE_MIN = 0.005
 TEMPERATURE_MAX = 100.0
-ATTN_MASK_PENALTY = -1e9
 
 
 def _require_positive(cfg, *names: str) -> None:
@@ -250,6 +249,10 @@ class ConvEncoder(Module):
         return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(cells)), mask)
 
 
+# each value of ``train.image_encoder``: the [image] section's config class and its tower
+IMAGE_TOWERS = {"vit": (VitConfig, VitEncoder), "conv": (ConvConfig, ConvEncoder)}
+
+
 class TextEncoder(Module):
     """Bidirectional token transformer pooled at the end-of-text position.
 
@@ -300,7 +303,7 @@ class TextEncoder(Module):
     def _embedded(self, ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """The trunk's input for ids that ``_trimmed_ids`` returned, and its attention bias."""
         # rows may attend anywhere except padding columns
-        bias = np.where((ids == PAD_ID)[:, None, None, :], ATTN_MASK_PENALTY, 0.0)
+        bias = np.where((ids == PAD_ID)[:, None, None, :], T.MASK_PENALTY, 0.0)
         return T.embedding_lookup(self.token_embedding, ids) + self.pos_embedding[:, : ids.shape[1]], bias
 
     def forward_hidden(self, ids: np.ndarray) -> Tensor:

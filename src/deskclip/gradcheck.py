@@ -64,11 +64,6 @@ def _entry_errors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-12)
 
 
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max_i |a_i - b_i| / max(|a_i|, |b_i|, 1e-12), elementwise."""
-    return float(np.max(_entry_errors(a, b)))
-
-
 def gradient_report(fn: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]]) -> dict[str, float]:
     """Per-parameter worst relative error between tape and oracle.
 

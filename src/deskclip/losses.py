@@ -31,7 +31,6 @@ from .encoders import EmbeddingSet, TextEncoder
 from .errors import ConfigError, ContractError, DegenerateInputError, ShapeError, require_finite
 from .tensor import Tensor
 
-MASK_PENALTY = -1e9
 UNIT_NORM_ATOL = 1e-6
 
 VARIANTS = ("clip", "slip", "filip", "declip", "defilip")
@@ -239,7 +238,7 @@ def nt_xent_loss(view_a: Tensor, view_b: Tensor, temperature: float) -> Tensor:
     _assert_unit_rows(view_b, "nt_xent view_b")
     z = T.concat([view_a, view_b], axis=0)
     logits = T.matmul(z, T.transpose(z)) / float(temperature)
-    logits = logits + T.constant(np.eye(2 * n) * MASK_PENALTY)
+    logits = logits + T.constant(np.eye(2 * n) * T.MASK_PENALTY)
     targets = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     return T.cross_entropy(logits, targets)
 
@@ -257,13 +256,8 @@ class MlmBatch:
     skipped: int = 0       # sequences with nothing maskable
 
 
-def make_mlm_batch(
-    ids: np.ndarray,
-    vocab_size: int,
-    rng: np.random.Generator,
-    rate: float = MLM_RATE,
-) -> MlmBatch:
-    """Corrupt ``rate`` of the ordinary tokens per sequence.
+def make_mlm_batch(ids: np.ndarray, vocab_size: int, rng: np.random.Generator) -> MlmBatch:
+    """Corrupt MLM_RATE of the ordinary tokens per sequence.
 
     Of the chosen positions 80% become the mask id, 10% a random ordinary
     id, 10% stay unchanged. A sequence whose draw selects nothing gets one
@@ -284,7 +278,7 @@ def make_mlm_batch(
         if cand.size == 0:
             skipped += 1
             continue
-        chosen = cand[rng.random(cand.size) < rate]
+        chosen = cand[rng.random(cand.size) < MLM_RATE]
         if chosen.size == 0:
             chosen = cand[[rng.integers(cand.size)]]
         for j in chosen:

@@ -599,6 +599,10 @@ def softmax(a, axis: int = -1) -> Tensor:
                   lambda g, x, out: out * (g - (g * out).sum(axis=axis, keepdims=True)))
 
 
+# an additive attention or logit mask: softmax weighs a position behind it by exactly zero
+MASK_PENALTY = -1e9
+
+
 def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention over a fused qkv projection.
 
@@ -608,11 +612,11 @@ def attention(fused, heads: int, attn_bias: Array | None = None, rows: Array | N
     (n,) integer array, instead picks one query position per sequence,
     ``rows[i]`` of sequence i, over the keys and values of all L rows, and
     the output is (n, w). ``attn_bias`` is a constant added to the
-    pre-softmax scores, broadcastable to (n, heads, L, L), or to
-    (n, heads, 1, L) with ``rows``. One tape node: q, k and v are strided
-    views of ``fused`` and the backward writes their gradients straight
-    into one buffer of its shape; with ``rows``, the query gradient of
-    every position not picked is zero.
+    pre-softmax scores, ``MASK_PENALTY`` at a masked key, broadcastable to
+    (n, heads, L, L), or to (n, heads, 1, L) with ``rows``. One tape node:
+    q, k and v are strided views of ``fused`` and the backward writes their
+    gradients straight into one buffer of its shape; with ``rows``, the
+    query gradient of every position not picked is zero.
     """
     fused = coerce(fused)
     if fused.ndim != 3 or fused.shape[-1] % 3:
@@ -695,8 +699,9 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), "l2_normalize", bwd)
 
 
-def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Normalize over the last axis, then apply an elementwise affine.
+def layernorm(a, gain, bias) -> Tensor:
+    """Normalize over the last axis with LAYERNORM_EPS added to the variance,
+    then apply an elementwise affine.
 
     The tape keeps the (..., 1) mean and inverse deviation alone: backward
     rebuilds the normalized input from ``a``, which the tape holds anyway.
@@ -710,7 +715,7 @@ def layernorm(a, gain, bias, eps: float = LAYERNORM_EPS) -> Tensor:
     mu = a.data.mean(axis=-1, keepdims=True)
     out = a.data - mu  # centred once, for the variance, then scaled and shifted in place
     var = (out**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     out *= inv
     out *= gain.data
     out += bias.data

@@ -29,7 +29,7 @@ from .data import (
     load_images,
     tokenize_words,
 )
-from .encoders import ConvConfig, ConvEncoder, DualEncoder, TextConfig, TextEncoder, VitConfig, VitEncoder
+from .encoders import IMAGE_TOWERS, ConvEncoder, DualEncoder, TextConfig, TextEncoder
 from .errors import CheckpointError, ConfigError, ContractError, TrainingAborted
 from .losses import (
     LossBreakdown,
@@ -62,16 +62,16 @@ class TrainResult:
 
 
 def build_model(train_cfg: TrainConfig, image_cfg, text_cfg: TextConfig) -> DualEncoder:
+    """The ``train.image_encoder`` tower of ``encoders.IMAGE_TOWERS`` and a text tower.
+
+    ``image_cfg`` must be that tower's config class (ConfigError otherwise). The
+    image tower draws from the seed's init stream first, then the text tower.
+    """
+    config_class, tower = IMAGE_TOWERS[train_cfg.image_encoder]
+    if not isinstance(image_cfg, config_class):
+        raise ConfigError(f"image_encoder {train_cfg.image_encoder!r} needs a {config_class.__name__}")
     rng = rng_for(train_cfg.seed, "init")
-    if train_cfg.image_encoder == "vit":
-        if not isinstance(image_cfg, VitConfig):
-            raise ConfigError("image_encoder 'vit' needs a VitConfig")
-        image = VitEncoder(image_cfg, rng)
-    else:
-        if not isinstance(image_cfg, ConvConfig):
-            raise ConfigError("image_encoder 'conv' needs a ConvConfig")
-        image = ConvEncoder(image_cfg, rng)
-    return DualEncoder(image, TextEncoder(text_cfg, rng))
+    return DualEncoder(tower(image_cfg, rng), TextEncoder(text_cfg, rng))
 
 
 MLM_HEAD_PREFIX = "text.mlm_head."
@@ -368,6 +368,12 @@ def train(
         model, vocab, _, optimizer, queue, counters = load_training_checkpoint(resume_from, config_text)
         start_epoch, start_step = counters["epoch"], counters["step_in_epoch"]
         global_step, best_accuracy = counters["global_step"], counters["best_accuracy"]
+        # every checkpoint a run writes is on its schedule, at (epochs, 0) at the latest
+        if (start_step > steps_per_epoch or (start_epoch, start_step) > (train_cfg.epochs, 0)
+                or global_step != start_epoch * steps_per_epoch + start_step):
+            raise CheckpointError(f"{resume_from}: epoch={start_epoch} step_in_epoch={start_step} global_step="
+                                  f"{global_step} is off the schedule of this training set "
+                                  f"({train_cfg.epochs} epochs of {steps_per_epoch} steps)")
     # the inputs and the run state are checked, so the run directory is written from here on
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.resolved").write_text(config_text + "\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import Vocab, encode_batch, read_text, tokenize_words
+from .data import Vocab, encode_batch, load_images, read_text, tokenize_words
 from .errors import ConfigError, ContractError, DegenerateInputError
 
 PROMPT_DIR = Path(__file__).parent / "prompts"
@@ -118,8 +118,6 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate(model, records, class_names, prompts, vocab, context_length, image_size=32, batch_size=64):
     """(accuracy, predictions, labels) over a labeled record list."""
-    from .data import load_images
-
     labels = np.asarray([r.label for r in records])
     if any(label is None for label in labels.tolist()):
         raise ContractError("evaluation records must carry class labels")

@@ -411,6 +411,12 @@ def _files(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
 @pytest.mark.parametrize("failure", ["images-of-another-size", "resume-config-mismatch"])
 def test_a_rerun_that_fails_leaves_the_run_directory_as_it_was(tmp_path, capsys, data_dir, failure):
     out = tmp_path / "run"
@@ -499,9 +505,42 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     before = _files(out)
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
-    assert message in err
+    assert message in _one_error_line(capsys)
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "data.train_manifest"), ("train", "data.val_manifest"), ("sweep", "data.val_manifest"), ("eval", None),
+])
+def test_an_empty_manifest_exits_2_before_any_work(tmp_path, capsys, monkeypatch, data_dir, micro_checkpoint,
+                                                   command, key):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n  \n")  # blank lines hold no record
+    out = tmp_path / "run"
+    shutil.copytree(micro_checkpoint.parent, out)
+    if command == "eval":
+        argv = ["eval", str(out / "final.ckpt"), "--manifest", str(empty), "--classes", str(data_dir / "classes.txt")]
+    else:
+        over = ["--over", "train.variant=clip,filip"] if command == "sweep" else []
+        argv = [command, *over, "--out", str(out)] + micro_args(data_dir, f"{key}={empty}")
+    monkeypatch.setattr("deskclip.cli.load_model_for_eval", lambda path: pytest.fail("checkpoint loaded"))
+    before = _files(out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{empty}: the manifest holds no record" in _one_error_line(capsys)
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("stop", [[], ["--stop-after-steps", "3"]], ids=["finished", "stopped-after-3-steps"])
+def test_a_resume_against_a_training_set_of_another_size_exits_3(tmp_path, capsys, data_dir, stop):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), *stop] + micro_args(data_dir)) == 0  # 16 records, 4 steps per epoch
+    before = _files(out)
+    capsys.readouterr()
+    # the 8 validation records as the training set: 2 steps per epoch
+    argv = ["train", "--out", str(out), "--resume", str(out / "final.ckpt")]
+    assert main(argv + micro_args(data_dir, f"data.train_manifest={data_dir / 'val.tsv'}")) == 3
+    assert "is off the schedule of this training set (1 epochs of 2 steps)" in _one_error_line(capsys)
     assert _files(out) == before
 
 

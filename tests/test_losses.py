@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from deskclip import tensor as T
+from deskclip import losses, tensor as T
 from deskclip.encoders import ConvConfig, ConvEncoder, EmbeddingSet, TextEncoder
 from deskclip.errors import ConfigError, ContractError, ShapeError
 from deskclip.losses import (
@@ -377,10 +377,11 @@ def test_mlm_corruption_statistics():
     assert random_ids.min() >= 5 and random_ids.max() < 512
 
 
-def test_mlm_forced_position_under_tiny_rate():
+def test_mlm_forced_position_under_tiny_rate(monkeypatch):
+    monkeypatch.setattr(losses, "MLM_RATE", 1e-9)
     rng = np.random.default_rng(20)
     ids = np.array([[1, 6, 2, 0], [1, 7, 2, 0]])
-    batch = make_mlm_batch(ids, 32, rng, rate=1e-9)
+    batch = make_mlm_batch(ids, 32, rng)
     rows = set(batch.positions[:, 0].tolist())
     assert rows == {0, 1}
 

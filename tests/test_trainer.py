@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import dataclasses
 import filecmp
 import os
@@ -9,11 +11,12 @@ import pytest
 
 from deskclip.augment import ImageAugPolicy, TextAugPolicy, default_synonyms
 from deskclip.checkpoint import load_checkpoint, save_checkpoint
-from deskclip.config import render_config_text
+from deskclip.config import build_run_config, render_config_text
 from deskclip.data import Vocab, generate_synthetic
-from deskclip.encoders import ConvConfig, TextConfig, VitConfig
+from deskclip.encoders import IMAGE_TOWERS, ConvConfig, TextConfig, VitConfig
 from deskclip.errors import CheckpointError, ConfigError, ContractError
 from deskclip.losses import VARIANTS, LossConfig, NNQueue
+from deskclip.nn import Linear, Module
 from deskclip.optim import AdamW
 from deskclip.trainer import (
     COUNTERS,
@@ -245,6 +248,34 @@ def test_build_model_rejects_mismatched_encoder_config():
         build_model(micro_train_cfg(image_encoder="conv"), MICRO_IMAGE, MICRO_TEXT)
 
 
+# the config parser reads a field's type from its annotation text, which the __future__ import keeps
+@dataclasses.dataclass(frozen=True)
+class StubConfig:
+    image_size: int = 16
+    embed_dim: int = 16
+
+
+class StubTower(Module):
+    def __init__(self, cfg: StubConfig, rng: np.random.Generator):
+        super().__init__()
+        self.proj = Linear(3, cfg.embed_dim, rng)
+
+
+def test_a_tower_registered_in_image_towers_alone_is_configured_and_built(monkeypatch):
+    monkeypatch.setitem(IMAGE_TOWERS, "stub", (StubConfig, StubTower))
+    cfg = build_run_config({"train": {"image_encoder": "stub"}, "image": {"image_size": "8"},
+                            "text": {"embed_dim": "16"}})
+    assert cfg.image == StubConfig(image_size=8)
+    model = build_model(cfg.train, cfg.image, cfg.text)
+    assert isinstance(model.image, StubTower)
+    with pytest.raises(ConfigError, match="image_encoder 'stub' needs a StubConfig"):
+        build_model(cfg.train, MICRO_IMAGE, MICRO_TEXT)
+    with pytest.raises(ConfigError, match="image_encoder 'vit' needs a VitConfig"):
+        build_model(micro_train_cfg(), StubConfig(), MICRO_TEXT)
+    with pytest.raises(ConfigError, match="image_encoder must be one of 'vit', 'conv', 'stub'"):
+        micro_train_cfg(image_encoder="resnet")
+
+
 def test_trainable_parameters_drop_mlm_head_when_unused():
     model = build_model(micro_train_cfg(), MICRO_IMAGE, MICRO_TEXT)
     all_names = {n for n, _ in model.named_parameters()}
@@ -417,6 +448,37 @@ def test_resume_from_a_checkpoint_older_than_the_log_cuts_the_log_back(tmp_path,
     resumed = run_micro(tmp_path, records, "part", epochs=2, resume_from=part.best_path)
     assert resumed.metrics_path.read_text() == whole.metrics_path.read_text()
     assert filecmp.cmp(whole.final_path, resumed.final_path, shallow=False)
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _moved_to(position):
+    """Rewrite a checkpoint's (epoch, step_in_epoch, global_step) counters to ``position``."""
+    def edit(ckpt):
+        config, arrays, vocab = load_checkpoint(ckpt)
+        arrays["run.counters"][:3] = position
+        save_checkpoint(ckpt, config, arrays, vocab)
+    return edit
+
+
+# the records fixture makes 3 steps per epoch; a resume reads the first ``size`` records
+@pytest.mark.parametrize("stop, size, edit", [
+    (2, 4, None),                   # step_in_epoch 2 past the 1 step per epoch of 4 records
+    (4, 8, None),                   # epoch 1, step 1 is global step 3 at 2 steps per epoch, not 4
+    (None, 12, _moved_to((3, 0, 9))),  # on the 3-step schedule but past epoch 2, step 0
+], ids=["step-past-the-epoch", "global-step-off-the-schedule", "past-the-last-epoch"])
+def test_resume_rejects_a_position_off_this_training_sets_schedule_before_any_write(
+    tmp_path, records, stop, size, edit
+):
+    part = run_micro(tmp_path, records, "part", epochs=2, stop_after_steps=stop)
+    if edit is not None:
+        edit(part.final_path)
+    before = _files(tmp_path / "part")
+    with pytest.raises(CheckpointError, match="is off the schedule of this training set"):
+        run_micro(tmp_path, records[:size], "part", epochs=2, resume_from=part.final_path)
+    assert _files(tmp_path / "part") == before
 
 
 def test_train_rejects_empty_dataset(tmp_path):
