@@ -446,7 +446,8 @@ def _manifest_with_first_source(tmp_path, data_dir, source, split="train"):
 
 # case -> (its extra arguments, or for spec- and image- cases the first record's source; the error's
 # text). The case's command is its first word, train for the rest; {out} stands for the copy of a
-# finished run directory (of the data directory for synth) that the case must leave as it was.
+# finished run directory (of the data directory for synth) that the case must leave as it was, and
+# {empty} for a manifest of blank lines.
 INPUT_FAULTS = {
     "image-channels": (["--set", "image.channels=1"], "image.channels must be 3, got 1"),
     "spec-seed": ("synthetic:class=0;seed=-5;template=0", "bad.tsv:1: synthetic spec seed and template must be >= 0"),
@@ -472,6 +473,10 @@ INPUT_FAULTS = {
     "stats-ratio-nan": (["--min-english-ratio", "nan"], "min_english_ratio must lie in [0, 1], got nan"),
     "stats-ratio-negative": (["--min-english-ratio", "-0.5"], "min_english_ratio must lie in [0, 1], got -0.5"),
     "stats-length-negative": (["--min-length", "-3"], "min_length must be at least 0, got -3"),
+    "empty-train-manifest": (["--set", "data.train_manifest={empty}"], "{empty}: the manifest holds no record"),
+    "empty-val-manifest": (["--set", "data.val_manifest={empty}"], "{empty}: the manifest holds no record"),
+    "sweep-empty-val-manifest": (["--set", "data.val_manifest={empty}"], "{empty}: the manifest holds no record"),
+    "eval-empty-manifest": (["--manifest", "{empty}"], "{empty}: the manifest holds no record"),
 }
 
 
@@ -484,12 +489,14 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     reads_data = command in ("synth", "stats")
     out = tmp_path / ("data" if reads_data else "run")
     shutil.copytree(data_dir if reads_data else micro_checkpoint.parent, out)
-    message, manifest = message.format(out=out), None
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n  \n")
+    message, manifest = message.format(out=out, empty=empty), None
     if isinstance(extra, str):  # the first record's source, in the split the command reads
         manifest = _manifest_with_first_source(tmp_path, data_dir, extra.format(out=out),
                                                "val" if command == "eval" else "train")
         extra = [] if command == "eval" else ["--set", f"data.train_manifest={manifest}"]
-    extra = [item.format(out=out) for item in extra]
+    extra = [item.format(out=out, empty=empty) for item in extra]
     if command == "synth":
         argv = ["synth", "--classes", "4", "--train", "16", "--val", "8", *extra]
     elif command == "stats":
@@ -506,28 +513,6 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     capsys.readouterr()
     assert main(argv) == 2
     assert message in _one_error_line(capsys)
-    assert _files(out) == before
-
-
-@pytest.mark.parametrize("command, key", [
-    ("train", "data.train_manifest"), ("train", "data.val_manifest"), ("sweep", "data.val_manifest"), ("eval", None),
-])
-def test_an_empty_manifest_exits_2_before_any_work(tmp_path, capsys, monkeypatch, data_dir, micro_checkpoint,
-                                                   command, key):
-    empty = tmp_path / "empty.tsv"
-    empty.write_text("\n  \n")  # blank lines hold no record
-    out = tmp_path / "run"
-    shutil.copytree(micro_checkpoint.parent, out)
-    if command == "eval":
-        argv = ["eval", str(out / "final.ckpt"), "--manifest", str(empty), "--classes", str(data_dir / "classes.txt")]
-    else:
-        over = ["--over", "train.variant=clip,filip"] if command == "sweep" else []
-        argv = [command, *over, "--out", str(out)] + micro_args(data_dir, f"{key}={empty}")
-    monkeypatch.setattr("deskclip.cli.load_model_for_eval", lambda path: pytest.fail("checkpoint loaded"))
-    before = _files(out)
-    capsys.readouterr()
-    assert main(argv) == 2
-    assert f"{empty}: the manifest holds no record" in _one_error_line(capsys)
     assert _files(out) == before
 
 
