@@ -454,27 +454,20 @@ def _files(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-def _moved_to(position):
-    """Rewrite a checkpoint's (epoch, step_in_epoch, global_step) counters to ``position``."""
-    def edit(ckpt):
-        config, arrays, vocab = load_checkpoint(ckpt)
-        arrays["run.counters"][:3] = position
-        save_checkpoint(ckpt, config, arrays, vocab)
-    return edit
-
-
 # the records fixture makes 3 steps per epoch; a resume reads the first ``size`` records
-@pytest.mark.parametrize("stop, size, edit", [
-    (2, 4, None),                   # step_in_epoch 2 past the 1 step per epoch of 4 records
-    (4, 8, None),                   # epoch 1, step 1 is global step 3 at 2 steps per epoch, not 4
-    (None, 12, _moved_to((3, 0, 9))),  # on the 3-step schedule but past epoch 2, step 0
+@pytest.mark.parametrize("stop, size, position", [
+    (2, 4, None),         # step_in_epoch 2 past the 1 step per epoch of 4 records
+    (4, 8, None),         # epoch 1, step 1 is global step 3 at 2 steps per epoch, not 4
+    (None, 12, (3, 0, 9)),  # (epoch, step_in_epoch, global_step) on the 3-step schedule, past epoch 2
 ], ids=["step-past-the-epoch", "global-step-off-the-schedule", "past-the-last-epoch"])
 def test_resume_rejects_a_position_off_this_training_sets_schedule_before_any_write(
-    tmp_path, records, stop, size, edit
+    tmp_path, records, stop, size, position
 ):
     part = run_micro(tmp_path, records, "part", epochs=2, stop_after_steps=stop)
-    if edit is not None:
-        edit(part.final_path)
+    if position is not None:
+        config, arrays, vocab = load_checkpoint(part.final_path)
+        arrays["run.counters"][:3] = position
+        save_checkpoint(part.final_path, config, arrays, vocab)
     before = _files(tmp_path / "part")
     with pytest.raises(CheckpointError, match="is off the schedule of this training set"):
         run_micro(tmp_path, records[:size], "part", epochs=2, resume_from=part.final_path)
