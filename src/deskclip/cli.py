@@ -32,13 +32,13 @@ from .data import (
     read_text,
     write_manifest,
 )
-from .errors import CheckpointError, ConfigError, ManifestError, TrainingAborted
+from .errors import CheckpointError, ConfigError, DegenerateInputError, ManifestError, TrainingAborted
 from .trainer import TrainResult, build_model, load_model_for_eval, train
 from .verify import FAULTS, run_verify
 from .zeroshot import PromptSet, desk_prompts, evaluate, evaluation_report
 
 EXIT_OK = 0
-EXIT_FAILURE = 1       # verification or accuracy failure
+EXIT_FAILURE = 1       # verification or accuracy failure, aborted run, non-finite embedding
 EXIT_USAGE = 2         # bad config, manifest, or arguments
 EXIT_ARTIFACT = 3      # checkpoint does not match what was asked of it
 
@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARTIFACT
-    except TrainingAborted as err:
+    except (TrainingAborted, DegenerateInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

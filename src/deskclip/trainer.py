@@ -435,7 +435,7 @@ def train(
             final_accuracy = accuracy
             log.write(f"epoch={epoch} val_top1={accuracy:.4f}\n")
             log.flush()
-            if accuracy > best_accuracy:
+            if val_records and accuracy > best_accuracy:
                 best_accuracy = accuracy
                 snapshot(best_path, epoch + 1, 0)
     except TrainingAborted as err:

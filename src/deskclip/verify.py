@@ -3,13 +3,18 @@
 Each check recomputes an expected answer through an independent route
 (hand arithmetic, nested loops, finite differences) and compares it with
 the production path. Fault hooks deliberately break specific internals so
-the suite's power to catch regressions is itself testable.
+the suite's power to catch regressions is itself testable. The op-gradient
+table (``OP_CASES``) and the nested-loop loss references (``loop_*``) are
+the one copy the tests use as well.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -87,12 +92,12 @@ def _loop_matching_ce(scores: list[list[float]], temperature: float) -> float:
     return total / len(scores)
 
 
-def _loop_info_nce(left: np.ndarray, right: np.ndarray, temperature: float) -> float:
+def loop_info_nce(left: np.ndarray, right: np.ndarray, temperature: float) -> float:
     n = left.shape[0]
     return _loop_matching_ce([[float(left[i] @ right[j]) for j in range(n)] for i in range(n)], temperature)
 
 
-def _loop_nt_xent(a: np.ndarray, b: np.ndarray, temperature: float) -> float:
+def loop_nt_xent(a: np.ndarray, b: np.ndarray, temperature: float) -> float:
     z = np.concatenate([a, b], axis=0)
     n = a.shape[0]
     total = 0.0
@@ -106,7 +111,7 @@ def _loop_nt_xent(a: np.ndarray, b: np.ndarray, temperature: float) -> float:
     return total / (2 * n)
 
 
-def _loop_alignment(img_tokens, img_mask, txt_tokens, txt_mask, temperature: float) -> float:
+def loop_alignment(img_tokens, img_mask, txt_tokens, txt_mask, temperature: float) -> float:
     """Token-wise alignment loss of a batch, one (image, text) pair at a time."""
     n = len(img_tokens)
     image_side = [[0.0] * n for _ in range(n)]  # row: image, column: text
@@ -120,70 +125,152 @@ def _loop_alignment(img_tokens, img_mask, txt_tokens, txt_mask, temperature: flo
     return 0.5 * (_loop_matching_ce(image_side, temperature) + _loop_matching_ce(text_side, temperature))
 
 
+def loop_token_masks(sims4, img_mask, txt_mask, fraction: float):
+    """FILIP's kept tokens, one sample and one modality at a time: each keeps its best
+    ``fraction`` (at least one) of its unmasked tokens, ranked by their best similarity to
+    any unmasked token of the other modality in the batch, ties to the lower index."""
+    img_scores = np.where(txt_mask[None, None], sims4, -np.inf).max(axis=(2, 3))
+    txt_scores = np.where(img_mask[:, :, None, None], sims4, -np.inf).max(axis=(0, 1))
+    new_img, new_txt = np.zeros_like(img_mask), np.zeros_like(txt_mask)
+    for mask, scores, out in ((img_mask, img_scores, new_img), (txt_mask, txt_scores, new_txt)):
+        for i in range(len(mask)):
+            valid = np.flatnonzero(mask[i])
+            k = max(1, math.ceil(fraction * len(valid)))
+            ranked = np.argsort(-scores[i, valid], kind="stable")[:k]
+            out[i, valid[ranked]] = True
+    return new_img, new_txt
+
+
 def _prefix_masks(rng, n: int, tokens: int) -> np.ndarray:
     """(n, tokens) masks that keep a random non-empty prefix of each row, as padding does."""
     return np.arange(tokens) < rng.integers(1, tokens + 1, size=(n, 1))
+
+
+# the op-gradient table ---------------------------------------------------------------
+# One row per probe of a public tensor op: every gradient the tape gives for a tracked
+# input is compared with finite differences. grad.primitives runs every row at seed 7,
+# and tier-1 at seeds 0-7.
+
+
+def _normal(rng, *shape) -> T.Tensor:
+    return T.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def _positive(rng, *shape) -> T.Tensor:
+    return T.Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True)
+
+
+def _partial_prefixes(rng, n: int, width: int) -> np.ndarray:
+    """(n, width) masks that keep a random non-empty prefix of each row and drop its last entry."""
+    return np.arange(width) < rng.integers(1, width, size=(n, 1))
+
+
+def _padding(rng, n: int, length: int) -> np.ndarray:
+    """An (n, 1, 1, length) attention bias that masks the tail of every sequence."""
+    return np.where(_partial_prefixes(rng, n, length)[:, None, None, :], 0.0, T.MASK_PENALTY)
+
+
+def _call(fn, *args):
+    """The closure ``fn(*args)`` and its gradient-tracked arguments, named by ``fn``'s parameters."""
+    tracked = []
+    for name, arg in zip(inspect.signature(fn).parameters, args):
+        parts = arg if isinstance(arg, list) else [arg]
+        tracked += [(name if len(parts) == 1 else f"{name}.{i}", part) for i, part in enumerate(parts)
+                    if isinstance(part, T.Tensor) and part.requires_grad]
+    return (lambda: fn(*args)), tracked
+
+
+@dataclass(frozen=True)
+class OpCase:
+    """One row of the op-gradient table: ``draw(rng, m, k, n)`` draws the values, and any
+    shapes beyond the sizes m, k, n in [2, 4], of one call of the public op ``op``, and returns
+    the call's closure and the (name, tensor) inputs it tracks."""
+
+    op: str
+    label: str
+    draw: Callable
+
+    @property
+    def name(self) -> str:
+        return f"{self.op} {self.label}" if self.label else self.op
+
+    def probe(self, rng):
+        """(scalar loss closure, tracked inputs): the op's output against fixed standard-normal
+        weights, so every output entry has its own slope."""
+        output, tracked = self.draw(rng, *(int(v) for v in rng.integers(2, 5, size=3)))
+        with T.no_grad():
+            weights = T.constant(rng.standard_normal(output().shape))
+        return (lambda: T.sum_(output() * weights)), tracked
+
+
+def _conv_case(kh: int, kw: int) -> OpCase:
+    # a kernel as tall or wide as the image gives every tap but the centre one a zeroed border
+    return OpCase("conv2d", f"{kh}x{kw} kernel", lambda r, m, k, n: _call(
+        T.conv2d, _normal(r, 2, 2, k + 1, n + 1), _normal(r, m, 2, kh, kw)))
+
+
+OP_CASES = (
+    OpCase("add", "b over a's rows", lambda r, m, k, n: _call(T.add, _normal(r, m, k), _normal(r, k))),
+    OpCase("sub", "a over b's columns", lambda r, m, k, n: _call(T.sub, _normal(r, m, 1), _normal(r, m, k))),
+    OpCase("mul", "a over b's rows", lambda r, m, k, n: _call(T.mul, _normal(r, k), _normal(r, m, k))),
+    OpCase("div", "denominator away from 0", lambda r, m, k, n: _call(
+        T.div, _normal(r, m, k), T.Tensor(r.uniform(0.5, 2.0, (1, k)) * r.choice([-1.0, 1.0], (1, k)), True))),
+    OpCase("neg", "", lambda r, m, k, n: _call(T.neg, _normal(r, m, k))),
+    OpCase("power", "positive base", lambda r, m, k, n: _call(T.power, _positive(r, m, k), r.uniform(-2.0, 3.0))),
+    OpCase("exp", "", lambda r, m, k, n: _call(T.exp, _normal(r, m, k))),
+    OpCase("log", "positive input", lambda r, m, k, n: _call(T.log, _positive(r, m, k))),
+    OpCase("gelu", "", lambda r, m, k, n: _call(T.gelu, T.Tensor(2.0 * r.standard_normal((m, k)), True))),
+    OpCase("reshape", "", lambda r, m, k, n: _call(T.reshape, _normal(r, 2, m, k), (m, 2 * k))),
+    OpCase("transpose", "axes (2, 0, 1)", lambda r, m, k, n: _call(T.transpose, _normal(r, 2, m, k), (2, 0, 1))),
+    OpCase("broadcast_to", "", lambda r, m, k, n: _call(T.broadcast_to, _normal(r, 1, k), (m, k))),
+    OpCase("concat", "then a step slice", lambda r, m, k, n: _call(
+        lambda tensors: T.concat(tensors, axis=0)[::2], [_normal(r, 1, k), _normal(r, m, k)])),
+    # m + 1 keys of m rows (and of k positions) repeat one at least
+    OpCase("slice_", "repeated keys", lambda r, m, k, n: _call(T.slice_, _normal(r, m, k), r.integers(0, m, m + 1))),
+    OpCase("select_positions", "repeated keys", lambda r, m, k, n: _call(
+        T.select_positions, _normal(r, k + 1, k, n), r.integers(0, k, k + 1))),
+    OpCase("embedding_lookup", "repeated ids", lambda r, m, k, n: _call(
+        T.embedding_lookup, _normal(r, m, k), r.integers(0, m, (2, m)))),
+    OpCase("sum_", "one axis", lambda r, m, k, n: _call(T.sum_, _normal(r, m, k, n), 1)),
+    OpCase("mean", "axes (0, 2)", lambda r, m, k, n: _call(T.mean, _normal(r, m, k, n), (0, 2))),
+    OpCase("mean", "all axes", lambda r, m, k, n: _call(T.mean, _normal(r, m, k))),
+    OpCase("mean", "keep", lambda r, m, k, n: _call(
+        T.mean, _normal(r, m, k, n), 1, _partial_prefixes(r, m, k)[:, :, None])),
+    OpCase("max_", "", lambda r, m, k, n: _call(T.max_, _normal(r, m, k), 1)),
+    OpCase("max_", "partial keep", lambda r, m, k, n: _call(T.max_, _normal(r, m, k), 1, _partial_prefixes(r, m, k))),
+    OpCase("matmul", "2-D a, bias, residual", lambda r, m, k, n: _call(
+        T.matmul, _normal(r, m, k), _normal(r, k, n), _normal(r, n), _normal(r, m, n))),
+    OpCase("matmul", "3-D a, bias, residual", lambda r, m, k, n: _call(
+        T.matmul, _normal(r, 2, m, k), _normal(r, k, n), _normal(r, n), _normal(r, 2, m, n))),
+    OpCase("softmax", "", lambda r, m, k, n: _call(T.softmax, _normal(r, m, k), 1)),
+    OpCase("log_softmax", "", lambda r, m, k, n: _call(T.log_softmax, _normal(r, m, k), 0)),
+    # two heads of width n over k + 1 positions, the tail of every sequence padding
+    OpCase("attention", "padded", lambda r, m, k, n: _call(
+        T.attention, _normal(r, m, k + 1, 6 * n), 2, _padding(r, m, k + 1))),
+    OpCase("attention", "padded, rows=", lambda r, m, k, n: _call(
+        T.attention, _normal(r, m, k + 1, 6 * n), 2, _padding(r, m, k + 1), r.integers(0, k + 1, m))),
+    OpCase("l2_normalize", "", lambda r, m, k, n: _call(T.l2_normalize, _normal(r, m, k), 1)),
+    OpCase("layernorm", "", lambda r, m, k, n: _call(T.layernorm, _normal(r, m, k + 2), _normal(r, k + 2),
+                                                      _normal(r, k + 2))),
+    OpCase("cross_entropy", "", lambda r, m, k, n: _call(T.cross_entropy, _normal(r, m, k), r.integers(0, k, m))),
+    *(_conv_case(kh, kw) for kh, kw in ((1, 1), (3, 3), (3, 5), (5, 1))),
+    OpCase("avgpool2", "", lambda r, m, k, n: _call(T.avgpool2, _normal(r, 2, m, 2 * k, 2 * n))),
+)
 
 
 # checks: each returns (ok, detail) ------------------------------------------------
 
 
 def check_grad_primitives():
-    rng = np.random.default_rng(7)
-    x = T.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    w = T.constant(rng.standard_normal((3, 5)))
-    gain = T.Tensor(rng.standard_normal(5), requires_grad=True)
-    bias = T.Tensor(rng.standard_normal(5), requires_grad=True)
-    report = gradient_report(
-        lambda: T.sum_(T.softmax(T.layernorm(T.gelu(x), gain, bias), axis=1) * w),
-        [("x", x), ("gain", gain), ("bias", bias)],
-    )
-    # two-head attention whose second row ends in a padding key
-    fused = T.Tensor(rng.standard_normal((2, 4, 12)), requires_grad=True)
-    mixing = T.constant(rng.standard_normal((2, 4, 4)))
-    pad = np.zeros((2, 1, 1, 4))
-    pad[1, ..., 3] = T.MASK_PENALTY
-    report.update(gradient_report(lambda: T.sum_(T.attention(fused, 2, pad) * mixing), [("fused", fused)]))
-    # the same attention for one query row per sequence (rows 3 and 1), over the keys and values of all four
-    row_mixing = T.constant(mixing.data[:, 0])
-    report.update(gradient_report(
-        lambda: T.sum_(T.attention(fused, 2, pad, rows=np.array([3, 1])) * row_mixing), [("fused.rows", fused)]
-    ))
-    # a Linear layer's product: one weight shared by every row of a 3-D input, bias folded in
-    a = T.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    lin_w = T.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    lin_b = T.Tensor(rng.standard_normal(5), requires_grad=True)
-    out_mix = T.constant(rng.standard_normal((2, 3, 5)))
-    report.update(gradient_report(
-        lambda: T.sum_(T.gelu(T.matmul(a, lin_w, lin_b)) * out_mix),
-        [("linear.a", a), ("linear.weight", lin_w), ("linear.bias", lin_b)],
-    ))
-    # the input gradient of a channel-major "same" conv2d: the col2im taps, checked directly
-    # (grad.encoders reaches conv2d's weight gradient through the trunk); a 3x5 kernel on a
-    # 5x4 input gives every tap but the centre one a zeroed border of rows, columns or both
-    img = T.Tensor(rng.standard_normal((3, 2, 5, 4)), requires_grad=True)
-    filt = T.constant(rng.standard_normal((4, 3, 3, 5)))
-    conv_mix = T.constant(rng.standard_normal((4, 2, 5, 4)))
-    report.update(gradient_report(lambda: T.sum_(T.conv2d(img, filt) * conv_mix), [("conv2d.x", img)]))
-    # index reads with repeated keys: row 2 twice by a slice key and by ids, and position 1 of both sequences
-    rows = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    seqs = T.Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
-    pick_mix = T.constant(rng.standard_normal((2, 3, 3)))
-    report.update(gradient_report(
-        lambda: T.sum_(T.slice_(rows, np.array([2, 0, 2])) * pick_mix[0]), [("slice.repeated", rows)]
-    ))
-    ids = np.array([[2, 3, 2], [0, 2, 0]])
-    report.update(gradient_report(
-        lambda: T.sum_(T.embedding_lookup(rows, ids) * pick_mix), [("embedding.repeated", rows)]
-    ))
-    report.update(gradient_report(
-        lambda: T.sum_(T.select_positions(seqs, np.array([1, 1])) * pick_mix[0, :2]), [("select.repeated", seqs)]
-    ))
-    worst = max(report.values())
+    worst, where = 0.0, ""
+    for case in OP_CASES:
+        report = gradient_report(*case.probe(np.random.default_rng(7)))
+        for name, err in report.items():
+            if err >= worst:
+                worst, where = err, f"{case.name} ({name})"
     return worst <= 1e-6, (
-        f"worst rel. err {worst:.2e} over softmax/layernorm/gelu chain, attention (all rows and "
-        f"one query row per sequence), biased matmul, channel-major same conv2d and index reads "
-        f"that repeat an entry"
+        f"worst rel. err {worst:.2e} at {where}, over {len(OP_CASES)} rows that cover "
+        f"{len({case.op for case in OP_CASES})} tensor ops"
     )
 
 
@@ -254,19 +341,21 @@ def check_bruteforce():
         temp = float(rng.uniform(0.05, 2.0))
         left, right = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
         got = info_nce(T.Tensor(left), T.Tensor(right), temp).item()
-        worst = max(worst, abs(got - _loop_info_nce(left, right, temp)))
+        worst = max(worst, abs(got - loop_info_nce(left, right, temp)))
         got = nt_xent_loss(T.Tensor(left), T.Tensor(right), temp).item()
-        worst = max(worst, abs(got - _loop_nt_xent(left, right, temp)))
+        worst = max(worst, abs(got - loop_nt_xent(left, right, temp)))
         n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         img_toks = _unit_rows(rng, n * n1, d).reshape(n, n1, d)
         txt_toks = _unit_rows(rng, n * n2, d).reshape(n, n2, d)
         img_mask, txt_mask = _prefix_masks(rng, n, n1), _prefix_masks(rng, n, n2)
-        got = tokenwise_alignment_loss(
-            EmbeddingSet(T.Tensor(left), T.Tensor(img_toks), img_mask),
-            EmbeddingSet(T.Tensor(right), T.Tensor(txt_toks), txt_mask),
-            temp,
-        ).item()
-        worst = max(worst, abs(got - _loop_alignment(img_toks, img_mask, txt_toks, txt_mask, temp)))
+        img_set = EmbeddingSet(T.Tensor(left), T.Tensor(img_toks), img_mask)
+        txt_set = EmbeddingSet(T.Tensor(right), T.Tensor(txt_toks), txt_mask)
+        got = tokenwise_alignment_loss(img_set, txt_set, temp).item()
+        worst = max(worst, abs(got - loop_alignment(img_toks, img_mask, txt_toks, txt_mask, temp)))
+        # the same loss over the tokens FILIP's selection keeps at half
+        kept = loop_token_masks(np.einsum("ipd,jqd->ipjq", img_toks, txt_toks), img_mask, txt_mask, 0.5)
+        got = tokenwise_alignment_loss(img_set, txt_set, temp, token_fraction=0.5).item()
+        worst = max(worst, abs(got - loop_alignment(img_toks, kept[0], txt_toks, kept[1], temp)))
         # queue retrieval vs exhaustive scan
         queue = NNQueue(16)
         stored = _unit_rows(rng, 8, d)

@@ -55,7 +55,11 @@ def build_classifier(
     vocab: Vocab,
     context_length: int,
 ) -> np.ndarray:
-    """(K, D) unit rows: per class, mean prompt embedding re-normalized."""
+    """(K, D) unit rows: per class, mean prompt embedding re-normalized.
+
+    DegenerateInputError, naming the class, when a prompt embedding is not finite
+    or a class's prompt embeddings cancel to zero.
+    """
     if not class_names:
         raise ContractError("need at least one class")
     rows = []
@@ -65,6 +69,8 @@ def build_classifier(
         ids = encode_batch(prompts.fill(name), vocab, context_length)
         with T.no_grad():
             pooled = model.encode_text(ids).pooled.data
+        if not np.isfinite(pooled).all():
+            raise DegenerateInputError(f"prompt embeddings for {name!r} are not finite")
         mean = pooled.mean(axis=0)
         norm = float(np.linalg.norm(mean))
         if norm < 1e-12:
@@ -84,7 +90,8 @@ def classify(images: np.ndarray, classifier: np.ndarray, model, batch_size: int 
     The image encoder runs over the fewest blocks of near-equal size (sizes differ by
     at most one) that hold at most min(batch_size, BLOCK_PIXELS // (h*w)) images each,
     so ``batch_size`` caps the images per encoder call. Near-equal blocks keep every
-    call on the same BLAS path: a one-image block would round differently.
+    call on the same BLAS path: a one-image block would round differently. A block
+    whose embeddings are not finite raises DegenerateInputError, naming its images.
     """
     if classifier.ndim != 2:
         raise ContractError(f"classifier must be (K, D), got {classifier.shape}")
@@ -94,10 +101,13 @@ def classify(images: np.ndarray, classifier: np.ndarray, model, batch_size: int 
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     cap = min(batch_size, max(1, BLOCK_PIXELS // (images.shape[-2] * images.shape[-1])))
-    preds = []
+    preds, start = [], 0
     for block in np.array_split(images, -(-count // cap)):
         with T.no_grad():
             pooled = model.encode_image(T.Tensor(block)).pooled.data
+        if not np.isfinite(pooled).all():
+            raise DegenerateInputError(f"embeddings of images {start}-{start + len(block) - 1} are not finite")
+        start += len(block)
         if pooled.shape[1] != classifier.shape[1]:
             raise ContractError(
                 f"embedding dim {pooled.shape[1]} does not match classifier dim {classifier.shape[1]}"

@@ -566,6 +566,24 @@ def _set_counters(**values):
     return _edit_state(edit)
 
 
+def test_eval_of_a_checkpoint_with_non_finite_weights_exits_1(tmp_path, capsys, data_dir, micro_checkpoint):
+    # a diverged model: every embedding it makes is NaN, and argmax would read class 0 for all
+    def poison(arrays):
+        for name, values in arrays.items():
+            if not name.startswith(("optim.", "queue.", "run.")):
+                values[...] = np.nan
+
+    ckpt = _copy(micro_checkpoint, tmp_path)
+    _edit_state(poison)(ckpt)
+    before, data_before = _files(tmp_path), _files(data_dir)
+    capsys.readouterr()
+    rc = main(["eval", str(ckpt), "--manifest", str(data_dir / "val.tsv"), "--classes", str(data_dir / "classes.txt"),
+               "--expect-at-least", "0", "--report", str(tmp_path / "report.txt")])
+    assert rc == 1
+    assert "are not finite" in _one_error_line(capsys)
+    assert _files(tmp_path) == before and _files(data_dir) == data_before
+
+
 @pytest.mark.parametrize("fill_head", [
     lambda capacity: (capacity + 1, 0),
     lambda capacity: (0, capacity),

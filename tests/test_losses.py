@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from deskclip import losses, tensor as T
 from deskclip.encoders import ConvConfig, ConvEncoder, EmbeddingSet, TextEncoder
@@ -26,6 +25,7 @@ from deskclip.losses import (
     tokenwise_alignment_loss,
 )
 from deskclip.tensor import Tensor
+from deskclip.verify import loop_alignment, loop_info_nce, loop_nt_xent, loop_token_masks
 
 
 def unit(rng, *shape):
@@ -105,34 +105,6 @@ def test_nt_xent_identical_views_log3():
 # brute-force oracles ---------------------------------------------------------
 
 
-def loop_info_nce(left, right, temperature):
-    n = left.shape[0]
-    total = 0.0
-    for i in range(n):
-        logits = np.array([left[i] @ right[j] for j in range(n)]) / temperature
-        total += logsumexp(logits) - logits[i]
-    return total / n
-
-
-def loop_nt_xent(a, b, temperature):
-    z = np.concatenate([a, b], axis=0)
-    n = a.shape[0]
-    total = 0.0
-    for i in range(2 * n):
-        others = [j for j in range(2 * n) if j != i]
-        logits = np.array([z[i] @ z[j] for j in others]) / temperature
-        total += logsumexp(logits) - logits[others.index((i + n) % (2 * n))]
-    return total / (2 * n)
-
-
-def loop_tokenwise(img_tokens, txt_tokens, img_mask, txt_mask):
-    img_live = [t for t, m in zip(img_tokens, img_mask) if m]
-    txt_live = [t for t, m in zip(txt_tokens, txt_mask) if m]
-    image_side = np.mean([max(tok @ o for o in txt_live) for tok in img_live])
-    text_side = np.mean([max(tok @ o for o in img_live) for tok in txt_live])
-    return image_side, text_side
-
-
 def test_info_nce_matches_loop_oracle():
     rng = np.random.default_rng(10)
     worst = 0.0
@@ -157,24 +129,6 @@ def test_nt_xent_matches_loop_oracle():
     assert worst <= 1e-10
 
 
-def loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, temperature):
-    n = img_tokens.shape[0]
-    image_side = np.zeros((n, n))
-    text_side = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            s_i, s_t = loop_tokenwise(img_tokens[i], txt_tokens[j], img_mask[i], txt_mask[j])
-            image_side[i, j] = s_i
-            text_side[i, j] = s_t
-    total = 0.0
-    for i in range(n):
-        row = image_side[i] / temperature
-        total += (logsumexp(row) - row[i]) / n
-        col = text_side[:, i] / temperature
-        total += (logsumexp(col) - col[i]) / n
-    return total / 2
-
-
 def test_alignment_loss_matches_loop_oracle():
     rng = np.random.default_rng(13)
     worst = 0.0
@@ -192,7 +146,7 @@ def test_alignment_loss_matches_loop_oracle():
         img = embset(unit(rng, n, d), img_tokens, img_mask)
         txt = embset(unit(rng, n, d), txt_tokens, txt_mask)
         got = tokenwise_alignment_loss(img, txt, temp).item()
-        want = loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, temp)
+        want = loop_alignment(img_tokens, img_mask, txt_tokens, txt_mask, temp)
         worst = max(worst, abs(got - want))
     assert worst <= 1e-10
 
@@ -214,18 +168,18 @@ def test_alignment_loss_records_no_token_sized_elementwise_node():
     txt = embset(unit(rng, 3, 6), txt_tokens, txt_mask)
     loss = tokenwise_alignment_loss(img, txt, 0.4)
     assert _token_sized_elementwise_nodes(loss) == 0
-    assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, txt_mask, 0.4)) <= 1e-10
+    assert abs(loss.item() - loop_alignment(img_tokens, full, txt_tokens, txt_mask, 0.4)) <= 1e-10
     # every caption as wide as the longest one
     full_txt = np.ones((3, 5), dtype=bool)
     loss = tokenwise_alignment_loss(img, embset(txt.pooled.data, txt_tokens), 0.4)
     assert _token_sized_elementwise_nodes(loss) == 0
-    assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, full, full_txt, 0.4)) <= 1e-10
+    assert abs(loss.item() - loop_alignment(img_tokens, full, txt_tokens, full_txt, 0.4)) <= 1e-10
     img_mask = full.copy()
     img_mask[2, 1] = False
     img = EmbeddingSet(img.pooled, img.tokens, img_mask)
     loss = tokenwise_alignment_loss(img, txt, 0.4)
     assert _token_sized_elementwise_nodes(loss) == 0
-    assert abs(loss.item() - loop_alignment(img_tokens, txt_tokens, img_mask, txt_mask, 0.4)) <= 1e-10
+    assert abs(loss.item() - loop_alignment(img_tokens, img_mask, txt_tokens, txt_mask, 0.4)) <= 1e-10
 
 
 # token-level fixtures ---------------------------------------------------------
@@ -260,20 +214,6 @@ def test_alignment_loss_rejects_a_token_fraction_outside_the_unit_interval(fract
     img = embset(unit(rng, 2, 4), unit(rng, 2, 3, 4))
     with pytest.raises(ContractError, match="token_fraction"):
         tokenwise_alignment_loss(img, img, 0.5, token_fraction=fraction)
-
-
-def loop_token_masks(sims4, img_mask, txt_mask, fraction):
-    """The per-sample top-k selection, one sample and one modality at a time."""
-    img_scores = np.where(txt_mask[None, None], sims4, -np.inf).max(axis=(2, 3))
-    txt_scores = np.where(img_mask[:, :, None, None], sims4, -np.inf).max(axis=(0, 1))
-    new_img, new_txt = np.zeros_like(img_mask), np.zeros_like(txt_mask)
-    for mask, scores, out in ((img_mask, img_scores, new_img), (txt_mask, txt_scores, new_txt)):
-        for i in range(len(mask)):
-            valid = np.flatnonzero(mask[i])
-            k = max(1, math.ceil(fraction * len(valid)))
-            ranked = np.argsort(-scores[i, valid], kind="stable")[:k]
-            out[i, valid[ranked]] = True
-    return new_img, new_txt
 
 
 def _one_sample_masks(img_scores, fraction, img_mask=None):

@@ -1,5 +1,7 @@
-"""Autodiff engine: analytic gradients vs central-difference oracles."""
+"""Autodiff engine: values, bit identities, errors and tape mechanics, and the op-gradient
+table of ``deskclip.verify`` swept over seeds against finite differences."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.special import erf
 from deskclip import tensor as T
 from deskclip.errors import ContractError, DegenerateInputError, ShapeError
 from deskclip.gradcheck import five_point_gradient, gradient_report, numeric_gradient
+from deskclip.verify import OP_CASES
 
 TOL = 1e-6
 
@@ -19,51 +22,15 @@ def rand(rng, *shape, scale=1.0):
     return T.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
-def check(fn, params, tol=TOL):
+def check(fn, params):
     report = gradient_report(fn, params)
-    worst = max(report.values())
-    assert worst <= tol, f"gradient mismatch: {report}"
+    assert max(report.values()) <= TOL, f"gradient mismatch: {report}"
 
 
 # elementwise and broadcasting --------------------------------------------
 
 
-def test_add_broadcast_grad():
-    rng = np.random.default_rng(0)
-    a = rand(rng, 3, 4)
-    b = rand(rng, 4)
-    w = T.constant(rng.standard_normal((3, 4)))
-    check(lambda: T.sum_(T.add(a, b) * w), [("a", a), ("b", b)])
-
-
-def test_mul_div_grad():
-    rng = np.random.default_rng(1)
-    a = rand(rng, 2, 5)
-    b = T.Tensor(rng.standard_normal((2, 5)) + 3.0, requires_grad=True)
-    check(lambda: T.sum_(T.mul(a, b)), [("a", a), ("b", b)])
-    check(lambda: T.sum_(T.div(a, b)), [("a", a), ("b", b)])
-
-
-def test_power_neg_sub_grad():
-    rng = np.random.default_rng(2)
-    a = T.Tensor(rng.uniform(0.5, 2.0, (4, 3)), requires_grad=True)
-    b = rand(rng, 4, 3)
-    check(lambda: T.sum_(a**3.0), [("a", a)])
-    check(lambda: T.sum_(T.sub(T.neg(a), b)), [("a", a), ("b", b)])
-
-
-def test_exp_log_grad():
-    rng = np.random.default_rng(3)
-    a = rand(rng, 6)
-    b = T.Tensor(rng.uniform(0.5, 4.0, 6), requires_grad=True)
-    check(lambda: T.sum_(T.exp(a)), [("a", a)])
-    check(lambda: T.sum_(T.log(b)), [("b", b)])
-
-
-def test_gelu_grad_and_values():
-    rng = np.random.default_rng(4)
-    a = rand(rng, 5, 3)
-    check(lambda: T.sum_(T.gelu(a)), [("a", a)])
+def test_gelu_values():
     # gelu(0) = 0, gelu(large) ~ identity, gelu(-large) ~ 0
     y = T.gelu(T.constant([0.0, 10.0, -10.0])).data
     assert abs(y[0]) < 1e-15
@@ -168,29 +135,9 @@ def test_incompatible_shapes_raise():
 # shape ops ---------------------------------------------------------------
 
 
-def test_reshape_transpose_grad():
-    rng = np.random.default_rng(5)
-    a = rand(rng, 2, 3, 4)
-    w = T.constant(rng.standard_normal((4, 3, 2)))
-    check(lambda: T.sum_(T.transpose(T.reshape(a, (2, 12)), (1, 0)) * T.constant(np.ones((12, 2)))), [("a", a)])
-    check(lambda: T.sum_(T.transpose(a, (2, 1, 0)) * w), [("a", a)])
-
-
-def test_broadcast_concat_slice_grad():
-    rng = np.random.default_rng(6)
-    a = rand(rng, 1, 4)
-    b = rand(rng, 3, 4)
-    check(lambda: T.sum_(T.broadcast_to(a, (3, 4)) * b), [("a", a), ("b", b)])
-    check(lambda: T.sum_(T.concat([a, b], axis=0)[1:3, ::2]), [("a", a), ("b", b)])
-
-
-def test_select_positions_grad():
-    rng = np.random.default_rng(7)
-    a = rand(rng, 4, 5, 3)
-    pos = np.array([0, 4, 2, 2])
-    check(lambda: T.sum_(T.select_positions(a, pos) ** 2.0), [("a", a)])
+def test_select_positions_rejects_a_position_out_of_range():
     with pytest.raises(IndexError):
-        T.select_positions(a, np.array([0, 1, 2, 5]))
+        T.select_positions(T.constant(np.zeros((4, 5, 3))), np.array([0, 1, 2, 5]))
 
 
 def test_select_positions_takes_integer_positions_only():
@@ -202,15 +149,6 @@ def test_select_positions_takes_integer_positions_only():
 
 
 # reductions ---------------------------------------------------------------
-
-
-def test_sum_mean_axes_grad():
-    rng = np.random.default_rng(8)
-    a = rand(rng, 2, 3, 4)
-    w = T.constant(rng.standard_normal((2, 4)))
-    check(lambda: T.sum_(T.sum_(a, axis=1) * w), [("a", a)])
-    check(lambda: T.sum_(T.mean(a, axis=(0, 2)) ** 2.0), [("a", a)])
-    check(lambda: T.mean(a), [("a", a)])
 
 
 def test_axis_ops_accept_a_numpy_integer_axis():
@@ -226,12 +164,6 @@ def test_max_grad_lowest_index_ties():
     T.backward(out)
     # both entries tie at 5.0; gradient must land on index 1 only
     assert np.array_equal(vals.grad, [[0.0, 1.0, 0.0, 0.0]])
-
-
-def test_max_grad_numeric():
-    rng = np.random.default_rng(9)
-    a = rand(rng, 3, 7)
-    check(lambda: T.sum_(T.max_(a, axis=1) ** 2.0), [("a", a)])
 
 
 def test_max_with_keep_never_picks_a_dropped_entry():
@@ -261,13 +193,6 @@ def test_max_with_keep_gives_dropped_entries_exactly_zero_gradient():
     assert np.array_equal(T.max_(a, axis=1, keep=keep).data, want)
 
 
-def test_max_with_keep_grad_numeric():
-    rng = np.random.default_rng(28)
-    a = rand(rng, 3, 7)
-    keep = np.arange(7) < np.array([[2], [7], [4]])
-    check(lambda: T.sum_(T.max_(a, axis=1, keep=keep) ** 2.0), [("a", a)])
-
-
 def test_max_and_mean_with_keep_reject_a_slice_that_keeps_nothing():
     a = T.constant(np.arange(6.0).reshape(2, 3))
     keep = np.array([[True, False, False], [False, False, False]])
@@ -295,8 +220,6 @@ def test_mean_with_keep_equals_a_loop_over_the_kept_entries():
     T.backward(T.sum_(out * T.constant(rng.standard_normal((4, 3)))))
     dropped = np.broadcast_to(~keep, a.shape)
     assert np.all(a.grad[dropped] == 0.0) and np.all(a.grad[~dropped] != 0.0)
-    a.grad = None
-    check(lambda: T.sum_(T.mean(a, axis=(0, 1), keep=keep) ** 2.0), [("a", a)])
     # keeping everything is the plain mean, to the bit
     assert np.array_equal(T.mean(a, axis=1, keep=np.ones(5, dtype=bool)[:, None]).data, a.data.mean(axis=1))
 
@@ -412,8 +335,6 @@ def test_matmul_bias_matches_the_composed_add(ashape, take):
     assert np.array_equal(out1, out0)
     for want, got in zip(grads0, grads1):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    a_t, w_t, b_t = rand(rng, *ashape), rand(rng, 4, 6), rand(rng, 6)
-    check(lambda: T.sum_(T.matmul(take(a_t), w_t, b_t) ** 2.0), [("a", a_t), ("w", w_t), ("bias", b_t)])
 
 
 def test_matmul_bias_is_one_node_and_checks_shapes():
@@ -452,10 +373,6 @@ def test_matmul_residual_is_the_composed_add_and_passes_the_gradient_through(ash
     for want, got in zip(*runs):
         assert np.array_equal(got, want)
     assert np.array_equal(r.grad, g.data)
-    a, w, r = rand(rng, *ashape), rand(rng, 4, 6), rand(rng, *r_data.shape)
-    b = rand(rng, 6) if bias else None
-    params = [("a", a), ("w", w), ("residual", r)] + ([("bias", b)] if bias else [])
-    check(lambda: T.sum_(T.matmul(a, w, b, r) ** 2.0), params)
 
 
 def test_matmul_residual_is_one_node_and_must_have_the_product_shape():
@@ -534,14 +451,8 @@ def test_softmax_fixtures():
     out = T.softmax(T.constant([[1000.0, 0.0]]), axis=1).data
     assert np.isfinite(out).all()
     assert abs(out[0, 0] - 1.0) < 1e-12
-
-
-def test_softmax_rows_sum_to_one_and_grad():
-    rng = np.random.default_rng(12)
-    a = rand(rng, 4, 6)
-    w = T.constant(rng.standard_normal((4, 6)))
-    assert np.allclose(T.softmax(a, axis=1).data.sum(axis=1), 1.0, atol=1e-12)
-    check(lambda: T.sum_(T.softmax(a, axis=1) * w), [("a", a)])
+    out = T.softmax(T.constant(np.random.default_rng(12).standard_normal((4, 6))), axis=1).data
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_softmax_forward_is_bitwise_the_plain_formula_and_leaves_its_input():
@@ -566,23 +477,12 @@ def test_softmax_rows_sum_to_one_property(seed):
     assert (out >= 0).all()
 
 
-def test_log_softmax_grad():
-    rng = np.random.default_rng(13)
-    a = rand(rng, 3, 5)
-    w = T.constant(rng.standard_normal((3, 5)))
-    check(lambda: T.sum_(T.log_softmax(a, axis=1) * w), [("a", a)])
-
-
 # l2_normalize / layernorm ---------------------------------------------------
 
 
-def test_l2_normalize_grad_and_degenerate():
-    rng = np.random.default_rng(14)
-    a = rand(rng, 4, 6)
-    w = T.constant(rng.standard_normal((4, 6)))
-    out = T.l2_normalize(a, axis=1).data
+def test_l2_normalize_unit_rows_and_degenerate():
+    out = T.l2_normalize(T.constant(np.random.default_rng(14).standard_normal((4, 6))), axis=1).data
     assert np.allclose((out**2).sum(axis=1), 1.0, atol=1e-12)
-    check(lambda: T.sum_(T.l2_normalize(a, axis=1) * w), [("a", a)])
     with pytest.raises(DegenerateInputError):
         T.l2_normalize(T.constant(np.zeros((2, 3))))
 
@@ -592,19 +492,6 @@ def test_layernorm_constant_rows_map_to_bias():
     b = T.constant(np.full(4, 0.25))
     out = T.layernorm(T.constant(np.full((3, 4), 7.0)), g, b).data
     assert np.allclose(out, 0.25, atol=1e-12)
-
-
-def test_layernorm_grad():
-    rng = np.random.default_rng(15)
-    a = rand(rng, 3, 8)
-    gain = T.Tensor(rng.standard_normal(8), requires_grad=True)
-    bias = T.Tensor(rng.standard_normal(8), requires_grad=True)
-    w = T.constant(rng.standard_normal((3, 8)))
-    check(
-        lambda: T.sum_(T.layernorm(a, gain, bias) * w),
-        [("a", a), ("gain", gain), ("bias", bias)],
-        tol=5e-6,
-    )
 
 
 
@@ -676,15 +563,6 @@ def test_attention_matches_composed_path(heads, padded):
     np.testing.assert_allclose(fused.grad, reference.grad, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("padded", [False, True])
-def test_attention_grad(padded):
-    rng = np.random.default_rng(25)
-    fused = rand(rng, 2, 4, 12)
-    w = T.constant(rng.standard_normal((2, 4, 4)))
-    bias = _padding_bias(2, 4) if padded else None
-    check(lambda: T.sum_(T.attention(fused, 2, bias) * w), [("fused", fused)])
-
-
 def test_attention_softmax_goes_through_the_patchable_forward(monkeypatch):
     calls = []
     original = T._softmax_forward
@@ -738,13 +616,6 @@ def test_attention_rows_match_the_same_rows_of_full_attention(rows, padded):
     others[picked] = False
     assert np.all(gq[others] == 0.0)
     assert np.all(np.abs(gq[picked]).max(axis=-1) > 0)
-
-
-def test_attention_rows_grad():
-    rng = np.random.default_rng(28)
-    fused = rand(rng, 2, 4, 12)
-    w = T.constant(rng.standard_normal((2, 4)))
-    check(lambda: T.sum_(T.attention(fused, 2, _padding_bias(2, 4), rows=np.array([1, 3])) * w), [("fused", fused)])
 
 
 @pytest.mark.parametrize(
@@ -850,14 +721,9 @@ def test_an_empty_list_is_no_integer_index_but_an_empty_integer_array_is():
     assert np.array_equal(table.grad, np.zeros((3, 2)))
 
 
-def test_embedding_lookup_grad_repeated_ids():
-    rng = np.random.default_rng(16)
-    table = rand(rng, 7, 4)
-    ids = np.array([[0, 3, 3], [6, 0, 1]])
-    w = T.constant(rng.standard_normal((2, 3, 4)))
-    check(lambda: T.sum_(T.embedding_lookup(table, ids) * w), [("table", table)])
+def test_embedding_lookup_rejects_an_id_out_of_range():
     with pytest.raises(IndexError):
-        T.embedding_lookup(table, np.array([7]))
+        T.embedding_lookup(T.constant(np.zeros((7, 4))), np.array([7]))
 
 
 def test_cross_entropy_uniform_fixture():
@@ -866,13 +732,6 @@ def test_cross_entropy_uniform_fixture():
         logits = T.constant(np.zeros((3, v)))
         out = T.cross_entropy(logits, np.zeros(3, dtype=int))
         assert abs(out.item() - np.log(v)) < 1e-12
-
-
-def test_cross_entropy_grad():
-    rng = np.random.default_rng(17)
-    logits = rand(rng, 5, 7)
-    targets = rng.integers(0, 7, 5)
-    check(lambda: T.cross_entropy(logits, targets), [("logits", logits)])
 
 
 # conv2d ----------------------------------------------------------------------
@@ -907,15 +766,6 @@ def test_conv2d_known_value():
     # a 1x3 kernel weighs the left, centre and right neighbours by 1, 10 and 100
     out = T.conv2d(x, T.constant(np.array([1.0, 10.0, 100.0]).reshape(1, 1, 1, 3))).data
     assert np.array_equal(out[0, 0], [[100.0, 210.0, 21.0], [430.0, 543.0, 54.0], [760.0, 876.0, 87.0]])
-
-
-def test_conv2d_grad():
-    rng = np.random.default_rng(18)
-    x = rand(rng, 3, 2, 5, 6)
-    for kernel in ((3, 3), (3, 5), (5, 1)):
-        w = rand(rng, 4, 3, *kernel)
-        wt = T.constant(rng.standard_normal((4, 2, 5, 6)))
-        check(lambda: T.sum_(T.conv2d(x, w) * wt), [("x", x), ("w", w)], tol=5e-6)
 
 
 def test_conv2d_rejects_what_it_does_not_compute():
@@ -1030,11 +880,7 @@ def test_avgpool2_is_bitwise_the_reshaped_mean():
     assert np.array_equal(pooled.grad, reference.grad)
 
 
-def test_avgpool2_grad_and_shape_check():
-    rng = np.random.default_rng(21)
-    x = rand(rng, 2, 3, 4, 6)
-    wt = T.constant(rng.standard_normal((2, 3, 2, 3)))
-    check(lambda: T.sum_(T.avgpool2(x) ** 2.0 * wt), [("x", x)])
+def test_avgpool2_shape_check():
     with pytest.raises(ShapeError):
         T.avgpool2(T.constant(np.zeros((2, 3, 5, 6))))
     with pytest.raises(ShapeError):
@@ -1166,6 +1012,26 @@ def test_gradient_report_keeps_the_closer_of_two_finite_differences():
     y = T.Tensor(np.array([1.0, 1.0 - 1e-4]), requires_grad=True)
     assert relative_error(np.array([1.0, 0.0]), five_point_gradient(lambda: T.max_(y, axis=0), y)) > 0.1
     check(lambda: T.max_(y, axis=0), [("y", y)])
+
+
+# the op-gradient table --------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", OP_CASES, ids=[case.name for case in OP_CASES])
+def test_op_case_gradients_match_finite_differences_at_seeds_0_to_7(case):
+    for seed in range(8):
+        report = gradient_report(*case.probe(np.random.default_rng(seed)))
+        assert max(report.values()) <= TOL, f"seed {seed}: {report}"
+
+
+def test_op_table_rows_name_exactly_the_public_ops_and_record_them():
+    plumbing = {"coerce", "constant", "build_graph", "backward", "is_recording", "recording", "no_grad"}
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")}
+    assert {case.op for case in OP_CASES} == public - plumbing
+    for case in OP_CASES:
+        loss, _ = case.probe(np.random.default_rng(0))
+        assert case.op.rstrip("_") in {node.op for node in T.build_graph(loss()).nodes}, case.name
 
 
 # no_grad ----------------------------------------------------------------------

@@ -360,6 +360,13 @@ def test_fresh_run_in_a_reused_directory_names_no_best_checkpoint(tmp_path, reco
     assert fresh.best_path is None
 
 
+def test_a_run_without_a_validation_split_writes_no_best_checkpoint(tmp_path, records):
+    result = train(tmp_path / "run", records, [], [], micro_train_cfg(), LossConfig(variant="clip"),
+                   MICRO_IMAGE, MICRO_TEXT)
+    assert result.steps_run > 0 and result.final_path.exists()
+    assert result.best_path is None and not (tmp_path / "run" / "best.ckpt").exists()
+
+
 def test_training_is_deterministic(tmp_path, records):
     a = run_micro(tmp_path, records, "a")
     b = run_micro(tmp_path, records, "b")

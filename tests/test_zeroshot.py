@@ -4,7 +4,7 @@ import pytest
 from deskclip import tensor as T
 from deskclip.data import Vocab, class_names, encode_batch, generate_synthetic, load_images
 from deskclip.encoders import ConvConfig, TextConfig, VitConfig
-from deskclip.errors import ConfigError, ContractError
+from deskclip.errors import ConfigError, ContractError, DegenerateInputError
 from deskclip.trainer import TrainConfig, build_model
 from deskclip.zeroshot import (
     PromptSet,
@@ -116,12 +116,19 @@ def test_classifier_invariant_to_positive_prompt_rescale():
 
 
 def test_classifier_rejects_cancelled_prompts():
-    from deskclip.errors import DegenerateInputError
-
     rows = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
     with pytest.raises(DegenerateInputError):
         build_classifier(["x"], PromptSet(("a {label}", "b {label}")),
                          StubModel(rows), Vocab.build(["x"], 16), 8)
+
+
+def test_a_non_finite_embedding_raises_naming_its_class_or_its_images():
+    rows = [np.array([[0.6, 0.8], [0.8, 0.6]]), np.array([[1.0, 0.0], [np.nan, 0.0]])]
+    with pytest.raises(DegenerateInputError, match="prompt embeddings for 'y' are not finite"):
+        build_classifier(["x", "y"], PromptSet(("a {label}", "b {label}")), StubModel(rows), Vocab.build(["x y"], 16), 8)
+    imgs = np.array([[0.9, 0.1], [0.1, 0.9], [np.inf, 0.5]]).reshape(3, 2, 1, 1)
+    with pytest.raises(DegenerateInputError, match="embeddings of images 2-2 are not finite"):
+        classify(imgs, np.eye(2), StubModel([]), batch_size=2)  # blocks of 2 and 1
 
 
 def test_classifier_rejects_unusable_class_name():
