@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, load_run_config
 from .corpus import FilterPolicy, analyze, filter_captions, read_captions
 from .data import (
@@ -339,7 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # every non-finite value meets an explicit check with its own exit code
+        # (TrainingAborted, DegenerateInputError), so numpy's warnings would only
+        # print lines ahead of the one message a fault gets
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (ConfigError, ManifestError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -211,9 +211,11 @@ class VitEncoder(Module):
 class ConvEncoder(Module):
     """Small conv trunk; each stage is a "same" conv + gelu + 2x2 average pool.
 
+    Each stage is two tape nodes, ``conv2d`` and ``gelu_avgpool2``; the GELU
+    output is a temporary of the pool's forward, so the tape never holds it.
     The trunk runs channel-major: the (N, C, H, W) images are transposed to
     (C, N, H, W) once on the way in, every stage keeps that layout (``conv2d``
-    takes and returns it, ``gelu`` and ``avgpool2`` do not depend on it), and
+    takes and returns it, ``gelu_avgpool2`` does not depend on it), and
     the final grid is transposed to (N, cells, C) once on the way out.
     Tokens are the final grid cells, pooled is the global average. The
     receptive fields of neighbouring cells overlap, so their token-wise
@@ -241,7 +243,7 @@ class ConvEncoder(Module):
             raise ShapeError(f"ConvEncoder expects (N, {expected[0]}, {expected[1]}, {expected[2]}), got {images.shape}")
         x = T.transpose(images, (1, 0, 2, 3))  # (c, n, h, w)
         for w in self.filters:
-            x = T.avgpool2(T.gelu(T.conv2d(x, w)))
+            x = T.gelu_avgpool2(T.conv2d(x, w))
         c, n, gh, gw = x.shape
         cells = T.transpose(T.reshape(x, (c, n, gh * gw)), (1, 2, 0))  # (n, cells, c)
         pooled = T.l2_normalize(self.proj(T.mean(cells, axis=1)))

@@ -120,21 +120,28 @@ class MultiHeadSelfAttention(Module):
 
 
 class MLPBlock(Module):
+    """fc2(gelu(fc1(x))) (+ residual) as one ``T.mlp`` tape node.
+
+    The node keeps the pre-activation and GELU's ``cdf``, not the GELU
+    output: backward rebuilds that with one multiply per entry.
+    """
+
     def __init__(self, width: int, rng: np.random.Generator):
         super().__init__()
         self.fc1 = Linear(width, MLP_HIDDEN_MULT * width, rng)
         self.fc2 = Linear(MLP_HIDDEN_MULT * width, width, rng)
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)), residual)
+        fc1, fc2 = self.fc1, self.fc2
+        return T.mlp(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias, residual)
 
 
 class TransformerBlock(Module):
     """Pre-layernorm residual block: x + attn(ln(x)), then x + mlp(ln(x)).
 
-    Each residual sum is folded into the branch's last matmul (the attention
-    output projection, then the MLP's second layer), so the tape holds no
-    ``add`` node and no pre-residual buffer for either.
+    Each residual sum is folded into the branch's last node (the attention
+    output projection's ``matmul``, then the MLP's ``mlp``), so the tape
+    holds no ``add`` node and no pre-residual buffer for either.
 
     ``fuse`` and ``finish`` are the block in two parts: the fused qkv of
     every row, then the output at every row or at one row per sequence.

@@ -9,7 +9,10 @@ op one to ``_gather``: each gives its forward and its local gradient, and
 nothing else. Every rule gets a read-only gradient, and ``_accumulate``
 takes over exactly the writeable buffers a rule built. ``_gather`` adds its
 gradient back with ``np.add.at``, so any key is exact: an entry picked k
-times gets all k gradients.
+times gets all k gradients. Two fused ops keep no GELU output on the tape:
+``mlp`` (the transformer MLP, one node for both layers) and ``gelu_avgpool2``
+(a conv stage's GELU and 2x2 pool); both give the bits of their unfused
+composition, with ``gelu`` as the reference.
 """
 
 from __future__ import annotations
@@ -162,11 +165,12 @@ def backward(loss: Tensor) -> None:
     released as soon as they are consumed, so peak memory stays near the
     size of the forward tape and only leaves carry ``grad`` afterwards.
     The graph cannot be replayed. The tape keeps only what backward cannot
-    rebuild: a closure that needs a copy or a sum of arrays the tape
-    already holds (layernorm's normalized input, conv2d's im2col columns)
-    rebuilds it here with the forward's own operations, so the gradients
-    are the same bits as if it had been kept. A rule's incoming gradient is
-    read-only: writing into it raises ValueError, and it is never taken over.
+    rebuild: a closure that needs a copy, a sum or a product of arrays the
+    tape already holds (layernorm's normalized input, conv2d's im2col
+    columns, mlp's hidden activation) rebuilds it here with the forward's
+    own operations, so the gradients are the same bits as if it had been
+    kept. A rule's incoming gradient is read-only: writing into it raises
+    ValueError, and it is never taken over.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -332,30 +336,41 @@ def log(a) -> Tensor:
     return _unary("log", a, np.log, lambda g, x, out: g / x)
 
 
-def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU."""
-    a = coerce(a)
-    x = a.data
-    # 0.5 * (1 + erf(x / sqrt 2)) in one buffer: the same IEEE operations in the same order
-    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array even when x is 0-d
+def _gelu_cdf(x: Array) -> Array:
+    """0.5 * (1 + erf(x / sqrt 2)) in one new buffer, an array even when ``x`` is 0-d.
+
+    GELU(x) is ``x * cdf``. Every GELU in the tape computes its ``cdf`` here and its
+    slope in ``_gelu_slope``, so all of them are the same IEEE operations in the same order.
+    """
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = x * cdf
+    return cdf
+
+
+def _gelu_slope(x: Array, cdf: Array) -> Array:
+    """GELU's slope ``cdf + x * pdf``, pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), in one new buffer."""
+    buf = np.multiply(x, -0.5, out=np.empty_like(x))
+    buf *= x
+    np.exp(buf, out=buf)
+    buf *= _INV_SQRT_2PI
+    buf *= x
+    buf += cdf
+    return buf
+
+
+def gelu(a) -> Tensor:
+    """Exact (erf-based) GELU: the unfused op, and the reference for ``mlp`` and ``gelu_avgpool2``."""
+    a = coerce(a)
+    cdf = _gelu_cdf(a.data)
 
     def bwd(g: Array) -> None:
-        # g * (cdf + x * pdf) with pdf = _INV_SQRT_2PI * exp(-0.5 * x * x), in one buffer;
-        # every product and sum is the same IEEE operation on the same operands
-        buf = np.multiply(x, -0.5, out=np.empty_like(x))
-        buf *= x
-        np.exp(buf, out=buf)
-        buf *= _INV_SQRT_2PI
-        buf *= x
-        buf += cdf
+        buf = _gelu_slope(a.data, cdf)
         buf *= g
         _accumulate(a, buf)
 
-    return _make(out, (a,), "gelu", bwd)
+    return _make(a.data * cdf, (a,), "gelu", bwd)
 
 
 # shape manipulation -----------------------------------------------------
@@ -525,9 +540,32 @@ def max_(a, axis: int, keep=None) -> Tensor:
     a = coerce(a)
     axis = _axis("max", axis, a.shape)
     keep = _kept("max", keep, a.shape, (axis,))
-    idx = _argmax_forward(a.data if keep is None else np.where(keep, a.data, -np.inf), axis=axis)
+    idx = _argmax_forward(a.data, axis=axis) if keep is None else _masked_argmax(a.data, keep, axis)
     grid = np.indices(idx.shape, sparse=True)  # an open grid over the other axes
     return _gather("max", a, grid[:axis] + (idx,) + grid[axis:])
+
+
+# entries of ``x`` per block of ``_masked_argmax``'s masked copy
+_ARGMAX_BLOCK = 1 << 15
+
+
+def _masked_argmax(x: Array, keep: Array, axis: int) -> Array:
+    """``_argmax_forward(np.where(keep, x, -inf), axis)``, the masked copy made block by block.
+
+    The blocks run along the first axis other than ``axis``, which is the first
+    axis of the indices too; each block's argmax is the whole array's over that
+    block, so the indices are the same. ``keep`` has ``x``'s rank, and broadcasts to it.
+    """
+    if x.ndim == 1:
+        return _argmax_forward(np.where(keep, x, -np.inf), axis=axis)
+    ax = 1 if axis == 0 else 0
+    step = max(1, _ARGMAX_BLOCK * x.shape[ax] // max(x.size, 1))
+    idx = np.empty(x.shape[:axis] + x.shape[axis + 1:], dtype=np.intp)
+    for start in range(0, x.shape[ax], step):
+        rows = (slice(None),) * ax + (slice(start, start + step),)
+        mask = keep if keep.shape[ax] == 1 else keep[rows]
+        idx[start : start + step] = _argmax_forward(np.where(mask, x[rows], -np.inf), axis=axis)
+    return idx
 
 
 # linear algebra ---------------------------------------------------------
@@ -546,26 +584,11 @@ def matmul(a, b, bias=None, residual=None) -> Tensor:
     product's shape; its gradient is the incoming one.
     """
     a, b = coerce(a), coerce(b)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError(f"matmul requires a of rank >= 2 and a 2-D b, got {a.shape} x {b.shape}")
+    bias = None if bias is None else coerce(bias)
+    residual = None if residual is None else coerce(residual)
+    out = _affine("matmul", a.data, b, bias, residual)
+    parents = (a, b) + tuple(t for t in (bias, residual) if t is not None)
     k, m = b.shape
-    if a.shape[-1] != k:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,))
-    parents = (a, b)
-    if bias is not None:
-        bias = coerce(bias)
-        try:
-            out += bias.data
-        except ValueError:
-            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to the product {out.shape}") from None
-        parents += (bias,)
-    if residual is not None:
-        residual = coerce(residual)
-        if residual.shape != out.shape:
-            raise ShapeError(f"matmul: residual {residual.shape} differs from the product {out.shape}")
-        out += residual.data
-        parents += (residual,)
 
     def bwd(g: Array) -> None:
         g2 = g.reshape(-1, m)
@@ -579,6 +602,70 @@ def matmul(a, b, bias=None, residual=None) -> Tensor:
             _accumulate(residual, g)
 
     return _make(out, parents, "matmul", bwd)
+
+
+def _affine(op: str, a: Array, b: Tensor, bias: Tensor | None, residual: Tensor | None) -> Array:
+    """``a @ b`` for ``a`` (..., k) and a 2-D ``b`` (k, m), as one 2-D GEMM over the rows of
+    ``a``, with ``bias`` and then ``residual`` added in place; ShapeError names ``op``."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"{op} requires a of rank >= 2 and a 2-D b, got {a.shape} x {b.shape}")
+    k, m = b.shape
+    if a.shape[-1] != k:
+        raise ShapeError(f"{op} inner dimensions differ: {a.shape} x {b.shape}")
+    out = (a.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (m,))
+    if bias is not None:
+        try:
+            out += bias.data
+        except ValueError:
+            raise ShapeError(f"{op}: bias {bias.shape} does not broadcast to the product {out.shape}") from None
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ShapeError(f"{op}: residual {residual.shape} differs from the product {out.shape}")
+        out += residual.data
+    return out
+
+
+def mlp(x, w1, b1, w2, b2, residual=None) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2``, plus ``residual`` when given: the transformer MLP as one
+    tape node, with parents (x, w1, b1, w2, b2, residual).
+
+    ``x`` is (..., k), ``w1`` (k, hidden) and ``w2`` (hidden, m); both products run as
+    ``matmul``'s do, one 2-D GEMM over the rows with the bias and then the residual
+    added in place. The tape keeps the pre-activation ``u`` and GELU's ``cdf``, not the
+    hidden activation ``u * cdf``: backward rebuilds that, one multiply per entry, for
+    ``w2``'s gradient. The value and every gradient are the same bits as
+    ``matmul(gelu(matmul(x, w1, b1)), w2, b2, residual)``.
+    """
+    x, w1, b1, w2, b2 = (coerce(t) for t in (x, w1, b1, w2, b2))
+    residual = None if residual is None else coerce(residual)
+    u = _affine("mlp", x.data, w1, b1, None)
+    cdf = _gelu_cdf(u)
+    out = _affine("mlp", u * cdf, w2, b2, residual)
+    parents = (x, w1, b1, w2, b2) + (() if residual is None else (residual,))
+    k, hidden = w1.shape
+    m = w2.shape[1]
+
+    def bwd(g: Array) -> None:
+        g2 = g.reshape(-1, m)
+        if w2.requires_grad:
+            _accumulate(w2, (u * cdf).reshape(-1, hidden).T @ g2)
+        if b2.requires_grad:
+            _accumulate(b2, _unbroadcast(g, b2.shape))
+        if residual is not None:
+            _accumulate(residual, g)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gu = _gelu_slope(u, cdf)
+        gu *= (g2 @ w2.data.T).reshape(u.shape)
+        gu2 = gu.reshape(-1, hidden)
+        if x.requires_grad:
+            _accumulate(x, (gu2 @ w1.data.T).reshape(x.shape))
+        if w1.requires_grad:
+            _accumulate(w1, x.data.reshape(-1, k).T @ gu2)
+        if b1.requires_grad:
+            _accumulate(b1, _unbroadcast(gu, b1.shape))
+
+    return _make(out, parents, "mlp", bwd)
 
 
 # normalization and activations ------------------------------------------
@@ -864,28 +951,29 @@ def _zero_border(tap: Array, rows: slice | None, columns: slice | None) -> None:
         tap[:, :, :, columns] = 0.0
 
 
-def avgpool2(x) -> Tensor:
-    """2x2 average pool with stride 2 over the last two (spatial) axes of a 4-D input.
+def gelu_avgpool2(x) -> Tensor:
+    """GELU, then a 2x2 average pool with stride 2 over the last two (spatial) axes of a 4-D input.
 
     The first two axes are not read, so NCHW and the conv trunk's channel-major CNHW
-    pool alike.
+    pool alike. The GELU output is a forward temporary: the tape keeps GELU's ``cdf``
+    beside ``x``, and backward scales GELU's slope by a quarter of the pooled gradient
+    tap by tap, so no full-size upsampled gradient is built. The value and the
+    gradient are the same bits as ``gelu`` followed by the reshaped mean.
     """
     x = coerce(x)
     if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
-        raise ShapeError(f"avgpool2 expects 4-D input with even height and width, got {x.shape}")
-    v = x.data
-    # the summation order of v.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), so the bits match
-    out = ((v[:, :, 0::2, 0::2] + v[:, :, 0::2, 1::2]) + (v[:, :, 1::2, 0::2] + v[:, :, 1::2, 1::2])) / 4
+        raise ShapeError(f"gelu_avgpool2 expects 4-D input with even height and width, got {x.shape}")
+    cdf = _gelu_cdf(x.data)
+    z = x.data * cdf
+    # the summation order of z.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), so the bits match
+    out = ((z[:, :, 0::2, 0::2] + z[:, :, 0::2, 1::2]) + (z[:, :, 1::2, 0::2] + z[:, :, 1::2, 1::2])) / 4
 
     def bwd(g: Array) -> None:
         quarter = g / 4
-        full = np.empty_like(v)
+        buf = _gelu_slope(x.data, cdf)
         for i in (0, 1):
             for j in (0, 1):
-                full[:, :, i::2, j::2] = quarter
-        # read-only, so copied rather than taken over: the takeover measured ~3 MB more
-        # peak RSS on both conv workloads (1 BLAS thread), with no step-time gain
-        full.flags.writeable = False
-        _accumulate(x, full)
+                buf[:, :, i::2, j::2] *= quarter
+        _accumulate(x, buf)
 
-    return _make(out, (x,), "avgpool2", bwd)
+    return _make(out, (x,), "gelu_avgpool2", bwd)

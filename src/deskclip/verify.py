@@ -242,6 +242,12 @@ OP_CASES = (
         T.matmul, _normal(r, m, k), _normal(r, k, n), _normal(r, n), _normal(r, m, n))),
     OpCase("matmul", "3-D a, bias, residual", lambda r, m, k, n: _call(
         T.matmul, _normal(r, 2, m, k), _normal(r, k, n), _normal(r, n), _normal(r, 2, m, n))),
+    # a hidden layer of width 2n between widths k and m
+    OpCase("mlp", "3-D x, residual", lambda r, m, k, n: _call(
+        T.mlp, _normal(r, 2, m, k), _normal(r, k, 2 * n), _normal(r, 2 * n), _normal(r, 2 * n, m), _normal(r, m),
+        _normal(r, 2, m, m))),
+    OpCase("mlp", "2-D x", lambda r, m, k, n: _call(
+        T.mlp, _normal(r, m, k), _normal(r, k, 2 * n), _normal(r, 2 * n), _normal(r, 2 * n, k), _normal(r, k))),
     OpCase("softmax", "", lambda r, m, k, n: _call(T.softmax, _normal(r, m, k), 1)),
     OpCase("log_softmax", "", lambda r, m, k, n: _call(T.log_softmax, _normal(r, m, k), 0)),
     # two heads of width n over k + 1 positions, the tail of every sequence padding
@@ -254,7 +260,7 @@ OP_CASES = (
                                                       _normal(r, k + 2))),
     OpCase("cross_entropy", "", lambda r, m, k, n: _call(T.cross_entropy, _normal(r, m, k), r.integers(0, k, m))),
     *(_conv_case(kh, kw) for kh, kw in ((1, 1), (3, 3), (3, 5), (5, 1))),
-    OpCase("avgpool2", "", lambda r, m, k, n: _call(T.avgpool2, _normal(r, 2, m, 2 * k, 2 * n))),
+    OpCase("gelu_avgpool2", "", lambda r, m, k, n: _call(T.gelu_avgpool2, _normal(r, 2, m, 2 * k, 2 * n))),
 )
 
 

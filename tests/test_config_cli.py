@@ -1,9 +1,11 @@
 import dataclasses
 import importlib
 import math
+import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import zlib
 
@@ -582,6 +584,27 @@ def test_eval_of_a_checkpoint_with_non_finite_weights_exits_1(tmp_path, capsys, 
     assert rc == 1
     assert "are not finite" in _one_error_line(capsys)
     assert _files(tmp_path) == before and _files(data_dir) == data_before
+
+
+def test_a_diverged_run_and_its_eval_each_print_one_stderr_line(tmp_path, data_dir):
+    # a subprocess: pytest's warning capture would hide numpy's RuntimeWarnings from capsys
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "deskclip", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        return done.returncode, done.stderr
+
+    out = tmp_path / "run"
+    conv = [item for item in MICRO_SETS if not item.startswith("image.")] + [
+        "train.image_encoder=conv", "image.stage_channels=8,16", "image.image_size=16", "image.embed_dim=16",
+        "train.base_lr=1e150", "train.peak_lr=1e300", f"data.train_manifest={data_dir}/train.tsv",
+        f"data.val_manifest={data_dir}/val.tsv", f"data.classes_file={data_dir}/classes.txt"]
+    rc, err = run("train", "--out", str(out), *(arg for item in conv for arg in ("--set", item)))
+    assert rc == 1 and err.startswith("training aborted: ") and err.count("\n") == 1, err
+    rc, err = run("eval", str(out / "final.ckpt"), "--manifest", str(data_dir / "val.tsv"),
+                  "--classes", str(data_dir / "classes.txt"))
+    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("fill_head", [

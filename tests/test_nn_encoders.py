@@ -258,7 +258,9 @@ def test_conv_lazy_tokens_equal_eager_ones_bit_for_bit():
     out = enc(images)
     x = T.transpose(images, (1, 0, 2, 3))  # the trunk runs channel-major
     for w in enc.filters:
-        x = T.avgpool2(T.gelu(T.conv2d(x, w)))
+        x = T.gelu(T.conv2d(x, w))  # then the 2x2 mean: the stage's ops unfused
+        c, n, h, width = x.shape
+        x = T.mean(T.reshape(x, (c, n, h // 2, 2, width // 2, 2)), axis=(3, 5))
     cells = T.transpose(T.reshape(x, (8, 2, 16)), (1, 2, 0))
     eager_tokens = T.l2_normalize(enc.proj(cells))
     eager_pooled = T.l2_normalize(enc.proj(T.mean(cells, axis=1)))
@@ -402,11 +404,11 @@ def test_text_pooled_alone_records_no_all_row_nodes_in_the_last_block(monkeypatc
     T.backward(T.sum_(out.pooled))
     # block 0 runs over all rows; past its fused qkv the last block runs the end-of-text rows alone
     assert [shape for op, shape in made if op == "attention"] == [(n, L, w), (n, w)]
-    assert [shape for op, shape in made if op == "gelu"] == [(n, L, 4 * w), (n, 4 * w)]
+    assert [shape for op, shape in made if op == "mlp"] == [(n, L, w), (n, w)]
     del made[:]
     assert out.tokens.shape == (n, L, cfg.embed_dim)
     assert [shape for op, shape in made if op == "attention"] == [(n, L, w)]
-    assert [shape for op, shape in made if op == "gelu"] == [(n, L, 4 * w)]
+    assert [shape for op, shape in made if op == "mlp"] == [(n, L, w)]
     assert out.tokens is out.tokens and len([op for op, _ in made if op == "attention"]) == 1
 
 

@@ -1,9 +1,11 @@
 """What the autodiff tape keeps alive after a forward pass.
 
-Backward can rebuild a copy or a sum of arrays the tape already holds, so
-the tape keeps neither: layernorm keeps its (..., 1) statistics and not its
-normalized input, conv2d keeps no im2col columns, and a residual sum has no
-node of its own. The pinned byte counts catch a buffer that creeps back.
+Backward can rebuild a copy, a sum or a product of arrays the tape already
+holds, so the tape keeps none of them: layernorm keeps its (..., 1) statistics
+and not its normalized input, conv2d keeps no im2col columns, a residual sum
+has no node of its own, and no GELU output is kept (``mlp`` rebuilds its hidden
+activation from the pre-activation and GELU's ``cdf``; ``gelu_avgpool2`` pools
+it as a temporary). The pinned byte counts catch a buffer that creeps back.
 Backward, in turn, copies no gradient buffer a rule built: the pinned
 first-gradient counts catch a copy that creeps back.
 """
@@ -85,11 +87,11 @@ def test_tape_bytes_counts_each_buffer_once_and_no_parameter():
 
 
 def test_tiny_vit_forward_tape_bytes():
-    assert tape_bytes(_tiny_vit_forward()) == 51_688
+    assert tape_bytes(_tiny_vit_forward()) == 44_776
 
 
 def test_tiny_conv_forward_tape_bytes():
-    assert tape_bytes(_tiny_conv_forward()) == 94_608
+    assert tape_bytes(_tiny_conv_forward()) == 70_032
 
 
 def test_no_conv2d_closure_holds_a_column_sized_array():
@@ -107,6 +109,39 @@ def test_no_layernorm_closure_holds_an_array_of_its_input_shape():
     for node in norms:
         shape = node._parents[0].shape
         assert [arr.shape for arr in closure_arrays(node)] == [shape[:-1] + (1,)] * 2
+
+
+def test_an_mlp_closure_holds_the_pre_activation_and_cdf_alone():
+    mlps = [n for n in T.build_graph(_tiny_vit_forward()).nodes if n.op == "mlp"]
+    assert len(mlps) == 2  # one per block
+    for node in mlps:
+        x, w1 = node._parents[:2]
+        hidden = x.shape[:-1] + w1.shape[1:]
+        pair = [arr for arr in closure_arrays(node) if arr.shape == hidden]
+        assert len(pair) == 2
+        assert any(np.array_equal(cdf, T._gelu_cdf(u)) for u, cdf in (pair, pair[::-1]))
+
+
+def _gelu_outputs(nodes) -> list[np.ndarray]:
+    """What GELU gives inside each ``mlp`` and ``gelu_avgpool2`` node."""
+    outputs = []
+    for node in nodes:
+        if node.op == "mlp":
+            x, w1, b1 = (p.data for p in node._parents[:3])
+            outputs.append(T.gelu(T.matmul(x, w1, b1)).data)
+        elif node.op == "gelu_avgpool2":
+            outputs.append(T.gelu(node._parents[0]).data)
+    return outputs
+
+
+def test_no_node_holds_a_gelu_output():
+    for forward, fused in ((_tiny_vit_forward, "mlp"), (_tiny_conv_forward, "gelu_avgpool2")):
+        nodes = T.build_graph(forward()).nodes
+        outputs = _gelu_outputs(nodes)
+        assert len(outputs) == 2 and "gelu" not in {node.op for node in nodes}
+        held = [arr for node in nodes for arr in _arrays([node, *_closure_values(node)])]
+        for out in outputs:
+            assert not any(arr.shape == out.shape and np.array_equal(arr, out) for arr in held), fused
 
 
 def first_gradients(root: T.Tensor, monkeypatch) -> tuple[int, int]:
@@ -142,9 +177,9 @@ def first_gradients(root: T.Tensor, monkeypatch) -> tuple[int, int]:
 def test_tiny_vit_backward_takes_over_every_buffer_a_rule_built(monkeypatch):
     # the copies are an incoming gradient or a view of one: four residuals,
     # add's operand and concat's two pieces
-    assert first_gradients(_tiny_vit_forward(), monkeypatch) == (49, 7)
+    assert first_gradients(_tiny_vit_forward(), monkeypatch) == (45, 7)
 
 
 def test_tiny_conv_backward_takes_over_every_buffer_a_rule_built(monkeypatch):
-    # the copies: reshape's and transpose's views, and avgpool2's two read-only buffers
-    assert first_gradients(_tiny_conv_forward(), monkeypatch) == (11, 4)
+    # the copies: reshape's and transpose's views
+    assert first_gradients(_tiny_conv_forward(), monkeypatch) == (11, 2)

@@ -13,6 +13,7 @@ from scipy.special import erf
 from deskclip import tensor as T
 from deskclip.errors import ContractError, DegenerateInputError, ShapeError
 from deskclip.gradcheck import five_point_gradient, gradient_report, numeric_gradient
+from deskclip import verify
 from deskclip.verify import OP_CASES
 
 TOL = 1e-6
@@ -191,6 +192,29 @@ def test_max_with_keep_gives_dropped_entries_exactly_zero_gradient():
     assert np.all(a.grad[dropped] == 0.0) and not np.signbit(a.grad[dropped]).any()
     want = np.where(keep, a.data, -np.inf).max(axis=1)
     assert np.array_equal(T.max_(a, axis=1, keep=keep).data, want)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+@pytest.mark.parametrize("ties", ["lowest", "highest"])
+def test_max_with_a_partial_keep_picks_what_argmax_of_the_whole_masked_copy_does(axis, ties, monkeypatch):
+    # blocks of 7 entries, so each call runs several ragged blocks; small integers tie everywhere
+    monkeypatch.setattr(T, "_ARGMAX_BLOCK", 7)
+    if ties == "highest":  # the verify suite's tie-break fault patches the one argmax
+        monkeypatch.setattr(T, "_argmax_forward", verify._highest_index_ties)
+    rng = np.random.default_rng(32 + axis)
+    x = rng.integers(0, 3, (3, 4, 5, 2)).astype(float)
+    # keep's size-1 axes, and a keep of lower rank, broadcast
+    for keep_shape in [(3, 4, 5, 2), (1, 4, 5, 2), (3, 1, 5, 1), (3, 4, 1, 2), (5, 2)]:
+        keep = rng.random((1,) * (4 - len(keep_shape)) + keep_shape) < 0.5
+        along = np.arange(keep.shape[axis]).reshape([-1 if ax == axis else 1 for ax in range(4)])
+        keep |= ~keep.any(axis=axis, keepdims=True) & (along == keep.shape[axis] - 1)  # none keeps nothing
+        a = T.Tensor(x, requires_grad=True)
+        T.backward(T.sum_(T.max_(a, axis=axis, keep=keep.reshape(keep_shape))))
+        full = np.broadcast_to(keep, x.shape)
+        want = np.zeros_like(x)
+        idx = T._argmax_forward(np.where(full, x, -np.inf), axis=axis)
+        np.put_along_axis(want, np.expand_dims(idx, axis), 1.0, axis=axis)
+        assert np.array_equal(a.grad, want), keep_shape
 
 
 def test_max_and_mean_with_keep_reject_a_slice_that_keeps_nothing():
@@ -439,6 +463,47 @@ def test_one_gradient_handed_to_two_parents_gives_each_its_own_buffer():
     grads = [x.grad, w.grad, bias.grad, residual.grad]
     assert np.array_equal(bias.grad, residual.grad)
     assert not any(np.shares_memory(p, q) for i, p in enumerate(grads) for q in grads[i + 1:])
+
+
+@pytest.mark.parametrize("xshape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "no-residual"])
+def test_mlp_is_bitwise_the_unfused_ops(xshape, residual):
+    rng = np.random.default_rng(41)
+    shapes = [xshape, (4, 12), (12,), (12, 4), (4,)] + ([xshape] if residual else [])
+    data = [2.0 * rng.standard_normal(shape) for shape in shapes]
+    g = T.constant(rng.standard_normal(xshape))
+
+    def unfused(x, w1, b1, w2, b2, *r):
+        return T.matmul(T.gelu(T.matmul(x, w1, b1)), w2, b2, *r)
+
+    runs = []
+    for op in (T.mlp, unfused):
+        inputs = [T.Tensor(d, requires_grad=True) for d in data]
+        out = op(*inputs)
+        T.backward(T.sum_(out * g))
+        runs.append([out.data] + [t.grad for t in inputs])
+        with T.no_grad():
+            quiet = op(*inputs)
+        assert np.array_equal(quiet.data, out.data) and quiet._parents == () and quiet._backward is None
+    assert len(runs[0]) == len(shapes) + 1
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+
+
+def test_mlp_is_one_node_and_checks_shapes():
+    rng = np.random.default_rng(42)
+    x, w1, b1, w2, b2, r = (rand(rng, *s) for s in ((2, 3, 4), (4, 8), (8,), (8, 5), (5,), (2, 3, 5)))
+    out = T.mlp(x, w1, b1, w2, b2, r)
+    assert out._parents == (x, w1, b1, w2, b2, r)
+    assert [node.op for node in T.build_graph(out).nodes] == ["leaf"] * 6 + ["mlp"]
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        T.mlp(x, w1, b1, rand(rng, 7, 5), b2)
+    with pytest.raises(ShapeError, match="residual"):
+        T.mlp(x, w1, b1, w2, b2, rand(rng, 2, 3, 4))
+    with pytest.raises(ShapeError, match="bias"):
+        T.mlp(x, w1, rand(rng, 7), w2, b2)
+    with pytest.raises(ShapeError, match="rank >= 2"):
+        T.mlp(rand(rng, 4), w1, b1, w2, b2)
 
 
 # softmax family ------------------------------------------------------------
@@ -866,25 +931,27 @@ def test_conv2d_is_bitwise_the_nchw_im2col_at_the_desk_stage_shapes(c, f, side):
     assert np.array_equal(w.grad, want_gw)
 
 
-def test_avgpool2_is_bitwise_the_reshaped_mean():
+def test_gelu_avgpool2_is_bitwise_gelu_then_the_reshaped_mean():
     rng = np.random.default_rng(20)
     n, c, h, w = 3, 4, 6, 8
-    data = rng.standard_normal((n, c, h, w))
+    data = 2.0 * rng.standard_normal((n, c, h, w))
     g = rng.standard_normal((n, c, h // 2, w // 2))
     pooled, reference = T.Tensor(data, requires_grad=True), T.Tensor(data.copy(), requires_grad=True)
-    out = T.avgpool2(pooled)
-    want = T.mean(T.reshape(reference, (n, c, h // 2, 2, w // 2, 2)), axis=(3, 5))
+    out = T.gelu_avgpool2(pooled)
+    want = T.mean(T.reshape(T.gelu(reference), (n, c, h // 2, 2, w // 2, 2)), axis=(3, 5))
     assert np.array_equal(out.data, want.data)
     T.backward(T.sum_(out * T.constant(g)))
     T.backward(T.sum_(want * T.constant(g)))
     assert np.array_equal(pooled.grad, reference.grad)
+    with T.no_grad():
+        assert np.array_equal(T.gelu_avgpool2(pooled).data, want.data)
 
 
-def test_avgpool2_shape_check():
+def test_gelu_avgpool2_shape_check():
     with pytest.raises(ShapeError):
-        T.avgpool2(T.constant(np.zeros((2, 3, 5, 6))))
+        T.gelu_avgpool2(T.constant(np.zeros((2, 3, 5, 6))))
     with pytest.raises(ShapeError):
-        T.avgpool2(T.constant(np.zeros((3, 4, 6))))
+        T.gelu_avgpool2(T.constant(np.zeros((3, 4, 6))))
 
 
 # graph / backward mechanics ---------------------------------------------------
