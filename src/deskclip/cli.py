@@ -8,7 +8,10 @@ the supervision axis.
 
 Exit codes form a stable contract: 0 success, 1 verification or accuracy
 failure (including aborted training), 2 usage/config/manifest problems,
-3 checkpoint or artifact mismatch.
+3 checkpoint or artifact mismatch. A command fails by raising, and `main`
+alone reports it: every non-zero exit ends in one `error:` line on stderr.
+`train` and `sweep` share one pre-flight, `trainer.preflight`, which a
+sweep makes for every run before its first run starts.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .data import (
     read_text,
     write_manifest,
 )
-from .errors import CheckpointError, ConfigError, DegenerateInputError, ManifestError, TrainingAborted
-from .trainer import TrainResult, build_model, load_model_for_eval, train
-from .verify import FAULTS, run_verify
+from .errors import CheckFailed, CheckpointError, ConfigError, DegenerateInputError, ManifestError, TrainingAborted
+from .trainer import build_model, load_model_for_eval, preflight, train
+from .verify import CHECKS, FAULTS, run_verify
 from .zeroshot import PromptSet, desk_prompts, evaluate, evaluation_report
 
 EXIT_OK = 0
@@ -66,13 +69,13 @@ def _output_path(path: str | Path, what: str, directory: bool) -> Path:
 
 
 def _load_prompts(path: str) -> PromptSet:
-    return PromptSet.load(_require_file(path, "prompt file")) if path else desk_prompts()
+    return PromptSet.load(path) if path else desk_prompts()
 
 
 def _read_labelled_split(manifest: str, classes: str) -> tuple[list[PairRecord], list[str]]:
     """A manifest's records and the class names its labels index, both checked."""
     records = read_manifest(manifest)
-    text = read_text(_require_file(classes, "classes file"), "classes file")
+    text = read_text(classes, "classes file")
     names = [n for n in (line.strip() for line in text.splitlines()) if n]
     if not names:
         raise ConfigError(f"classes file is empty: {classes}")
@@ -89,7 +92,6 @@ def _gather_run_inputs(cfg: RunConfig):
         if not cfg.data.classes_file:
             raise ConfigError("data.classes_file is required when a validation manifest is set")
         val_records, names = _read_labelled_split(cfg.data.val_manifest, cfg.data.classes_file)
-    check_images(train_records + val_records, cfg.image.image_size)
     return train_records, val_records, names, _load_prompts(cfg.data.prompts_file)
 
 
@@ -99,34 +101,21 @@ def cmd_train(args) -> int:
         print("config ok")
         return EXIT_OK
     out = _output_path(args.out or cfg.data.out_dir, "run directory", directory=True)
-    train_records, val_records, names, prompts = _gather_run_inputs(cfg)
+    records, val_records, names, prompts = _gather_run_inputs(cfg)
     result = train(
-        out,
-        train_records,
-        val_records,
-        names,
-        cfg.train,
-        cfg.loss,
-        cfg.image,
-        cfg.text,
-        prompts=prompts,
+        out, records, val_records, names, cfg.train, cfg.loss, cfg.image, cfg.text, prompts=prompts,
         resume_from=_require_file(args.resume, "resume checkpoint") if args.resume else None,
         stop_after_steps=args.stop_after_steps,
     )
-    _print_result(result)
-    if result.aborted:
-        print(f"training aborted: {result.abort_reason}", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _print_result(result: TrainResult) -> None:
     print(f"steps_run={result.steps_run}")
     print(f"final_accuracy={result.final_accuracy:.4f}")
     if result.best_path is not None:
         print(f"best_accuracy={result.best_accuracy:.4f}")
     print(f"final_checkpoint={result.final_path}")
     print(f"metrics_log={result.metrics_path}")
+    if result.aborted:
+        raise TrainingAborted(f"training aborted: {result.abort_reason}")
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -151,11 +140,7 @@ def cmd_eval(args) -> int:
     if report_path is not None:
         report_path.write_text(report + "\n", encoding="utf-8")
     if args.expect_at_least is not None and accuracy < args.expect_at_least:
-        print(
-            f"accuracy {accuracy:.4f} below required {args.expect_at_least:.4f}",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
+        raise CheckFailed(f"accuracy {accuracy:.4f} below required {args.expect_at_least:.4f}")
     return EXIT_OK
 
 
@@ -210,8 +195,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    faults = [name for name in FAULTS if getattr(args, f"break_{name.replace('-', '_')}")]
-    return run_verify(faults=faults, list_only=args.list)
+    if args.list:
+        print("\n".join(name for name, _ in CHECKS))
+    else:
+        run_verify([name for name in FAULTS if getattr(args, f"break_{name.replace('-', '_')}")])
+    return EXIT_OK
 
 
 def _sweep_values(over: str) -> tuple[str, list[str]]:
@@ -232,14 +220,16 @@ def cmd_sweep(args) -> int:
     key, values = _sweep_values(args.over)
     out_root = _output_path(args.out or load_run_config(args.config, args.set).data.out_dir,
                             "sweep directory", directory=True)
-    # every run's config and inputs are checked before the first run starts
+    # every run makes its pre-flight before the first run starts
     runs = []
     for value in values:
         cfg = load_run_config(args.config, args.set + [f"{key}={value}"])
         _output_path(out_root / value, "run directory", directory=True)
-        runs.append((value, cfg, _gather_run_inputs(cfg)))
+        records, val_records, names, prompts = _gather_run_inputs(cfg)
+        preflight(records, val_records, cfg.train, cfg.loss, cfg.image, cfg.text)
+        runs.append((value, cfg, records, val_records, names, prompts))
     rows = []
-    for value, cfg, (records, val_records, names, prompts) in runs:
+    for value, cfg, records, val_records, names, prompts in runs:
         started = time.perf_counter()
         result = train(
             out_root / value, records, val_records, names,
@@ -260,9 +250,11 @@ def cmd_sweep(args) -> int:
         )
     table = "\n".join(lines)
     print(table)
-    out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "sweep.txt").write_text(table + "\n", encoding="utf-8")
-    return EXIT_FAILURE if any(result.aborted for _, _, result, _ in rows) else EXIT_OK
+    aborted = [f"{key}={value}: {result.abort_reason}" for value, _, result, _ in rows if result.aborted]
+    if aborted:
+        raise TrainingAborted(f"training aborted in {'; '.join(aborted)}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ARTIFACT
-    except (TrainingAborted, DegenerateInputError) as err:
+    except (TrainingAborted, DegenerateInputError, CheckFailed) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

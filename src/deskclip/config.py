@@ -123,8 +123,6 @@ def build_run_config(raw_sections: dict[str, dict[str, str]]) -> RunConfig:
 
 def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         parser.read_string(read_text(path, "config file"), source=str(path))
     except configparser.Error as err:

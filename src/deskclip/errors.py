@@ -38,3 +38,7 @@ class ManifestError(ValueError):
 
 class TrainingAborted(RuntimeError):
     """Training stopped early because of a non-finite loss or gradient."""
+
+
+class CheckFailed(RuntimeError):
+    """A verification check failed, or an accuracy fell below its required bar."""

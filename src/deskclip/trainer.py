@@ -263,6 +263,10 @@ def load_training_checkpoint(path: str | Path, expected_config: str | None = Non
     width = queue_buffer.shape[1] if queue_buffer.ndim == 2 else 0
     if width not in (0, configs[3].embed_dim):
         raise CheckpointError(f"{path}: queue width {width} is not text.embed_dim={configs[3].embed_dim}")
+    # what is left is the parameters and the Adam moments
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: {name} holds a value that is not finite")
     model, optimizer, queue = _fresh_run(*configs)
     try:
         optimizer.load_state(
@@ -311,6 +315,26 @@ def _cut_log(path: Path, global_step: int, epoch: int) -> None:
     write_atomic(path, "".join(kept).encode("utf-8"))
 
 
+def preflight(train_records: list[PairRecord], val_records: list[PairRecord], train_cfg: TrainConfig,
+              loss_cfg: LossConfig, image_cfg, text_cfg: TextConfig, stop_after_steps: int | None = None):
+    """Every check a run makes before it writes anything, and what they fix: (config
+    text, steps per epoch, total steps, warmup steps). A sweep calls it for every run
+    before its first run starts, and `train` calls it first."""
+    if not train_records:
+        raise ConfigError("training set is empty")
+    if train_cfg.variant != loss_cfg.variant:
+        raise ConfigError(f"variant mismatch: train={train_cfg.variant!r} loss={loss_cfg.variant!r}")
+    if stop_after_steps is not None and stop_after_steps < 1:
+        raise ConfigError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
+    steps_per_epoch = len(train_records) // train_cfg.batch_size
+    if train_cfg.epochs > 0 and steps_per_epoch == 0:
+        raise ConfigError(f"batch_size {train_cfg.batch_size} exceeds the {len(train_records)}-record training set")
+    config_text = render_config_text(train_cfg, loss_cfg, image_cfg, text_cfg)
+    check_images(train_records + val_records, image_cfg.image_size)
+    total_steps = train_cfg.epochs * steps_per_epoch
+    return config_text, steps_per_epoch, total_steps, math.ceil(train_cfg.warmup_epochs * steps_per_epoch)
+
+
 def train(
     run_dir: str | Path,
     train_records: list[PairRecord],
@@ -332,28 +356,10 @@ def train(
     part of the run's config: interrupted and uninterrupted runs share one
     config identity.
     """
-    if not train_records:
-        raise ConfigError("training set is empty")
-    if train_cfg.variant != loss_cfg.variant:
-        raise ConfigError(
-            f"variant mismatch: train={train_cfg.variant!r} loss={loss_cfg.variant!r}"
-        )
-    if stop_after_steps is not None and stop_after_steps < 1:
-        raise ConfigError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
+    config_text, steps_per_epoch, total_steps, warmup_steps = preflight(
+        train_records, val_records, train_cfg, loss_cfg, image_cfg, text_cfg, stop_after_steps)
     run_dir = Path(run_dir)
     prompts = prompts or desk_prompts()
-    image_size = image_cfg.image_size
-
-    steps_per_epoch = len(train_records) // train_cfg.batch_size
-    if train_cfg.epochs > 0 and steps_per_epoch == 0:
-        raise ConfigError(
-            f"batch_size {train_cfg.batch_size} exceeds the {len(train_records)}-record training set"
-        )
-    total_steps = train_cfg.epochs * steps_per_epoch
-    warmup_steps = math.ceil(train_cfg.warmup_epochs * steps_per_epoch)
-
-    config_text = render_config_text(train_cfg, loss_cfg, image_cfg, text_cfg)
-    check_images(train_records + val_records, image_size)
 
     metrics_path = run_dir / "metrics.log"
     final_path = run_dir / "final.ckpt"
@@ -395,7 +401,7 @@ def train(
             return 0.0
         accuracy, _, _ = evaluate(
             model, val_records, class_names, prompts, vocab,
-            text_cfg.context_length, image_size, train_cfg.batch_size,
+            text_cfg.context_length, image_cfg.image_size, train_cfg.batch_size,
         )
         return accuracy
 
@@ -409,7 +415,7 @@ def train(
                 if epoch == start_epoch and step < start_step:
                     continue
                 views = assemble_views(
-                    batch, train_cfg, loss_cfg, text_cfg, vocab, image_size,
+                    batch, train_cfg, loss_cfg, text_cfg, vocab, image_cfg.image_size,
                     img_policy, txt_policy, epoch, step,
                 )
                 mlm_rng = rng_for(train_cfg.seed, "mlm", epoch, step)

@@ -22,6 +22,7 @@ from . import losses, tensor as T
 from .corpus import CorpusAccumulator, FilterPolicy, analyze, filter_captions
 from .data import Vocab, decode_caption, encode_caption, tokenize_words
 from .encoders import ConvConfig, ConvEncoder, DualEncoder, EmbeddingSet, TextConfig, TextEncoder, VitConfig, VitEncoder
+from .errors import CheckFailed
 from .gradcheck import gradient_report
 from .losses import (
     NNQueue,
@@ -505,21 +506,19 @@ CHECKS = (
 )
 
 
-def run_verify(faults: list[str] | None = None, list_only: bool = False, out=print) -> int:
-    if list_only:
-        for name, _ in CHECKS:
-            out(name)
-        return 0
+def run_verify(faults: list[str]) -> None:
+    """One PASS or FAIL line per check, with ``faults`` injected; CheckFailed naming the checks that fail."""
     with contextlib.ExitStack() as stack:
-        for fault in faults or []:
+        for fault in faults:
             stack.enter_context(inject_fault(fault))
-        failures = 0
+        failed = []
         for name, fn in CHECKS:
             try:
                 ok, detail = fn()
             except Exception as err:  # a crashed check is a failed check
                 ok, detail = False, f"raised {type(err).__name__}: {err}"
-            out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-            failures += 0 if ok else 1
-    out(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
-    return 0 if failures == 0 else 1
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            failed += [] if ok else [name]
+    print(f"{len(CHECKS) - len(failed)}/{len(CHECKS)} checks passed")
+    if failed:
+        raise CheckFailed(f"verify failed {len(failed)} of {len(CHECKS)} checks: {', '.join(failed)}")

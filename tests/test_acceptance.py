@@ -550,9 +550,11 @@ def test_verify_command(capsys):
         ("queue-fifo", "queue.fifo"),
     ):
         rc = cli_main(["verify", f"--break-{fault}"])
-        fault_out = capsys.readouterr().out
+        fault_out, fault_err = capsys.readouterr()
         results[fault] = rc
-        named = named and f"FAIL {oracle}" in fault_out
+        # the FAIL line on stdout, and one error line naming the check on stderr
+        named = (named and f"FAIL {oracle}" in fault_out and fault_err.startswith("error: ")
+                 and fault_err.count("\n") == 1 and oracle in fault_err)
     ok = (
         results["pristine"] == 0
         and all(results[f] == 1 for f in ("filip-tiebreak", "softmax-stability", "queue-fifo"))
@@ -563,5 +565,5 @@ def test_verify_command(capsys):
         ok,
         f"pristine rc={results['pristine']}; faults rc=" +
         ",".join(str(results[f]) for f in ("filip-tiebreak", "softmax-stability", "queue-fifo")) +
-        "; each failure names its oracle",
+        "; each failure names its oracle on stdout and in one stderr error line",
     )

@@ -24,7 +24,7 @@ from deskclip.config import (
     render_config_text,
 )
 from deskclip.encoders import ConvConfig, EmbeddingSet, VitConfig
-from deskclip.errors import ConfigError
+from deskclip.errors import ConfigError, ManifestError
 from deskclip.losses import LossConfig
 from deskclip.trainer import COUNTERS
 from deskclip.verify import check_grad_encoders
@@ -117,7 +117,7 @@ def test_malformed_override_rejected():
 
 
 def test_missing_config_file():
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ManifestError, match="cannot read config file /nonexistent/run.ini"):
         load_run_config("/nonexistent/run.ini")
 
 
@@ -306,7 +306,7 @@ def test_eval_expectation_failure_exits_1(tmp_path, capsys, data_dir):
                "--classes", str(data_dir / "classes.txt"),
                "--expect-at-least", "1"])  # above the micro run's accuracy
     assert rc == 1
-    assert "below required" in capsys.readouterr().err
+    assert "below required" in _one_error_line(capsys)
 
 
 def test_eval_missing_prompt_file_exits_2(tmp_path, capsys, data_dir):
@@ -318,7 +318,7 @@ def test_eval_missing_prompt_file_exits_2(tmp_path, capsys, data_dir):
                "--classes", str(data_dir / "classes.txt"),
                "--prompts", "/nonexistent/prompts.txt"])
     assert rc == 2
-    assert "prompt file not found" in capsys.readouterr().err
+    assert "cannot read prompt file /nonexistent/prompts.txt" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("case", ["config", "config-directory", "classes", "eval-classes", "prompts"])
@@ -509,8 +509,13 @@ def test_an_input_fault_exits_2_with_one_error_line_and_leaves_the_run_directory
     else:
         over = ["--over", "train.variant=clip,filip"] if command == "sweep" else []
         argv = [command, *over, *([] if "--out" in extra else ["--out", str(out)])] + micro_args(data_dir) + extra
-    for work in ("train", "evaluate", "read_captions"):  # every fault is found before any work starts
-        monkeypatch.setattr(f"deskclip.cli.{work}", lambda *args, _work=work, **kwargs: pytest.fail(f"{_work} ran"))
+    # every fault is found before any work starts; a run builds its model right after its pre-flight,
+    # inside `train`, and eval builds one to load its checkpoint, so eval's model is not work here
+    works = ["deskclip.cli.evaluate", "deskclip.cli.read_captions"]
+    if command != "eval":
+        works.append("deskclip.trainer._fresh_run")
+    for work in works:
+        monkeypatch.setattr(work, lambda *args, _work=work, **kwargs: pytest.fail(f"{_work} ran"))
     before = _files(out)
     capsys.readouterr()
     assert main(argv) == 2
@@ -568,24 +573,6 @@ def _set_counters(**values):
     return _edit_state(edit)
 
 
-def test_eval_of_a_checkpoint_with_non_finite_weights_exits_1(tmp_path, capsys, data_dir, micro_checkpoint):
-    # a diverged model: every embedding it makes is NaN, and argmax would read class 0 for all
-    def poison(arrays):
-        for name, values in arrays.items():
-            if not name.startswith(("optim.", "queue.", "run.")):
-                values[...] = np.nan
-
-    ckpt = _copy(micro_checkpoint, tmp_path)
-    _edit_state(poison)(ckpt)
-    before, data_before = _files(tmp_path), _files(data_dir)
-    capsys.readouterr()
-    rc = main(["eval", str(ckpt), "--manifest", str(data_dir / "val.tsv"), "--classes", str(data_dir / "classes.txt"),
-               "--expect-at-least", "0", "--report", str(tmp_path / "report.txt")])
-    assert rc == 1
-    assert "are not finite" in _one_error_line(capsys)
-    assert _files(tmp_path) == before and _files(data_dir) == data_before
-
-
 def test_a_diverged_run_and_its_eval_each_print_one_stderr_line(tmp_path, data_dir):
     # a subprocess: pytest's warning capture would hide numpy's RuntimeWarnings from capsys
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -601,7 +588,7 @@ def test_a_diverged_run_and_its_eval_each_print_one_stderr_line(tmp_path, data_d
         "train.base_lr=1e150", "train.peak_lr=1e300", f"data.train_manifest={data_dir}/train.tsv",
         f"data.val_manifest={data_dir}/val.tsv", f"data.classes_file={data_dir}/classes.txt"]
     rc, err = run("train", "--out", str(out), *(arg for item in conv for arg in ("--set", item)))
-    assert rc == 1 and err.startswith("training aborted: ") and err.count("\n") == 1, err
+    assert rc == 1 and err.startswith("error: training aborted: ") and err.count("\n") == 1, err
     rc, err = run("eval", str(out / "final.ckpt"), "--manifest", str(data_dir / "val.tsv"),
                   "--classes", str(data_dir / "classes.txt"))
     assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
@@ -644,6 +631,17 @@ def test_resume_rejects_moments_that_do_not_fit_the_model_exits_3(
     assert _resume(tmp_path, data_dir, ckpt) == 3
     err = capsys.readouterr().err
     assert "does not match the parameter set" in err or "moment shape mismatch" in err
+
+
+def _nan_parameters(arrays):
+    # a diverged model: every embedding it made would be NaN, and argmax would read class 0 for all
+    for name, values in arrays.items():
+        if not name.startswith(("optim.", "queue.", "run.")):
+            values[...] = np.nan
+
+
+def _inf_first_v(arrays):
+    arrays[next(name for name in arrays if name.startswith("optim.v."))][...] = np.inf
 
 
 def _head_past_end(arrays):
@@ -748,6 +746,8 @@ CORRUPTIONS = {
     "queue-width": (_edit_state(_queue_of_width(7)), "queue width 7 is not text.embed_dim=16"),
     "best-accuracy-nan": (_set_counters(best_accuracy=np.nan), "best_accuracy=nan is neither -1 nor in [0, 1]"),
     "best-accuracy-above-one": (_set_counters(best_accuracy=7.0), "best_accuracy=7.0 is neither -1 nor in [0, 1]"),
+    "parameters-nan": (_edit_state(_nan_parameters), "holds a value that is not finite"),
+    "moment-inf": (_edit_state(_inf_first_v), "holds a value that is not finite"),
 }
 
 
@@ -905,6 +905,16 @@ def test_sweep_over_variants_trains_each_as_train_would(tmp_path, capsys, data_d
         assert (single / name).read_bytes() == (out / "filip" / name).read_bytes()
 
 
+def test_an_aborted_sweep_run_is_in_the_table_and_named_in_one_error_line(tmp_path, capsys, data_dir):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--over", "train.peak_lr=0.001,1e300", "--out", str(out)] + micro_args(data_dir))
+    assert rc == 1
+    table, err = capsys.readouterr()
+    assert (out / "sweep.txt").read_text() == table
+    assert table.splitlines()[-1].split()[0] == "1e300" and table.endswith("(aborted)\n")
+    assert err.startswith("error: training aborted in train.peak_lr=1e300: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("over, message", [
     ("train.bogus=1,2", "unknown key"),
     ("text.depth=1,two", "text.depth: cannot parse"),
@@ -913,16 +923,18 @@ def test_sweep_over_variants_trains_each_as_train_would(tmp_path, capsys, data_d
     ("text.depth=1,2,1", "lists '1' twice"),
     ("data.prompts_file=desk.txt,sub/desk.txt", "not a directory name"),
     ("data.prompts_file=..", "not a directory name"),
-    ("data.classes_file=classes.txt,missing.txt", "classes file not found"),
+    ("data.classes_file=classes.txt,missing.txt", "cannot read classes file missing.txt"),
     ("loss.variant=clip,slip", "variant mismatch: train='clip' loss='slip'"),
+    ("train.batch_size=4,64", "batch_size 64 exceeds the 16-record training set"),
 ], ids=["unknown-key", "bad-value", "empty-list", "no-equals-sign", "duplicate", "path-separator",
-        "parent-directory", "missing-input-of-a-later-run", "loss-variant-of-a-later-run"])
+        "parent-directory", "missing-input-of-a-later-run", "loss-variant-of-a-later-run",
+        "oversized-batch-of-a-later-run"])
 def test_sweep_rejects_before_any_run_exits_2(tmp_path, capsys, monkeypatch, data_dir, over, message):
     monkeypatch.chdir(data_dir)  # relative classes files resolve against the data directory
     out = tmp_path / "sweep"
     rc = main(["sweep", "--over", over, "--out", str(out)] + micro_args(data_dir))
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert message in _one_error_line(capsys)
     assert not out.exists()
 
 
