@@ -8,8 +8,9 @@ the supervision axis.
 
 Exit codes form a stable contract: 0 success, 1 verification or accuracy
 failure (including aborted training), 2 usage/config/manifest problems,
-3 checkpoint or artifact mismatch. A command fails by raising, and `main`
-alone reports it: every non-zero exit ends in one `error:` line on stderr.
+3 checkpoint or artifact mismatch. A command returns nothing and fails by
+raising; `main` alone turns a failure into its exit code and one `error:`
+line on stderr.
 `train` and `sweep` share one pre-flight, `trainer.preflight`, which a
 sweep makes for every run before its first run starts.
 """
@@ -95,11 +96,11 @@ def _gather_run_inputs(cfg: RunConfig):
     return train_records, val_records, names, _load_prompts(cfg.data.prompts_file)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = load_run_config(args.config, args.set)
     if args.validate_only:
         print("config ok")
-        return EXIT_OK
+        return
     out = _output_path(args.out or cfg.data.out_dir, "run directory", directory=True)
     records, val_records, names, prompts = _gather_run_inputs(cfg)
     result = train(
@@ -115,10 +116,9 @@ def cmd_train(args) -> int:
     print(f"metrics_log={result.metrics_path}")
     if result.aborted:
         raise TrainingAborted(f"training aborted: {result.abort_reason}")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
     # nan fails every comparison, so a nan bar would never fail a run
@@ -141,14 +141,13 @@ def cmd_eval(args) -> int:
         report_path.write_text(report + "\n", encoding="utf-8")
     if args.expect_at_least is not None and accuracy < args.expect_at_least:
         raise CheckFailed(f"accuracy {accuracy:.4f} below required {args.expect_at_least:.4f}")
-    return EXIT_OK
 
 
 def _emit_report(report, machine: bool) -> None:
     print("\n".join(report.key_value_lines()) if machine else report.pretty())
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     # the filter arguments are checked before the file is read
     policy = FilterPolicy(
         min_length=args.min_length,
@@ -164,10 +163,9 @@ def cmd_stats(args) -> int:
         print(f"rejected_ratio={tally['ratio']}")
         print("-- after filtering --")
         _emit_report(analyze(kept), args.machine)
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     # every argument is checked before the output directory is made
     if args.classes < 2:
         raise ConfigError("need at least 2 classes")
@@ -191,15 +189,13 @@ def cmd_synth(args) -> int:
     write_manifest(out / "val.tsv", val_records)
     (out / "classes.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
     print(f"wrote {len(train_records)} train / {len(val_records)} val records under {out}")
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     if args.list:
         print("\n".join(name for name, _ in CHECKS))
     else:
         run_verify([name for name in FAULTS if getattr(args, f"break_{name.replace('-', '_')}")])
-    return EXIT_OK
 
 
 def _sweep_values(over: str) -> tuple[str, list[str]]:
@@ -216,7 +212,7 @@ def _sweep_values(over: str) -> tuple[str, list[str]]:
     return key.strip(), values
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     key, values = _sweep_values(args.over)
     out_root = _output_path(args.out or load_run_config(args.config, args.set).data.out_dir,
                             "sweep directory", directory=True)
@@ -254,7 +250,6 @@ def cmd_sweep(args) -> int:
     aborted = [f"{key}={value}: {result.abort_reason}" for value, _, result, _ in rows if result.aborted]
     if aborted:
         raise TrainingAborted(f"training aborted in {'; '.join(aborted)}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         # (TrainingAborted, DegenerateInputError), so numpy's warnings would only
         # print lines ahead of the one message a fault gets
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.fn(args)
+            args.fn(args)
+        return EXIT_OK
     except (ConfigError, ManifestError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

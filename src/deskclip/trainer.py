@@ -316,16 +316,14 @@ def _cut_log(path: Path, global_step: int, epoch: int) -> None:
 
 
 def preflight(train_records: list[PairRecord], val_records: list[PairRecord], train_cfg: TrainConfig,
-              loss_cfg: LossConfig, image_cfg, text_cfg: TextConfig, stop_after_steps: int | None = None):
-    """Every check a run makes before it writes anything, and what they fix: (config
-    text, steps per epoch, total steps, warmup steps). A sweep calls it for every run
-    before its first run starts, and `train` calls it first."""
+              loss_cfg: LossConfig, image_cfg, text_cfg: TextConfig):
+    """Every check of its data and config a run makes before it writes anything, and
+    what they fix: (config text, steps per epoch, total steps, warmup steps). A sweep
+    calls it for every run before its first run starts, and `train` calls it first."""
     if not train_records:
         raise ConfigError("training set is empty")
     if train_cfg.variant != loss_cfg.variant:
         raise ConfigError(f"variant mismatch: train={train_cfg.variant!r} loss={loss_cfg.variant!r}")
-    if stop_after_steps is not None and stop_after_steps < 1:
-        raise ConfigError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
     steps_per_epoch = len(train_records) // train_cfg.batch_size
     if train_cfg.epochs > 0 and steps_per_epoch == 0:
         raise ConfigError(f"batch_size {train_cfg.batch_size} exceeds the {len(train_records)}-record training set")
@@ -356,8 +354,10 @@ def train(
     part of the run's config: interrupted and uninterrupted runs share one
     config identity.
     """
+    if stop_after_steps is not None and stop_after_steps < 1:
+        raise ConfigError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
     config_text, steps_per_epoch, total_steps, warmup_steps = preflight(
-        train_records, val_records, train_cfg, loss_cfg, image_cfg, text_cfg, stop_after_steps)
+        train_records, val_records, train_cfg, loss_cfg, image_cfg, text_cfg)
     run_dir = Path(run_dir)
     prompts = prompts or desk_prompts()
 

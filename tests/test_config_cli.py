@@ -589,9 +589,12 @@ def test_a_diverged_run_and_its_eval_each_print_one_stderr_line(tmp_path, data_d
         f"data.val_manifest={data_dir}/val.tsv", f"data.classes_file={data_dir}/classes.txt"]
     rc, err = run("train", "--out", str(out), *(arg for item in conv for arg in ("--set", item)))
     assert rc == 1 and err.startswith("error: training aborted: ") and err.count("\n") == 1, err
+    # its weights are finite, so the checkpoint loads, and eval stops on the embeddings it makes
+    before, data_before = _files(out), _files(data_dir)
     rc, err = run("eval", str(out / "final.ckpt"), "--manifest", str(data_dir / "val.tsv"),
-                  "--classes", str(data_dir / "classes.txt"))
-    assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+                  "--classes", str(data_dir / "classes.txt"), "--report", str(out / "report.txt"))
+    assert rc == 1 and err.startswith("error: ") and "are not finite" in err and err.count("\n") == 1, err
+    assert _files(out) == before and _files(data_dir) == data_before
 
 
 @pytest.mark.parametrize("fill_head", [
@@ -756,13 +759,16 @@ def test_eval_rejects_corrupt_checkpoint_exits_3(tmp_path, capsys, data_dir, mic
     corrupt, message = CORRUPTIONS[corruption]
     ckpt = _copy(micro_checkpoint, tmp_path)
     corrupt(ckpt)
+    before, data_before = _files(tmp_path), _files(data_dir)
     capsys.readouterr()
     rc = main(["eval", str(ckpt),
                "--manifest", str(data_dir / "val.tsv"),
-               "--classes", str(data_dir / "classes.txt")])
+               "--classes", str(data_dir / "classes.txt"),
+               "--report", str(tmp_path / "report.txt")])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert _files(tmp_path) == before and _files(data_dir) == data_before
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
