@@ -224,30 +224,35 @@ def cmd_sweep(args) -> None:
         records, val_records, names, prompts = _gather_run_inputs(cfg)
         preflight(records, val_records, cfg.train, cfg.loss, cfg.image, cfg.text)
         runs.append((value, cfg, records, val_records, names, prompts))
-    rows = []
+    rows = []  # (value, params, val_top1, s_per_step, best_top1, abort reason or "")
     for value, cfg, records, val_records, names, prompts in runs:
+        params = build_model(cfg.train, cfg.image, cfg.text).parameter_count()
         started = time.perf_counter()
-        result = train(
-            out_root / value, records, val_records, names,
-            cfg.train, cfg.loss, cfg.image, cfg.text, prompts=prompts,
-        )
+        try:
+            result = train(
+                out_root / value, records, val_records, names,
+                cfg.train, cfg.loss, cfg.image, cfg.text, prompts=prompts,
+            )
+        except DegenerateInputError as err:
+            # an epoch-end evaluation met a non-finite embedding: this run ends, the sweep goes on
+            rows.append((value, params, math.nan, math.nan, math.nan, str(err)))
+            continue
         # wall time of the whole run, so eval and checkpoint writes are included
         elapsed = time.perf_counter() - started
         s_per_step = elapsed / result.steps_run if result.steps_run else math.nan
-        params = build_model(cfg.train, cfg.image, cfg.text).parameter_count()
-        rows.append((value, params, result, s_per_step))
+        rows.append((value, params, result.final_accuracy, s_per_step, result.best_accuracy, result.abort_reason))
     width = max(len(key), *(len(value) for value in values))
     lines = [f"{key:>{width}}  {'params':>10}  {'val_top1':>8}  {'s_per_step':>10}  {'best_top1':>9}"]
-    for value, params, result, s_per_step in rows:
-        status = "  (aborted)" if result.aborted else ""
+    for value, params, final_accuracy, s_per_step, best_accuracy, reason in rows:
+        status = "  (aborted)" if reason else ""
         lines.append(
-            f"{value:>{width}}  {params:>10}  {result.final_accuracy:>8.4f}  "
-            f"{s_per_step:>10.3f}  {result.best_accuracy:>9.4f}{status}"
+            f"{value:>{width}}  {params:>10}  {final_accuracy:>8.4f}  "
+            f"{s_per_step:>10.3f}  {best_accuracy:>9.4f}{status}"
         )
     table = "\n".join(lines)
     print(table)
     (out_root / "sweep.txt").write_text(table + "\n", encoding="utf-8")
-    aborted = [f"{key}={value}: {result.abort_reason}" for value, _, result, _ in rows if result.aborted]
+    aborted = [f"{key}={value}: {reason}" for value, *_, reason in rows if reason]
     if aborted:
         raise TrainingAborted(f"training aborted in {'; '.join(aborted)}")
 

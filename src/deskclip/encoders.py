@@ -165,11 +165,11 @@ class VitEncoder(Module):
     pooled separately and never appears in the token set.
 
     ``pooled_tower`` pools the class row: past the last block's fused
-    qkv, the class row alone goes through the attention, the MLP,
-    ``ln_final`` and ``proj`` to give ``pooled``. The other rows take the
-    same path only when ``tokens`` is read, so a pass that needs
-    ``pooled`` alone (an augmented view, an eval batch) runs the rest of
-    the last block for one row in 65.
+    qkv, the class row alone goes through the attention, the MLP and
+    ``proj`` (which runs ``ln_final`` in its own node) to give ``pooled``.
+    The other rows take the same path only when ``tokens`` is read, so a
+    pass that needs ``pooled`` alone (an augmented view, an eval batch)
+    runs the rest of the last block for one row in 65.
     """
 
     def __init__(self, cfg: VitConfig, rng: np.random.Generator):
@@ -203,19 +203,20 @@ class VitEncoder(Module):
         cls = T.broadcast_to(self.class_token, (n, 1, cfg.width))
         x = T.concat([cls, x], axis=1) + self.pos_embedding
         pooled, every_row = pooled_tower(self.blocks, x, np.zeros(n, dtype=np.int64))
-        pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
+        pooled = T.l2_normalize(self.proj(pooled, norm=self.ln_final))
         mask = np.ones((n, cfg.num_patches), dtype=bool)
-        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()[:, 1:]))), mask)
+        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(every_row()[:, 1:], norm=self.ln_final)), mask)
 
 
 class ConvEncoder(Module):
     """Small conv trunk; each stage is a "same" conv + gelu + 2x2 average pool.
 
-    Each stage is two tape nodes, ``conv2d`` and ``gelu_avgpool2``; the GELU
-    output is a temporary of the pool's forward, so the tape never holds it.
+    Each stage is one ``conv2d(..., gelu_pool=True)`` tape node: the conv
+    output and the GELU output are temporaries of its forward, so the tape
+    holds neither; it keeps the stage's input and GELU's slope.
     The trunk runs channel-major: the (N, C, H, W) images are transposed to
-    (C, N, H, W) once on the way in, every stage keeps that layout (``conv2d``
-    takes and returns it, ``gelu_avgpool2`` does not depend on it), and
+    (C, N, H, W) once on the way in, every stage keeps that layout (its conv
+    takes and returns it, its pool does not depend on it), and
     the final grid is transposed to (N, cells, C) once on the way out.
     Tokens are the final grid cells, pooled is the global average. The
     receptive fields of neighbouring cells overlap, so their token-wise
@@ -243,7 +244,7 @@ class ConvEncoder(Module):
             raise ShapeError(f"ConvEncoder expects (N, {expected[0]}, {expected[1]}, {expected[2]}), got {images.shape}")
         x = T.transpose(images, (1, 0, 2, 3))  # (c, n, h, w)
         for w in self.filters:
-            x = T.gelu_avgpool2(T.conv2d(x, w))
+            x = T.conv2d(x, w, gelu_pool=True)
         c, n, gh, gw = x.shape
         cells = T.transpose(T.reshape(x, (c, n, gh * gw)), (1, 2, 0))  # (n, cells, c)
         pooled = T.l2_normalize(self.proj(T.mean(cells, axis=1)))
@@ -312,7 +313,10 @@ class TextEncoder(Module):
         """Final-layernorm hidden states (N, L, width), before projection.
 
         L is the batch's longest sequence, so a position (row, col) of a
-        non-padding token indexes the same slot as in ``ids``.
+        non-padding token indexes the same slot as in ``ids``. ``ln_final``
+        stays a node of its own here: ``mlm_logits`` gathers rows after it,
+        and a norm folded into ``mlm_head`` would sum a repeated position's
+        gradients in another order.
         """
         x, bias = self._embedded(self._trimmed_ids(ids))
         for block in self.blocks:
@@ -327,8 +331,8 @@ class TextEncoder(Module):
             raise ContractError("a sequence has no end-of-text token")
         x, bias = self._embedded(ids)
         pooled, every_row = pooled_tower(self.blocks, x, eot, bias)
-        pooled = T.l2_normalize(self.proj(self.ln_final(pooled)))
-        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(self.ln_final(every_row()))), ids != PAD_ID)
+        pooled = T.l2_normalize(self.proj(pooled, norm=self.ln_final))
+        return EmbeddingSet(pooled, lambda: T.l2_normalize(self.proj(every_row(), norm=self.ln_final)), ids != PAD_ID)
 
     def mlm_logits(self, hidden: Tensor, positions: np.ndarray) -> Tensor:
         """Vocabulary logits (P, vocab_size) at (row, col) positions, which may repeat.

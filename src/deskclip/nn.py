@@ -79,7 +79,9 @@ class Linear(Module):
     One ``matmul`` tape node per call, with the bias and a ``residual`` of the
     output's shape folded in: the tape keeps no pre-bias product and no
     separate residual sum. ``x`` is (..., in_dim); its leading axes share
-    the weight, so the product runs as one 2-D GEMM over its rows.
+    the weight, so the product runs as one 2-D GEMM over its rows. With
+    ``norm``, a ``LayerNorm``, the map reads ``norm(x)`` and the same node
+    runs the norm, so the tape keeps no normalized row.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
@@ -87,11 +89,20 @@ class Linear(Module):
         self.weight = Tensor(trunc_normal(rng, (in_dim, out_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
-        return T.matmul(x, self.weight, self.bias, residual)
+    def __call__(self, x: Tensor, residual: Tensor | None = None, norm: LayerNorm | None = None) -> Tensor:
+        return T.matmul(x, self.weight, self.bias, residual, _operands(norm))
 
 
 class LayerNorm(Module):
+    """LayerNorm over the last axis with a learned gain and bias.
+
+    Called, it is one ``T.layernorm`` node. Where a ``Linear`` or an
+    ``MLPBlock`` is all that reads it, pass it to that layer as ``norm=``
+    instead: the consumer's node runs the norm and keeps its input's
+    per-row mean and inverse deviation, and no normalized row, with the
+    same bits.
+    """
+
     def __init__(self, dim: int):
         super().__init__()
         self.gain = Tensor(np.ones(dim), requires_grad=True)
@@ -99,6 +110,11 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layernorm(x, self.gain, self.bias)
+
+
+def _operands(norm: LayerNorm | None) -> tuple[Tensor, Tensor] | None:
+    """The ``norm=`` operand of ``T.matmul`` and ``T.mlp`` for a LayerNorm, or None."""
+    return None if norm is None else (norm.gain, norm.bias)
 
 
 class MultiHeadSelfAttention(Module):
@@ -120,10 +136,12 @@ class MultiHeadSelfAttention(Module):
 
 
 class MLPBlock(Module):
-    """fc2(gelu(fc1(x))) (+ residual) as one ``T.mlp`` tape node.
+    """fc2(gelu(fc1(x))) (+ residual), of ``norm(x)`` with ``norm``, as one ``T.mlp`` tape node.
 
     The node keeps the pre-activation and GELU's ``cdf``, not the GELU
-    output: backward rebuilds that with one multiply per entry.
+    output: backward rebuilds that with one multiply per entry. With
+    ``norm`` it keeps ``x`` and its per-row statistics, not the normalized
+    rows, and ``x`` may be the residual too.
     """
 
     def __init__(self, width: int, rng: np.random.Generator):
@@ -131,9 +149,9 @@ class MLPBlock(Module):
         self.fc1 = Linear(width, MLP_HIDDEN_MULT * width, rng)
         self.fc2 = Linear(MLP_HIDDEN_MULT * width, width, rng)
 
-    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, residual: Tensor | None = None, norm: LayerNorm | None = None) -> Tensor:
         fc1, fc2 = self.fc1, self.fc2
-        return T.mlp(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias, residual)
+        return T.mlp(x, fc1.weight, fc1.bias, fc2.weight, fc2.bias, residual, _operands(norm))
 
 
 class TransformerBlock(Module):
@@ -141,7 +159,10 @@ class TransformerBlock(Module):
 
     Each residual sum is folded into the branch's last node (the attention
     output projection's ``matmul``, then the MLP's ``mlp``), so the tape
-    holds no ``add`` node and no pre-residual buffer for either.
+    holds no ``add`` node and no pre-residual buffer for either. Each
+    layernorm is folded into the branch's first node (``ln1`` into the qkv
+    projection's ``matmul``, ``ln2`` into the ``mlp``, which reads ``x`` as
+    its operand and as its residual), so the tape holds no normalized row.
 
     ``fuse`` and ``finish`` are the block in two parts: the fused qkv of
     every row, then the output at every row or at one row per sequence.
@@ -161,7 +182,7 @@ class TransformerBlock(Module):
 
     def fuse(self, x: Tensor) -> Tensor:
         """The fused qkv projection (N, L, 3 * width) of every row of ``x``."""
-        return self.attn.qkv(self.ln1(x))
+        return self.attn.qkv(x, norm=self.ln1)
 
     def finish(
         self, x: Tensor, fused: Tensor, attn_bias: np.ndarray | None = None, rows: np.ndarray | None = None
@@ -172,7 +193,7 @@ class TransformerBlock(Module):
         if rows is not None:
             x = T.select_positions(x, rows)
         x = self.attn.out(T.attention(fused, self.attn.heads, attn_bias, rows=rows), x)
-        return self.mlp(self.ln2(x), residual=x)
+        return self.mlp(x, residual=x, norm=self.ln2)
 
 
 def pooled_tower(

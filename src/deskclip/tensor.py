@@ -9,10 +9,12 @@ op one to ``_gather``: each gives its forward and its local gradient, and
 nothing else. Every rule gets a read-only gradient, and ``_accumulate``
 takes over exactly the writeable buffers a rule built. ``_gather`` adds its
 gradient back with ``np.add.at``, so any key is exact: an entry picked k
-times gets all k gradients. Two fused ops keep no GELU output on the tape:
-``mlp`` (the transformer MLP, one node for both layers) and ``gelu_avgpool2``
-(a conv stage's GELU and 2x2 pool); both give the bits of their unfused
-composition, with ``gelu`` as the reference.
+times gets all k gradients. Fused nodes keep no GELU output, LayerNorm output
+or conv pre-activation on the tape: ``mlp`` (the transformer MLP, one node for
+both layers), ``conv2d(..., gelu_pool=True)`` (a whole conv stage: conv, GELU
+and 2x2 pool) and the ``norm=`` operand of ``matmul`` and ``mlp`` (a LayerNorm
+run by the GEMM that reads it). Each gives the bits of its unfused composition,
+with ``gelu``, ``gelu_avgpool2`` and ``layernorm`` as the references.
 """
 
 from __future__ import annotations
@@ -165,11 +167,15 @@ def backward(loss: Tensor) -> None:
     released as soon as they are consumed, so peak memory stays near the
     size of the forward tape and only leaves carry ``grad`` afterwards.
     The graph cannot be replayed. The tape keeps only what backward cannot
-    rebuild: a closure that needs a copy, a sum or a product of arrays the
-    tape already holds (layernorm's normalized input, conv2d's im2col
-    columns, mlp's hidden activation) rebuilds it here with the forward's
-    own operations, so the gradients are the same bits as if it had been
-    kept. A rule's incoming gradient is read-only: writing into it raises
+    rebuild cheaply: a closure that needs a copy, a sum or a product of
+    arrays the tape already holds rebuilds it here with the forward's own
+    operations, so the gradients are the same bits as if it had been kept.
+    So a LayerNorm's normalized rows are rebuilt from its input and (..., 1)
+    statistics (by ``layernorm``, or by the ``matmul`` or ``mlp`` that runs it
+    under ``norm=``, so no node holds them), conv2d's im2col columns from its
+    input, mlp's hidden activation from its pre-activation and GELU's
+    ``cdf``; a conv stage keeps GELU's slope in place of its pre-activation.
+    A rule's incoming gradient is read-only: writing into it raises
     ValueError, and it is never taken over.
     """
     if loss.data.size != 1:
@@ -571,35 +577,51 @@ def _masked_argmax(x: Array, keep: Array, axis: int) -> Array:
 # linear algebra ---------------------------------------------------------
 
 
-def matmul(a, b, bias=None, residual=None) -> Tensor:
+def matmul(a, b, bias=None, residual=None, norm=None) -> Tensor:
     """a @ b for ``a`` (..., k) and a 2-D ``b`` (k, m), plus ``bias`` broadcast over the
     product's rows, plus ``residual``, when given.
 
     Every leading axis of ``a`` shares ``b``: the product and both gradients
     run as one 2-D GEMM over the rows of ``a.reshape(-1, k)``. One tape node
-    with parents (a, b, bias, residual): the bias and then the residual are
+    with parents (a, b, bias, residual, *norm): the bias and then the residual are
     added in place on the product, so no pre-bias or pre-residual buffer is
     kept, and ``x + (a @ b + bias)`` needs no ``add`` node of its own (the
     sum is the same bits in either order). ``residual`` must have the
     product's shape; its gradient is the incoming one.
+
+    ``norm``, a (gain, bias) pair of (k,) tensors, makes ``a`` the input of a
+    LayerNorm that the product reads: the node is ``layernorm(a, *norm) @ b``
+    and keeps ``a`` with the (..., 1) mean and inverse deviation, not the
+    normalized rows, which backward rebuilds once for ``b``'s gradient and
+    LayerNorm's own. The value and every gradient are the same bits as
+    ``matmul(layernorm(a, *norm), b, bias, residual)``.
     """
     a, b = coerce(a), coerce(b)
     bias = None if bias is None else coerce(bias)
     residual = None if residual is None else coerce(residual)
-    out = _affine("matmul", a.data, b, bias, residual)
-    parents = (a, b) + tuple(t for t in (bias, residual) if t is not None)
+    norm = None if norm is None else tuple(map(coerce, norm))
+    h, mu, inv = _normed("matmul", a.data, norm)
+    out = _affine("matmul", h, b, bias, residual)
+    parents = (a, b) + tuple(t for t in (bias, residual) if t is not None) + (norm or ())
     k, m = b.shape
 
     def bwd(g: Array) -> None:
         g2 = g.reshape(-1, m)
-        if a.requires_grad:
-            _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+
+        def rows_grad() -> Array:
+            return (g2 @ b.data.T).reshape(a.shape)
+
+        if norm is None and a.requires_grad:
+            _accumulate(a, rows_grad())
+        rows, norm_grads = _rows_and_norm_grads(a, norm, mu, inv, rows_grad)
         if b.requires_grad:
-            _accumulate(b, a.data.reshape(-1, k).T @ g2)
+            _accumulate(b, rows.reshape(-1, k).T @ g2)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _unbroadcast(g, bias.shape))
         if residual is not None:
             _accumulate(residual, g)
+        for target, grad in norm_grads:  # last, as the unfused layernorm node's
+            _accumulate(target, grad)
 
     return _make(out, parents, "matmul", bwd)
 
@@ -625,23 +647,55 @@ def _affine(op: str, a: Array, b: Tensor, bias: Tensor | None, residual: Tensor 
     return out
 
 
-def mlp(x, w1, b1, w2, b2, residual=None) -> Tensor:
+# ``norm=`` of matmul and mlp: a LayerNorm folded into the GEMM that reads it
+
+
+def _normed(op: str, x: Array, norm) -> tuple[Array, Array | None, Array | None]:
+    """(the rows the GEMM reads, mu, inv): ``x`` itself, or its LayerNorm under ``norm``."""
+    if norm is None:
+        return x, None, None
+    return _layernorm_forward(op, x, *norm)
+
+
+def _rows_and_norm_grads(x: Tensor, norm, mu, inv, rows_grad: Callable[[], Array]) -> tuple[Array, list]:
+    """(the rows the GEMM read, the LayerNorm's (target, gradient) pairs) in backward.
+
+    Without ``norm`` that is ``x``'s data and nothing. With it, the normalized rows are
+    rebuilt once; LayerNorm's gradients are taken from them and from ``rows_grad()``, the
+    gradient of the rows, and the rows then become ``xhat * gain + bias`` in place, with
+    the forward's operations."""
+    if norm is None:
+        return x.data, []
+    gain, bias = norm
+    rows = _layernorm_xhat(x.data, mu, inv)
+    takes = x.requires_grad or gain.requires_grad or bias.requires_grad
+    grads = _layernorm_grads(rows_grad(), x, rows, inv, gain, bias) if takes else []
+    rows *= gain.data
+    rows += bias.data
+    return rows, grads
+
+
+def mlp(x, w1, b1, w2, b2, residual=None, norm=None) -> Tensor:
     """``gelu(x @ w1 + b1) @ w2 + b2``, plus ``residual`` when given: the transformer MLP as one
-    tape node, with parents (x, w1, b1, w2, b2, residual).
+    tape node, with parents (x, w1, b1, w2, b2, residual, *norm).
 
     ``x`` is (..., k), ``w1`` (k, hidden) and ``w2`` (hidden, m); both products run as
     ``matmul``'s do, one 2-D GEMM over the rows with the bias and then the residual
     added in place. The tape keeps the pre-activation ``u`` and GELU's ``cdf``, not the
     hidden activation ``u * cdf``: backward rebuilds that, one multiply per entry, for
-    ``w2``'s gradient. The value and every gradient are the same bits as
-    ``matmul(gelu(matmul(x, w1, b1)), w2, b2, residual)``.
+    ``w2``'s gradient. ``norm`` folds a LayerNorm of ``x`` into the node as ``matmul``'s
+    does, and ``x`` may be ``residual`` too. The value and every gradient are the same
+    bits as ``matmul(gelu(matmul(layernorm(x, *norm), w1, b1)), w2, b2, residual)``
+    (without ``layernorm`` when ``norm`` is None).
     """
     x, w1, b1, w2, b2 = (coerce(t) for t in (x, w1, b1, w2, b2))
     residual = None if residual is None else coerce(residual)
-    u = _affine("mlp", x.data, w1, b1, None)
+    norm = None if norm is None else tuple(map(coerce, norm))
+    h, mu, inv = _normed("mlp", x.data, norm)
+    u = _affine("mlp", h, w1, b1, None)
     cdf = _gelu_cdf(u)
     out = _affine("mlp", u * cdf, w2, b2, residual)
-    parents = (x, w1, b1, w2, b2) + (() if residual is None else (residual,))
+    parents = (x, w1, b1, w2, b2) + (() if residual is None else (residual,)) + (norm or ())
     k, hidden = w1.shape
     m = w2.shape[1]
 
@@ -653,17 +707,25 @@ def mlp(x, w1, b1, w2, b2, residual=None) -> Tensor:
             _accumulate(b2, _unbroadcast(g, b2.shape))
         if residual is not None:
             _accumulate(residual, g)
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        into_x = x.requires_grad or any(t.requires_grad for t in norm or ())
+        if not (into_x or w1.requires_grad or b1.requires_grad):
             return
         gu = _gelu_slope(u, cdf)
         gu *= (g2 @ w2.data.T).reshape(u.shape)
         gu2 = gu.reshape(-1, hidden)
-        if x.requires_grad:
-            _accumulate(x, (gu2 @ w1.data.T).reshape(x.shape))
+
+        def rows_grad() -> Array:
+            return (gu2 @ w1.data.T).reshape(x.shape)
+
+        if norm is None and into_x:
+            _accumulate(x, rows_grad())
+        rows, norm_grads = _rows_and_norm_grads(x, norm, mu, inv, rows_grad)
         if w1.requires_grad:
-            _accumulate(w1, x.data.reshape(-1, k).T @ gu2)
+            _accumulate(w1, rows.reshape(-1, k).T @ gu2)
         if b1.requires_grad:
             _accumulate(b1, _unbroadcast(gu, b1.shape))
+        for target, grad in norm_grads:  # last, as the unfused layernorm node's
+            _accumulate(target, grad)
 
     return _make(out, parents, "mlp", bwd)
 
@@ -792,32 +854,53 @@ def layernorm(a, gain, bias) -> Tensor:
 
     The tape keeps the (..., 1) mean and inverse deviation alone: backward
     rebuilds the normalized input from ``a``, which the tape holds anyway.
+    ``matmul`` and ``mlp`` run the same kernel on their input with ``norm=``.
     """
     a, gain, bias = coerce(a), coerce(gain), coerce(bias)
+    out, mu, inv = _layernorm_forward("layernorm", a.data, gain, bias)
+
+    def bwd(g: Array) -> None:
+        for target, grad in _layernorm_grads(g, a, _layernorm_xhat(a.data, mu, inv), inv, gain, bias):
+            _accumulate(target, grad)
+
+    return _make(out, (a, gain, bias), "layernorm", bwd)
+
+
+def _layernorm_forward(op: str, a: Array, gain: Tensor, bias: Tensor) -> tuple[Array, Array, Array]:
+    """(``xhat * gain + bias``, mu, inv) for the rows of ``a``: xhat = (a - mu) * inv, with
+    inv = 1 / sqrt(var + LAYERNORM_EPS), and mu and inv (..., 1); ShapeError names ``op``."""
     dim = a.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
-        raise ShapeError(
-            f"layernorm: gain/bias must have shape ({dim},), got {gain.shape} and {bias.shape}"
-        )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    out = a.data - mu  # centred once, for the variance, then scaled and shifted in place
+        raise ShapeError(f"{op}: gain/bias must have shape ({dim},), got {gain.shape} and {bias.shape}")
+    mu = a.mean(axis=-1, keepdims=True)
+    out = a - mu  # centred once, for the variance, then scaled and shifted in place
     var = (out**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     out *= inv
     out *= gain.data
     out += bias.data
+    return out, mu, inv
 
-    def bwd(g: Array) -> None:
-        lead = tuple(range(g.ndim - 1))
-        xhat = a.data - mu  # the forward's xhat, to the bit
-        xhat *= inv
-        buf = g * xhat
-        if gain.requires_grad:
-            _accumulate(gain, buf.sum(axis=lead))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=lead))
-        if not a.requires_grad:
-            return
+
+def _layernorm_xhat(a: Array, mu: Array, inv: Array) -> Array:
+    """The forward's normalized rows ``(a - mu) * inv``, to the bit, in one new buffer."""
+    xhat = a - mu
+    xhat *= inv
+    return xhat
+
+
+def _layernorm_grads(g: Array, a: Tensor, xhat: Array, inv: Array, gain: Tensor, bias: Tensor) -> list:
+    """(target, gradient) of the gain, the bias and the input, in that order and for those
+    that take one, of ``xhat * gain + bias`` given its gradient ``g``; neither ``g`` nor
+    ``xhat`` is written to."""
+    lead = tuple(range(g.ndim - 1))
+    grads = []
+    buf = g * xhat
+    if gain.requires_grad:
+        grads.append((gain, buf.sum(axis=lead)))
+    if bias.requires_grad:
+        grads.append((bias, g.sum(axis=lead)))
+    if a.requires_grad:
         # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) in two buffers, same operations
         dxhat = g * gain.data
         centre = dxhat.mean(axis=-1, keepdims=True)
@@ -826,9 +909,8 @@ def layernorm(a, gain, bias) -> Tensor:
         dxhat -= centre
         dxhat -= buf
         dxhat *= inv
-        _accumulate(a, dxhat)
-
-    return _make(out, (a, gain, bias), "layernorm", bwd)
+        grads.append((a, dxhat))
+    return grads
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -861,7 +943,7 @@ def cross_entropy(logits, targets) -> Tensor:
 # convolution ------------------------------------------------------------
 
 
-def conv2d(x, w) -> Tensor:
+def conv2d(x, w, gelu_pool: bool = False) -> Tensor:
     """Stride-1 "same" cross-correlation of channel-major input, as one GEMM over im2col columns.
 
     ``x`` is (c, n, h, w) and ``w`` is (f, c, kh, kw) with kh and kw odd. The input is
@@ -876,6 +958,13 @@ def conv2d(x, w) -> Tensor:
     ``(n, h, w)`` in batch order. The tape does not keep the columns, kh*kw times the
     size of ``x``: backward rebuilds them from ``x``, which it holds anyway, with the
     forward's own helper, ``_im2col``.
+
+    With ``gelu_pool`` the node is a whole conv stage, ``gelu_avgpool2(conv2d(x, w))``
+    (h and w even): the conv output and GELU's ``cdf`` are forward temporaries. The
+    tape keeps ``x`` and GELU's slope, which the forward computes only while it records
+    a node that takes a gradient; backward scales the slope by a quarter of the pooled
+    gradient tap by tap, adds ``_accumulate``'s ``+ 0.0`` and runs the conv's backward on
+    it. The value and both gradients are the same bits as the two unfused ops.
     """
     x, w = coerce(x), coerce(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -886,6 +975,8 @@ def conv2d(x, w) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {c}, weight {wc}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d takes odd kernels only, got {kh}x{kw}")
+    if gelu_pool:
+        _check_poolable("conv2d(gelu_pool=True)", x.shape)
     ph, pw = kh // 2, kw // 2
     size = x.size
     margin = ph * width + pw
@@ -896,9 +987,9 @@ def conv2d(x, w) -> Tensor:
         for j in range(kw)
     ]
     wf = w.data.reshape(f, c * kh * kw)
-    out = (wf @ _im2col(x.data, taps, margin)).reshape(f, n, h, width)
+    u = (wf @ _im2col(x.data, taps, margin)).reshape(f, n, h, width)
 
-    def bwd(g: Array) -> None:
+    def conv_backward(g: Array) -> None:
         g2 = g.reshape(f, n * h * width)
         cols = _im2col(x.data, taps, margin)
         # weight gradient: one GEMM with the batch and output positions as the inner sum
@@ -916,6 +1007,17 @@ def conv2d(x, w) -> Tensor:
             block = gxf[off : off + size].reshape(x.shape)
             block += gcols[:, t]
         _accumulate(x, gxf[margin : margin + size].reshape(x.shape))
+
+    if not gelu_pool:
+        return _make(u, (x, w), "conv2d", conv_backward)
+    out, cdf = _gelu_avgpool2_forward(u)
+    slope = _gelu_slope(u, cdf) if _recording and (x.requires_grad or w.requires_grad) else None
+
+    def bwd(g: Array) -> None:
+        # the slope is used once, so it becomes the conv output's gradient in place
+        _pool_backward(slope, g)
+        np.add(slope, 0.0, out=slope)
+        conv_backward(slope)
 
     return _make(out, (x, w), "conv2d", bwd)
 
@@ -959,21 +1061,36 @@ def gelu_avgpool2(x) -> Tensor:
     beside ``x``, and backward scales GELU's slope by a quarter of the pooled gradient
     tap by tap, so no full-size upsampled gradient is built. The value and the
     gradient are the same bits as ``gelu`` followed by the reshaped mean.
+    ``conv2d(..., gelu_pool=True)`` runs the same helpers on a conv output.
     """
     x = coerce(x)
-    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
-        raise ShapeError(f"gelu_avgpool2 expects 4-D input with even height and width, got {x.shape}")
-    cdf = _gelu_cdf(x.data)
-    z = x.data * cdf
-    # the summation order of z.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), so the bits match
-    out = ((z[:, :, 0::2, 0::2] + z[:, :, 0::2, 1::2]) + (z[:, :, 1::2, 0::2] + z[:, :, 1::2, 1::2])) / 4
+    _check_poolable("gelu_avgpool2", x.shape)
+    out, cdf = _gelu_avgpool2_forward(x.data)
 
     def bwd(g: Array) -> None:
-        quarter = g / 4
         buf = _gelu_slope(x.data, cdf)
-        for i in (0, 1):
-            for j in (0, 1):
-                buf[:, :, i::2, j::2] *= quarter
+        _pool_backward(buf, g)
         _accumulate(x, buf)
 
     return _make(out, (x,), "gelu_avgpool2", bwd)
+
+
+def _check_poolable(op: str, shape: tuple[int, ...]) -> None:
+    if len(shape) != 4 or shape[2] % 2 or shape[3] % 2:
+        raise ShapeError(f"{op} expects 4-D input with even height and width, got {shape}")
+
+
+def _gelu_avgpool2_forward(x: Array) -> tuple[Array, Array]:
+    """(the 2x2 mean of GELU(x), GELU's ``cdf``); the GELU output is a temporary."""
+    cdf = _gelu_cdf(x)
+    z = x * cdf
+    # the summation order of z.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5)), so the bits match
+    return ((z[:, :, 0::2, 0::2] + z[:, :, 0::2, 1::2]) + (z[:, :, 1::2, 0::2] + z[:, :, 1::2, 1::2])) / 4, cdf
+
+
+def _pool_backward(slope: Array, g: Array) -> None:
+    """Scale GELU's ``slope`` in place by a quarter of the pooled gradient ``g``, tap by tap."""
+    quarter = g / 4
+    for i in (0, 1):
+        for j in (0, 1):
+            slope[:, :, i::2, j::2] *= quarter

@@ -243,12 +243,21 @@ OP_CASES = (
         T.matmul, _normal(r, m, k), _normal(r, k, n), _normal(r, n), _normal(r, m, n))),
     OpCase("matmul", "3-D a, bias, residual", lambda r, m, k, n: _call(
         T.matmul, _normal(r, 2, m, k), _normal(r, k, n), _normal(r, n), _normal(r, 2, m, n))),
+    # a LayerNorm of width k + 2 folded into the product
+    OpCase("matmul", "3-D a, bias, norm=", lambda r, m, k, n: _call(
+        T.matmul, _normal(r, 2, m, k + 2), _normal(r, k + 2, n), _normal(r, n), None,
+        [_normal(r, k + 2), _normal(r, k + 2)])),
     # a hidden layer of width 2n between widths k and m
     OpCase("mlp", "3-D x, residual", lambda r, m, k, n: _call(
         T.mlp, _normal(r, 2, m, k), _normal(r, k, 2 * n), _normal(r, 2 * n), _normal(r, 2 * n, m), _normal(r, m),
         _normal(r, 2, m, m))),
     OpCase("mlp", "2-D x", lambda r, m, k, n: _call(
         T.mlp, _normal(r, m, k), _normal(r, k, 2 * n), _normal(r, 2 * n), _normal(r, 2 * n, k), _normal(r, k))),
+    # x is the operand, under the norm, and the residual, as in a transformer block
+    OpCase("mlp", "3-D x, norm=, x is the residual", lambda r, m, k, n: _call(
+        lambda x, w1, b1, w2, b2, norm: T.mlp(x, w1, b1, w2, b2, x, norm),
+        _normal(r, 2, m, k + 2), _normal(r, k + 2, 2 * n), _normal(r, 2 * n), _normal(r, 2 * n, k + 2),
+        _normal(r, k + 2), [_normal(r, k + 2), _normal(r, k + 2)])),
     OpCase("softmax", "", lambda r, m, k, n: _call(T.softmax, _normal(r, m, k), 1)),
     OpCase("log_softmax", "", lambda r, m, k, n: _call(T.log_softmax, _normal(r, m, k), 0)),
     # two heads of width n over k + 1 positions, the tail of every sequence padding
@@ -262,6 +271,8 @@ OP_CASES = (
     OpCase("cross_entropy", "", lambda r, m, k, n: _call(T.cross_entropy, _normal(r, m, k), r.integers(0, k, m))),
     *(_conv_case(kh, kw) for kh, kw in ((1, 1), (3, 3), (3, 5), (5, 1))),
     OpCase("gelu_avgpool2", "", lambda r, m, k, n: _call(T.gelu_avgpool2, _normal(r, 2, m, 2 * k, 2 * n))),
+    OpCase("conv2d", "3x3 kernel, gelu_pool", lambda r, m, k, n: _call(
+        T.conv2d, _normal(r, 2, 2, 2 * k, 2 * n), _normal(r, m, 2, 3, 3), True)),
 )
 
 

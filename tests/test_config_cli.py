@@ -921,6 +921,29 @@ def test_an_aborted_sweep_run_is_in_the_table_and_named_in_one_error_line(tmp_pa
     assert err.startswith("error: training aborted in train.peak_lr=1e300: ") and err.count("\n") == 1, err
 
 
+def test_a_sweep_run_whose_eval_meets_a_non_finite_embedding_is_aborted_and_the_sweep_goes_on(tmp_path, capsys):
+    data = tmp_path / "d8"
+    assert main(["synth", str(data), "--classes", "4", "--train", "8", "--val", "4", "--image-size", "16"]) == 0
+    sets = [item for item in MICRO_SETS if not item.startswith("image.")] + [
+        "train.image_encoder=conv", "image.image_size=16", "image.stage_channels=8,16", "image.embed_dim=16",
+        f"data.train_manifest={data}/train.tsv", f"data.val_manifest={data}/val.tsv",
+        f"data.classes_file={data}/classes.txt",
+    ]
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    # the 1e300 run's two steps leave every loss finite, but its epoch-end prompt embeddings are not
+    rc = main(["sweep", "--over", "train.peak_lr=0.001,1e300,0.002", "--out", str(out)]
+              + [arg for item in sets for arg in ("--set", item)])
+    assert rc == 1
+    table, err = capsys.readouterr()
+    assert (out / "sweep.txt").read_text() == table
+    rows = [line.split() for line in table.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.001", "1e300", "0.002"]
+    assert rows[1][2:] == ["nan", "nan", "nan", "(aborted)"] and "(aborted)" not in rows[0] + rows[2]
+    assert all((out / value / "final.ckpt").exists() for value in ("0.001", "0.002"))
+    assert err == "error: training aborted in train.peak_lr=1e300: prompt embeddings for 'red circle' are not finite\n"
+
+
 @pytest.mark.parametrize("over, message", [
     ("train.bogus=1,2", "unknown key"),
     ("text.depth=1,two", "text.depth: cannot parse"),

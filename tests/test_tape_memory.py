@@ -1,14 +1,20 @@
 """What the autodiff tape keeps alive after a forward pass.
 
 Backward can rebuild a copy, a sum or a product of arrays the tape already
-holds, so the tape keeps none of them: layernorm keeps its (..., 1) statistics
-and not its normalized input, conv2d keeps no im2col columns, a residual sum
-has no node of its own, and no GELU output is kept (``mlp`` rebuilds its hidden
-activation from the pre-activation and GELU's ``cdf``; ``gelu_avgpool2`` pools
-it as a temporary). The pinned byte counts catch a buffer that creeps back.
+holds, so the tape keeps none of them. No LayerNorm output is kept: each norm
+is folded into the ``matmul`` or ``mlp`` node that reads it (``norm=``), which
+keeps its input's (..., 1) statistics and rebuilds the normalized rows. A conv
+stage is one ``conv2d(..., gelu_pool=True)`` node that keeps its input and
+GELU's slope, so neither the conv pre-activation nor its im2col columns are
+kept. A residual sum has no node of its own, and no GELU output is kept
+(``mlp`` rebuilds its hidden activation from the pre-activation and GELU's
+``cdf``; the conv stage pools it as a temporary). The pinned byte counts catch
+a buffer that creeps back.
 Backward, in turn, copies no gradient buffer a rule built: the pinned
 first-gradient counts catch a copy that creeps back.
 """
+
+import inspect
 
 import numpy as np
 
@@ -16,18 +22,38 @@ from deskclip import tensor as T
 from deskclip.encoders import ConvConfig, ConvEncoder, VitConfig, VitEncoder
 
 
-def _closure_values(node: T.Tensor) -> list:
-    values = []
-    for cell in getattr(node._backward, "__closure__", None) or ():
+def _cells(fn) -> dict:
+    """The variables a function's closure holds, by name."""
+    if getattr(fn, "__closure__", None) is None:
+        return {}
+    values = {}
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
         try:
-            values.append(cell.cell_contents)
+            values[name] = cell.cell_contents
         except ValueError:  # an empty cell
             continue
     return values
 
 
+def _closure(node: T.Tensor) -> dict:
+    """The variables a node's backward closure holds, by name."""
+    return _cells(node._backward)
+
+
+def _closure_values(node: T.Tensor) -> list:
+    """What a node's backward closure holds, with what the functions it holds close over."""
+    values, functions, seen = [], [node._backward], set()
+    while functions:
+        fn = functions.pop()
+        if id(fn) not in seen:
+            seen.add(id(fn))
+            for value in _cells(fn).values():
+                (functions if inspect.isfunction(value) else values).append(value)
+    return values
+
+
 def closure_arrays(node: T.Tensor) -> list[np.ndarray]:
-    """The arrays a node's backward closure holds as arrays (not as tensors)."""
+    """The arrays a node's backward closure holds as arrays (not as tensors), its functions' too."""
     return [value for value in _closure_values(node) if isinstance(value, np.ndarray)]
 
 
@@ -87,61 +113,91 @@ def test_tape_bytes_counts_each_buffer_once_and_no_parameter():
 
 
 def test_tiny_vit_forward_tape_bytes():
-    assert tape_bytes(_tiny_vit_forward()) == 44_776
+    assert tape_bytes(_tiny_vit_forward()) == 39_880
 
 
 def test_tiny_conv_forward_tape_bytes():
-    assert tape_bytes(_tiny_conv_forward()) == 70_032
+    assert tape_bytes(_tiny_conv_forward()) == 45_456
 
 
-def test_no_conv2d_closure_holds_a_column_sized_array():
-    convs = [n for n in T.build_graph(_tiny_conv_forward()).nodes if n.op == "conv2d"]
-    assert len(convs) == 2
-    for node in convs:
+def test_a_conv_stage_closure_holds_its_slope_and_no_column_sized_array():
+    stages = [n for n in T.build_graph(_tiny_conv_forward()).nodes if n.op == "conv2d"]
+    assert len(stages) == 2
+    for node in stages:
         x, w = node._parents
+        slope = T._gelu_slope(*_conv_pre_activation_and_cdf(node))
         columns = x.size * w.shape[2] * w.shape[3]
-        assert all(arr.size < columns for arr in closure_arrays(node))
+        held = [arr for arr in closure_arrays(node) if not np.shares_memory(arr, w.data)]  # w as a matrix
+        assert len(held) == 1 and np.array_equal(held[0], slope) and slope.size < columns
 
 
-def test_no_layernorm_closure_holds_an_array_of_its_input_shape():
-    norms = [n for n in T.build_graph(_tiny_vit_forward()).nodes if n.op == "layernorm"]
-    assert len(norms) == 5  # two per block and the final one
-    for node in norms:
-        shape = node._parents[0].shape
-        assert [arr.shape for arr in closure_arrays(node)] == [shape[:-1] + (1,)] * 2
+def _normed_nodes(nodes) -> list[T.Tensor]:
+    """The ``matmul`` and ``mlp`` nodes that run a LayerNorm of their input (``norm=``)."""
+    return [n for n in nodes if n.op in ("matmul", "mlp") and _closure(n).get("norm") is not None]
 
 
-def test_an_mlp_closure_holds_the_pre_activation_and_cdf_alone():
+def test_a_folded_layernorm_keeps_its_input_statistics_alone():
+    nodes = T.build_graph(_tiny_vit_forward()).nodes
+    assert "layernorm" not in {n.op for n in nodes}
+    normed = _normed_nodes(nodes)
+    # per block the qkv matmul and the mlp, then the final projection
+    assert [n.op for n in normed] == ["matmul", "mlp", "matmul", "mlp", "matmul"]
+    for node in normed:
+        x = node._parents[0]
+        stats = [arr for arr in closure_arrays(node) if arr.shape[-1] == 1]
+        assert [arr.shape for arr in stats] == [x.shape[:-1] + (1,)] * 2
+        assert all(arr.shape != x.shape for arr in closure_arrays(node))
+
+
+def test_an_mlp_closure_holds_the_pre_activation_and_cdf_and_its_input_statistics_alone():
     mlps = [n for n in T.build_graph(_tiny_vit_forward()).nodes if n.op == "mlp"]
     assert len(mlps) == 2  # one per block
     for node in mlps:
         x, w1 = node._parents[:2]
         hidden = x.shape[:-1] + w1.shape[1:]
+        assert sorted(arr.shape for arr in closure_arrays(node)) == sorted([hidden] * 2 + [x.shape[:-1] + (1,)] * 2)
         pair = [arr for arr in closure_arrays(node) if arr.shape == hidden]
-        assert len(pair) == 2
         assert any(np.array_equal(cdf, T._gelu_cdf(u)) for u, cdf in (pair, pair[::-1]))
+        assert node._parents[0] is node._parents[5]  # x is the residual too
 
 
-def _gelu_outputs(nodes) -> list[np.ndarray]:
-    """What GELU gives inside each ``mlp`` and ``gelu_avgpool2`` node."""
-    outputs = []
+def _conv_pre_activation_and_cdf(node: T.Tensor) -> tuple[np.ndarray, np.ndarray]:
+    u = T.conv2d(*(p.data for p in node._parents)).data
+    return u, T._gelu_cdf(u)
+
+
+def _rebuilt_buffers(nodes) -> list[tuple[str, np.ndarray]]:
+    """(kind, array) of what the fused nodes compute and leave off the tape: each GELU
+    output, each LayerNorm output a GEMM reads and each conv pre-activation."""
+    out = []
     for node in nodes:
+        closure = _closure(node)
+        if node.op in ("matmul", "mlp") and closure.get("norm") is not None:
+            x, (gain, bias) = node._parents[0], closure["norm"]
+            out.append(("layernorm output", T.layernorm(x.data, gain.data, bias.data).data))
         if node.op == "mlp":
-            x, w1, b1 = (p.data for p in node._parents[:3])
-            outputs.append(T.gelu(T.matmul(x, w1, b1)).data)
-        elif node.op == "gelu_avgpool2":
-            outputs.append(T.gelu(node._parents[0]).data)
-    return outputs
+            w1, b1 = (p.data for p in node._parents[1:3])
+            x = out[-1][1] if closure.get("norm") is not None else node._parents[0].data
+            out.append(("gelu output", T.gelu(T.matmul(x, w1, b1)).data))
+        elif node.op == "conv2d":
+            u, cdf = _conv_pre_activation_and_cdf(node)
+            out += [("conv pre-activation", u), ("gelu output", u * cdf), ("gelu cdf", cdf)]
+    return out
 
 
-def test_no_node_holds_a_gelu_output():
-    for forward, fused in ((_tiny_vit_forward, "mlp"), (_tiny_conv_forward, "gelu_avgpool2")):
+def test_no_node_holds_a_gelu_output_a_layernorm_output_or_a_conv_pre_activation():
+    expected = {
+        _tiny_vit_forward: {"layernorm output": 5, "gelu output": 2},
+        _tiny_conv_forward: {"conv pre-activation": 2, "gelu output": 2, "gelu cdf": 2},
+    }
+    for forward, counts in expected.items():
         nodes = T.build_graph(forward()).nodes
-        outputs = _gelu_outputs(nodes)
-        assert len(outputs) == 2 and "gelu" not in {node.op for node in nodes}
+        rebuilt = _rebuilt_buffers(nodes)
+        assert {kind: sum(k == kind for k, _ in rebuilt) for kind in counts} == counts
+        assert not {"gelu", "layernorm", "gelu_avgpool2"} & {node.op for node in nodes}
         held = [arr for node in nodes for arr in _arrays([node, *_closure_values(node)])]
-        for out in outputs:
-            assert not any(arr.shape == out.shape and np.array_equal(arr, out) for arr in held), fused
+        for kind, out in rebuilt:
+            assert not any(arr.shape == out.shape and np.array_equal(arr, out) for arr in held), kind
 
 
 def first_gradients(root: T.Tensor, monkeypatch) -> tuple[int, int]:
@@ -177,9 +233,9 @@ def first_gradients(root: T.Tensor, monkeypatch) -> tuple[int, int]:
 def test_tiny_vit_backward_takes_over_every_buffer_a_rule_built(monkeypatch):
     # the copies are an incoming gradient or a view of one: four residuals,
     # add's operand and concat's two pieces
-    assert first_gradients(_tiny_vit_forward(), monkeypatch) == (45, 7)
+    assert first_gradients(_tiny_vit_forward(), monkeypatch) == (40, 7)
 
 
 def test_tiny_conv_backward_takes_over_every_buffer_a_rule_built(monkeypatch):
     # the copies: reshape's and transpose's views
-    assert first_gradients(_tiny_conv_forward(), monkeypatch) == (11, 2)
+    assert first_gradients(_tiny_conv_forward(), monkeypatch) == (9, 2)

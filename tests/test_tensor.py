@@ -1,8 +1,10 @@
 """Autodiff engine: values, bit identities, errors and tape mechanics, and the op-gradient
 table of ``deskclip.verify`` swept over seeds against finite differences."""
 
+import importlib.util
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from deskclip.errors import ContractError, DegenerateInputError, ShapeError
 from deskclip.gradcheck import five_point_gradient, gradient_report, numeric_gradient
 from deskclip import verify
 from deskclip.verify import OP_CASES
+from tests.conftest import ROOT
 
 TOL = 1e-6
 
@@ -506,6 +509,82 @@ def test_mlp_is_one_node_and_checks_shapes():
         T.mlp(rand(rng, 4), w1, b1, w2, b2)
 
 
+def _assert_fused_is_bitwise_unfused(fused, unfused, data, tracked=None):
+    """``fused(*inputs)`` and ``unfused(*inputs)`` over fresh tensors of ``data`` (gradient-tracked
+    where ``tracked`` says, all by default) give the same value and the same gradient on every
+    input, to the bit, with or without a tape. The loss reads the first input once more, in a
+    term whose backward runs before the op's, so the order in which the op adds its gradients
+    into that input shows in the bits."""
+    tracked = tracked or [True] * len(data)
+    runs = []
+    for op in (fused, unfused):
+        inputs = [T.Tensor(d, requires_grad=t) for d, t in zip(data, tracked)]
+        out = op(*inputs)
+        rng = np.random.default_rng(5)
+        T.backward(T.sum_(inputs[0] * T.constant(rng.standard_normal(inputs[0].shape)))
+                   + T.sum_(out * T.constant(rng.standard_normal(out.shape))))
+        runs.append([out.data] + [t.grad for t in inputs])
+        with T.no_grad():
+            quiet = op(*inputs)
+        assert np.array_equal(quiet.data, out.data) and quiet._parents == () and quiet._backward is None
+    for got, want in zip(*runs):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("xshape", [(5, 6), (2, 3, 6)], ids=["2d", "3d"])
+@pytest.mark.parametrize("residual", [None, "other", "x"])
+def test_matmul_with_norm_is_bitwise_layernorm_then_matmul(xshape, residual):
+    rng = np.random.default_rng(43)
+    x = 2.0 * rng.standard_normal(xshape) + 0.5
+    data = [x, rng.standard_normal((6, 6)), rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal(6)]
+    data += [rng.standard_normal(xshape)] if residual == "other" else []
+
+    def pick(x, rest):
+        return x if residual == "x" else (rest[0] if rest else None)
+
+    def fused(x, w, b, gain, beta, *rest):
+        return T.matmul(x, w, b, pick(x, rest), norm=(gain, beta))
+
+    def unfused(x, w, b, gain, beta, *rest):
+        return T.matmul(T.layernorm(x, gain, beta), w, b, pick(x, rest))
+
+    _assert_fused_is_bitwise_unfused(fused, unfused, data)
+
+
+@pytest.mark.parametrize("xshape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("residual", [None, "other", "x"])
+def test_mlp_with_norm_is_bitwise_layernorm_then_mlp(xshape, residual):
+    rng = np.random.default_rng(44)
+    shapes = [(4, 12), (12,), (12, 4), (4,), (4,), (4,)] + ([xshape] if residual == "other" else [])
+    data = [2.0 * rng.standard_normal(xshape) + 0.5] + [rng.standard_normal(shape) for shape in shapes]
+
+    def pick(x, rest):
+        return x if residual == "x" else (rest[0] if rest else None)
+
+    def fused(x, w1, b1, w2, b2, gain, beta, *rest):
+        return T.mlp(x, w1, b1, w2, b2, pick(x, rest), norm=(gain, beta))
+
+    def unfused(x, w1, b1, w2, b2, gain, beta, *rest):
+        return T.mlp(T.layernorm(x, gain, beta), w1, b1, w2, b2, pick(x, rest))
+
+    _assert_fused_is_bitwise_unfused(fused, unfused, data)
+
+
+def test_norm_operands_are_parents_and_are_checked():
+    rng = np.random.default_rng(45)
+    x, w, gain, beta = rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 4), rand(rng, 4)
+    assert T.matmul(x, w, norm=(gain, beta))._parents == (x, w, gain, beta)
+    w1, b1, w2, b2 = rand(rng, 4, 8), rand(rng, 8), rand(rng, 8, 4), rand(rng, 4)
+    out = T.mlp(x, w1, b1, w2, b2, x, norm=(gain, beta))
+    assert out._parents == (x, w1, b1, w2, b2, x, gain, beta)
+    assert [node.op for node in T.build_graph(out).nodes].count("mlp") == 1
+    assert "layernorm" not in {node.op for node in T.build_graph(out).nodes}
+    with pytest.raises(ShapeError, match="matmul: gain/bias must have shape"):
+        T.matmul(x, w, norm=(rand(rng, 5), beta))
+    with pytest.raises(ShapeError, match="mlp: gain/bias must have shape"):
+        T.mlp(x, w1, b1, w2, b2, norm=(gain, rand(rng, 3)))
+
+
 # softmax family ------------------------------------------------------------
 
 
@@ -947,6 +1026,43 @@ def test_gelu_avgpool2_is_bitwise_gelu_then_the_reshaped_mean():
         assert np.array_equal(T.gelu_avgpool2(pooled).data, want.data)
 
 
+@pytest.mark.parametrize("wshape", [(5, 3, 3, 3), (2, 3, 1, 3)], ids=["3x3", "1x3"])
+@pytest.mark.parametrize("input_tracked", [True, False], ids=["tracked-input", "constant-input"])
+def test_conv2d_with_gelu_pool_is_bitwise_conv2d_then_gelu_avgpool2(wshape, input_tracked):
+    rng = np.random.default_rng(21)
+    data = [rng.standard_normal((3, 2, 6, 8)), 0.5 * rng.standard_normal(wshape)]
+    _assert_fused_is_bitwise_unfused(lambda x, w: T.conv2d(x, w, gelu_pool=True),
+                                     lambda x, w: T.gelu_avgpool2(T.conv2d(x, w)), data, [input_tracked, True])
+
+
+def test_conv2d_with_gelu_pool_is_one_node_and_checks_shapes():
+    rng = np.random.default_rng(22)
+    x, w = rand(rng, 3, 2, 6, 8), rand(rng, 5, 3, 3, 3)
+    out = T.conv2d(x, w, gelu_pool=True)
+    assert out.shape == (5, 2, 3, 4) and out._parents == (x, w)
+    assert [node.op for node in T.build_graph(out).nodes] == ["leaf"] * 2 + ["conv2d"]
+    with pytest.raises(ShapeError, match=r"conv2d\(gelu_pool=True\) expects 4-D input with even"):
+        T.conv2d(rand(rng, 3, 2, 5, 8), w, gelu_pool=True)
+    with pytest.raises(ShapeError, match="conv2d channel mismatch"):
+        T.conv2d(rand(rng, 2, 2, 6, 8), w, gelu_pool=True)
+    with pytest.raises(ShapeError, match="conv2d takes odd kernels only"):
+        T.conv2d(x, rand(rng, 5, 3, 2, 3), gelu_pool=True)
+
+
+def test_conv2d_with_gelu_pool_computes_no_slope_without_a_tape(monkeypatch):
+    rng = np.random.default_rng(24)
+    x, w = rand(rng, 3, 2, 6, 8), rand(rng, 5, 3, 3, 3)
+    calls = []
+    slope = T._gelu_slope
+    monkeypatch.setattr(T, "_gelu_slope", lambda *args: calls.append(1) or slope(*args))
+    with T.no_grad():
+        T.conv2d(x, w, gelu_pool=True)
+    T.conv2d(T.constant(x.data), T.constant(w.data), gelu_pool=True)
+    assert calls == []
+    T.conv2d(x, w, gelu_pool=True)
+    assert calls == [1]
+
+
 def test_gelu_avgpool2_shape_check():
     with pytest.raises(ShapeError):
         T.gelu_avgpool2(T.constant(np.zeros((2, 3, 5, 6))))
@@ -1099,6 +1215,23 @@ def test_op_table_rows_name_exactly_the_public_ops_and_record_them():
     for case in OP_CASES:
         loss, _ = case.probe(np.random.default_rng(0))
         assert case.op.rstrip("_") in {node.op for node in T.build_graph(loss()).nodes}, case.name
+
+
+def test_every_op_the_perfbench_tracer_wraps_is_a_public_tensor_function():
+    """perfbench's tracer wraps each name in its ``TAPE_OPS`` through ``getattr`` on this
+    module, so an op it names that is renamed or deleted would crash every traced run."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    assert tracing.TAPE_OPS
+    for name in tracing.TAPE_OPS:
+        fn = getattr(T, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_"), name
 
 
 # no_grad ----------------------------------------------------------------------
